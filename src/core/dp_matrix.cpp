@@ -1,6 +1,8 @@
 #include "core/dp_matrix.h"
 
+#include <algorithm>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -11,7 +13,9 @@ namespace omega::core {
 void DpMatrix::reset(std::size_t base) {
   base_ = base;
   count_ = 0;
-  storage_.clear();
+  head_ = 0;
+  rows_.clear();
+  tail_ = 0;
   ++stats_.resets;
 }
 
@@ -22,10 +26,7 @@ double DpMatrix::at(std::size_t gi, std::size_t gj) const {
         ") outside covered range [" + std::to_string(base_) + ", " +
         std::to_string(end()) + ") with j <= i");
   }
-  const std::size_t i = gi - base_;
-  const std::size_t j = gj - base_;
-  if (i == j) return 0.0;
-  return storage_[row_offset(i) + j];
+  return at_fast(gi, gj);
 }
 
 void DpMatrix::relocate(std::size_t new_base) {
@@ -33,30 +34,53 @@ void DpMatrix::relocate(std::size_t new_base) {
     throw std::invalid_argument("DpMatrix::relocate cannot move base backward");
   }
   const std::size_t delta = new_base - base_;
-  if (delta == 0) {
-    // Same anchor: the whole triangle is reused as-is.
-    ++stats_.relocations;
-    stats_.cells_reused += storage_.size();
-    return;
-  }
-  if (delta >= count_) {
+  if (delta > 0 && delta >= count_) {
     reset(new_base);  // no overlap survives; counts as a reset
     return;
   }
-  const std::size_t new_count = count_ - delta;
-  ++stats_.relocations;
-  stats_.cells_reused += row_offset(new_count);
-  // Row i' of the relocated triangle holds old row (i' + delta) entries
-  // [delta, delta + i'). Rows move front-to-back; the destination offset is
-  // always strictly below the source, so in-place copies are safe.
-  for (std::size_t i = 1; i < new_count; ++i) {
-    std::memmove(storage_.data() + row_offset(i),
-                 storage_.data() + row_offset(i + delta) + delta,
-                 i * sizeof(double));
-  }
-  count_ = new_count;
+  // Row gi keeps its slot; its first `delta` entries become dead cells that
+  // the next compaction drops.
+  count_ -= delta;
+  head_ += delta;
   base_ = new_base;
-  storage_.resize(row_offset(new_count));
+  ++stats_.relocations;
+  stats_.cells_reused += row_offset(count_);
+}
+
+void DpMatrix::Arena::resize(std::size_t capacity) {
+  void* cells = std::realloc(cells_, capacity * sizeof(double));
+  if (cells == nullptr) throw std::bad_alloc();
+  cells_ = static_cast<double*>(cells);
+  capacity_ = capacity;
+}
+
+void DpMatrix::make_room(std::size_t cells) {
+  const std::size_t capacity = arena_.capacity();
+  if (tail_ + cells <= capacity) return;
+  // Compact: slide each live slice [base, gi) to the front, oldest row
+  // first. Rows sit in the arena in row order, so every destination is at or
+  // below its source and front-to-back memmoves are safe.
+  std::size_t dst = 0;
+  for (std::size_t i = 0; i < count_; ++i) {
+    double* src = local_row(i);
+    if (src != arena_.data() + dst) {
+      std::memmove(arena_.data() + dst, src, i * sizeof(double));
+      stats_.cells_moved += i;
+    }
+    rows_[head_ + i] = dst - base_;
+    dst += i;
+  }
+  rows_.erase(rows_.begin(),
+              rows_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  tail_ = dst;
+
+  const std::size_t needed = tail_ + cells;
+  if (needed + capacity / 4 <= capacity) return;
+  // Grow so a quarter stays free. Reallocating rather than allocating and
+  // copying means the old and new arenas are never resident together.
+  arena_.resize(needed + needed / 3);
+  stats_.cells_moved += tail_;
 }
 
 void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
@@ -65,23 +89,14 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   if (new_end <= end()) return;
   const std::size_t old_count = count_;
   const std::size_t new_count = new_end - base_;
-  const std::size_t new_rows = new_count - old_count;
-  stats_.cells_recomputed += row_offset(new_count) - row_offset(old_count);
-  storage_.resize(row_offset(new_count));
-
-  // Fetch r2 for all (new row, column) pairs in one engine call; columns span
-  // the full final width so the recurrence below has every value it needs.
-  // The fetch buffer is a member scratch: extend() runs once per grid
-  // position, and reallocating tens of MB per position dominated small scans.
-  const std::size_t ld_r2 = new_count - 1;  // columns 0 .. new_count-2
-  if (ld_r2 > 0) {
-    if (r2_scratch_.size() < new_rows * ld_r2) {
-      r2_scratch_.resize(new_rows * ld_r2);
-    }
-    engine.r2_block(base_ + old_count, base_ + new_count, base_,
-                    base_ + new_count - 1, r2_scratch_.data(), ld_r2);
-    r2_fetches_ += static_cast<std::uint64_t>(new_rows) * ld_r2;
+  const std::size_t new_cells = row_offset(new_count) - row_offset(old_count);
+  make_room(new_cells);
+  stats_.cells_recomputed += new_cells;
+  for (std::size_t i = old_count; i < new_count; ++i) {
+    rows_.push_back(tail_ - base_);
+    tail_ += i;
   }
+  count_ = new_count;
 
   // Eq. (3) in telescoped form. The recurrence
   //   M(i, j) = M(i, j+1) + M(i-1, j) - M(i-1, j+1) + r2(i, j)
@@ -95,31 +110,48 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   // (relocation tests compare them bitwise). Phase 2 adds each previous row
   // in ascending order — a unit-stride vector add replacing the old 4-term
   // per-cell chain.
+  //
+  // Both phases run one fetch block at a time. Each block fetches its rows
+  // over the full column span (columns 0 .. new_count-2), so the fetch count
+  // equals one whole-extend block, while the scratch holds only kFetchRows
+  // rows.
+  const std::size_t ld_r2 = new_count - 1;
+  if (ld_r2 == 0) return;  // a lone row has no columns below its diagonal
   const std::size_t first = old_count == 0 ? 1 : old_count;
-  const auto suffix_row = [&](std::size_t i) {
-    double* row = storage_.data() + row_offset(i);
-    const float* r2_row = r2_scratch_.data() + (i - old_count) * ld_r2;
-    double acc = 0.0;
-    for (std::size_t j = i; j-- > 0;) {
-      acc += static_cast<double>(r2_row[j]);
-      row[j] = acc;
-    }
-  };
   constexpr std::size_t kMinRowsForPool = 64;
-  if (pool != nullptr && pool->size() > 0 &&
-      new_count - first >= kMinRowsForPool) {
-    par::parallel_for(*pool, first, new_count, 8, suffix_row);
-  } else {
-    for (std::size_t i = first; i < new_count; ++i) suffix_row(i);
+  const bool use_pool = pool != nullptr && pool->size() > 0 &&
+                        new_count - first >= kMinRowsForPool;
+  r2_scratch_.resize(std::min(kFetchRows, new_count - old_count) * ld_r2);
+  for (std::size_t r0 = old_count; r0 < new_count; r0 += kFetchRows) {
+    const std::size_t r1 = std::min(r0 + kFetchRows, new_count);
+    engine.r2_block(base_ + r0, base_ + r1, base_, base_ + ld_r2,
+                    r2_scratch_.data(), ld_r2);
+    r2_fetches_ += static_cast<std::uint64_t>(r1 - r0) * ld_r2;
+
+    const std::size_t lo = std::max(r0, first);
+    const auto suffix_row = [&](std::size_t i) {
+      double* row = local_row(i);
+      const float* r2_row = r2_scratch_.data() + (i - r0) * ld_r2;
+      double acc = 0.0;
+      for (std::size_t j = i; j-- > 0;) {
+        acc += static_cast<double>(r2_row[j]);
+        row[j] = acc;
+      }
+    };
+    if (use_pool) {
+      par::parallel_for(*pool, lo, r1, 8, suffix_row);
+    } else {
+      for (std::size_t i = lo; i < r1; ++i) suffix_row(i);
+    }
+    for (std::size_t i = lo; i < r1; ++i) {
+      double* row = local_row(i);
+      const double* prev = local_row(i - 1);
+      // Previous row holds columns 0 .. i-2; column i-1 adds the implicit
+      // zero diagonal M(i-1, i-1), so the suffix value already stored is
+      // final.
+      for (std::size_t j = 0; j + 1 < i; ++j) row[j] += prev[j];
+    }
   }
-  for (std::size_t i = first; i < new_count; ++i) {
-    double* row = storage_.data() + row_offset(i);
-    const double* prev = storage_.data() + row_offset(i - 1);
-    // Previous row holds columns 0 .. i-2; column i-1 adds the implicit
-    // zero diagonal M(i-1, i-1), so the suffix value already stored is final.
-    for (std::size_t j = 0; j + 1 < i; ++j) row[j] += prev[j];
-  }
-  count_ = new_count;
 }
 
 }  // namespace omega::core

@@ -10,11 +10,11 @@ namespace omega::core {
 
 OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position) {
   // Loop order: right border b outer, left border a inner. For a fixed b,
-  // M(b, a) walks row b of the packed triangle contiguously and M(c, a)
-  // walks row c contiguously, so the scan streams two rows per outer
-  // iteration instead of striding across the whole matrix — the CPU-side
-  // analogue of the paper's "two columns per iteration of i" layout
-  // observation (Fig. 9). Results are order-independent (strict max).
+  // M(b, a) walks row b of M contiguously and M(c, a) walks row c
+  // contiguously, so the scan streams two rows per outer iteration instead
+  // of striding across the whole matrix — the CPU-side analogue of the
+  // paper's "two columns per iteration of i" layout observation (Fig. 9).
+  // Results are order-independent (strict max).
   if (!position.valid) return {};
   return max_omega_search_range(m, position, position.b_min, position.hi);
 }

@@ -151,7 +151,7 @@ struct RecoveryPolicy {
 
 struct ScannerOptions {
   OmegaConfig config;
-  LdBackendKind ld = LdBackendKind::Popcount;
+  LdBackendKind ld = LdBackendKind::Auto;
   /// Optional custom LD engine overriding `ld` — e.g. the simulated-GPU GEMM
   /// engine for the complete GPU-accelerated OmegaPlus configuration. The
   /// factory receives the scan's bit-packed matrix (alive for the scan).

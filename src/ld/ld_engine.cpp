@@ -52,11 +52,11 @@ void GemmLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
   const std::size_t m = i1 - i0;
   const std::size_t n_cols = j1 - j0;
   if (m == 0 || n_cols == 0) return;
-  // Reusable count scratch, mirroring DpMatrix::r2_scratch_ — but per thread
-  // rather than per engine, because multithreaded scans share one engine
-  // across workers (member scratch would be a data race). assign() keeps the
-  // capacity across calls, so the four m x n buffers the missing-data path
-  // needs are heap-allocated once per thread instead of once per call.
+  // Reusable count scratch, kept per thread rather than per engine because
+  // multithreaded scans share one engine across workers (member scratch
+  // would be a data race). assign() keeps the capacity across calls, so the
+  // four m x n buffers the missing-data path needs are heap-allocated once
+  // per thread instead of once per call.
   struct Scratch {
     std::vector<std::int32_t> counts, ni, nj, n;
   };

@@ -19,8 +19,11 @@ struct ThreadPool::Batch {
   std::vector<std::exception_ptr> errors;
 
   void finish_one() {
+    // Decrement under the lock: the waiter checks `remaining` under it and
+    // destroys the batch as soon as it reads zero, so the last finisher must
+    // be done with the mutex and condition variable by then.
+    std::lock_guard<std::mutex> lock(done_mutex);
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
       done_cv.notify_all();
     }
   }

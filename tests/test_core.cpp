@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "core/dp_matrix.h"
 #include "core/grid.h"
@@ -25,6 +29,7 @@
 namespace {
 
 using omega::core::DpMatrix;
+using omega::core::DpMatrixStats;
 using omega::core::GridPosition;
 using omega::core::OmegaConfig;
 using omega::io::Dataset;
@@ -171,6 +176,172 @@ TEST(DpMatrix, RelocatePastEndResets) {
   EXPECT_EQ(m.count(), 0u);
   m.extend(30, engine);
   EXPECT_NEAR(m.range_sum(20, 29), direct_range_sum(d, 20, 29), 1e-4);
+}
+
+// Cells in a triangle of `rows` rows (row i holds i entries).
+std::uint64_t triangle(std::size_t rows) {
+  return rows == 0 ? 0 : static_cast<std::uint64_t>(rows) * (rows - 1) / 2;
+}
+
+// Counts cells of `m` that differ bitwise from `fresh` over m's coverage,
+// read both through at() and through row_data().
+std::size_t bitwise_mismatches(const DpMatrix& m, const DpMatrix& fresh) {
+  std::size_t mismatches = 0;
+  for (std::size_t gi = m.base(); gi < m.end(); ++gi) {
+    const double* row = m.row_data(gi);
+    for (std::size_t gj = m.base(); gj <= gi; ++gj) {
+      const double expected = fresh.at(gi, gj);
+      if (std::bit_cast<std::uint64_t>(m.at(gi, gj)) !=
+          std::bit_cast<std::uint64_t>(expected)) {
+        ++mismatches;
+      }
+      if (gj < gi && std::bit_cast<std::uint64_t>(row[gj - m.base()]) !=
+                         std::bit_cast<std::uint64_t>(expected)) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Drives one matrix through a seeded mix of the steps a scan produces —
+// relocations by 0, 1, a few rows and most of the window, jumps past end()
+// and back to the start (both reset), extends of 0, a few and more than
+// kFetchRows rows — while the window widens, so the arena compacts and grows
+// several times. After every step each cell must equal, bit for bit, the
+// cell of a matrix built from scratch over the same range, and the
+// accounting must follow the reuse formulas.
+TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
+  constexpr std::size_t kSites = 1200;
+  const Dataset d = test_dataset(kSites, 16, 61);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  std::mt19937_64 rng(2022);
+
+  DpMatrix m;
+  m.reset(0);
+  DpMatrixStats expected;
+  expected.resets = 1;
+  std::uint64_t expected_fetches = 0;
+  std::size_t widest = 0;
+  std::size_t growths = 0;
+  std::size_t multi_block_extends = 0;
+  std::size_t past_end_resets = 0;
+  for (std::size_t step = 0; step < 400; ++step) {
+    const std::size_t max_width = 40 + step * 3 / 4;
+    const std::size_t count = m.count();
+    std::size_t delta = 0;
+    switch (rng() % 16) {
+      case 0: case 1: delta = 0; break;
+      case 2: case 3: case 4: delta = 1; break;
+      case 5: delta = count * 3 / 4; break;                  // most of it
+      case 6: delta = count + rng() % 4; break;              // past end()
+      default: delta = 2 + rng() % 4; break;                 // a few rows
+    }
+    const std::uint64_t moved_before = m.stats().cells_moved;
+    if (m.base() + delta + max_width > kSites) {
+      m.reset(rng() % 16);  // back to the start, as a new scan would
+      ++expected.resets;
+    } else {
+      m.relocate(m.base() + delta);
+      if (delta > 0 && delta >= count) {
+        ++expected.resets;
+        ++past_end_resets;
+      } else {
+        ++expected.relocations;
+        expected.cells_reused += triangle(count - delta);
+      }
+    }
+    ASSERT_EQ(m.stats().cells_moved, moved_before) << "step " << step;
+
+    std::size_t width = max_width;  // refill the window, as a scan does
+    switch (rng() % 5) {
+      case 0: width = m.count(); break;
+      case 1: width = std::min(max_width, m.count() + 1 + rng() % 4); break;
+      default: break;
+    }
+    width = std::max(width, m.count());
+    const std::size_t old_count = m.count();
+    const std::size_t capacity_before = m.capacity();
+    m.extend(m.base() + width, engine);
+    if (width > old_count) {
+      expected_fetches += static_cast<std::uint64_t>(width - old_count) *
+                          (width - 1);
+      expected.cells_recomputed += triangle(width) - triangle(old_count);
+    }
+    if (width - old_count > DpMatrix::kFetchRows) ++multi_block_extends;
+    if (m.capacity() > capacity_before) ++growths;
+    widest = std::max(widest, width);
+
+    ASSERT_EQ(m.count(), width);
+    ASSERT_EQ(m.r2_fetches(), expected_fetches) << "step " << step;
+    ASSERT_EQ(m.stats().resets, expected.resets) << "step " << step;
+    ASSERT_EQ(m.stats().relocations, expected.relocations) << "step " << step;
+    ASSERT_EQ(m.stats().cells_reused, expected.cells_reused) << "step " << step;
+    ASSERT_EQ(m.stats().cells_recomputed, expected.cells_recomputed)
+        << "step " << step;
+    ASSERT_LE(3 * m.capacity(), 4 * triangle(widest)) << "step " << step;
+
+    DpMatrix fresh;
+    fresh.reset(m.base());
+    fresh.extend(m.end(), engine);
+    ASSERT_EQ(bitwise_mismatches(m, fresh), 0u)
+        << "step " << step << " over [" << m.base() << ", " << m.end() << ")";
+  }
+  // The sequence really exercised every arena path.
+  EXPECT_GT(m.stats().cells_moved, 0u);  // compactions
+  EXPECT_GE(growths, 3u);
+  EXPECT_GE(multi_block_extends, 3u);
+  EXPECT_GE(past_end_resets, 3u);
+}
+
+// Slides a window 1-5 rows per step for `steps` steps, widening it by
+// `widen` rows per step, and returns the matrix's accounting. Relocation
+// must copy no cells.
+DpMatrixStats slide_window(std::size_t width, std::size_t widen,
+                           std::size_t steps) {
+  const Dataset d = test_dataset(width + (5 + widen) * steps, 8, 62);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  std::mt19937_64 rng(7);
+  DpMatrix m;
+  m.reset(0);
+  m.extend(width, engine);
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::uint64_t moved_before = m.stats().cells_moved;
+    m.relocate(m.base() + 1 + rng() % 5);
+    EXPECT_EQ(m.stats().cells_moved, moved_before) << "step " << step;
+    width += widen;
+    m.extend(m.base() + width, engine);
+  }
+  return m.stats();
+}
+
+// The CI guard that relocation stays free: a 300-row window sliding 1-5 rows
+// per step for 1,000 steps. Copying the kept triangle on every relocation
+// would move about 45,000 cells per step against roughly 900 recomputed,
+// fifty times over this bound; the arena moves each cell a few times at most.
+TEST(DpMatrixArena, SlidingWindowMovesFewCells) {
+  const DpMatrixStats stats = slide_window(300, 0, 1000);
+  EXPECT_EQ(stats.relocations, 1000u);
+  EXPECT_GT(stats.cells_moved, 0u);
+  EXPECT_LE(stats.cells_moved, 4 * stats.cells_recomputed)
+      << "moved " << stats.cells_moved << " for " << stats.cells_recomputed
+      << " recomputed";
+}
+
+// A window that widens at every step keeps the live triangle close to the
+// arena's capacity, so compactions grow the arena, and each growth preserves
+// the live cells once more: up to twice the steady slide's moves. Growing
+// only when compaction would leave less than a quarter free keeps
+// compactions from following each other; without that rule this sequence
+// moves more than ten cells per recomputed one.
+TEST(DpMatrixArena, WideningWindowMovesFewCells) {
+  const DpMatrixStats stats = slide_window(100, 1, 600);
+  EXPECT_GT(stats.cells_moved, 0u);
+  EXPECT_LE(stats.cells_moved, 8 * stats.cells_recomputed)
+      << "moved " << stats.cells_moved << " for " << stats.cells_recomputed
+      << " recomputed";
 }
 
 TEST(DpMatrix, BackwardRelocationThrows) {

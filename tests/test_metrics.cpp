@@ -144,7 +144,7 @@ TEST(Trace, ScanEmitsStageSpans) {
     saw_scan |= name == "scan";
     saw_extend |= name == "scan.ld.extend";
     saw_search |= name == "scan.omega.search";
-    saw_ld |= name == "ld.popcount.r2_block";
+    saw_ld |= name == "ld.packed.r2_block";
   }
   EXPECT_TRUE(saw_scan);
   EXPECT_TRUE(saw_extend);
@@ -166,7 +166,7 @@ TEST(ScanMetrics, SchemaDocumentRoundTrips) {
   EXPECT_EQ(doc.at("schema_version").as_int(),
             omega::core::metrics::kSchemaVersion);
   EXPECT_EQ(doc.at("name").as_string(), "unit");
-  EXPECT_EQ(doc.at("ld_backend").as_string(), "popcount");
+  EXPECT_EQ(doc.at("ld_backend").as_string(), "packed");
   EXPECT_EQ(doc.at("backend").as_string(), "cpu");
 
   // Counters round-trip exactly (Int kind, not Double).
