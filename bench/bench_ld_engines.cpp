@@ -3,13 +3,15 @@
 // random dataset. Writes BENCH_LD.json (consumed by the bench_ld_diff ctest
 // gate and docs/METRICS.md trajectory tooling).
 //
-// Exit code: 1 when the AVX2 packed microkernel is available and its
-// steady-state throughput on the deepest clean config (2,048 samples, no
-// missing data) is below 5x the byte-panel GEMM engine — the ISSUE 8
-// acceptance floor. 0 otherwise; a host/binary without AVX2 cannot express
-// the packed speedup, so the gate only arms where the hardware can.
+// Exit code: 1 when the AVX2 packed kernels are available and either gate
+// fails: packed below 5x the byte-panel GEMM engine on the deepest clean
+// config (2,048 samples, no missing data), or packed below PopcountLd in any
+// samples x missing row (the precondition for retiring PopcountLd). 0
+// otherwise; a host/binary without AVX2 cannot express the packed speedup,
+// so the gates only arm where the hardware can.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,8 +97,12 @@ int main() {
                      omega::ld::packed_isa_name(omega::ld::PackedIsa::Auto));
 
   omega::util::Table table({"samples", "missing", "naive", "popcount", "gemm",
-                            "packed/scalar", "packed", "packed/gemm"});
+                            "packed/scalar", "packed", "packed/gemm",
+                            "packed/popcount"});
   double gate_ratio = 0.0;  // packed vs gemm at 2,048 samples, no missing
+  // Slowest packed vs popcount ratio over every row, and that row's key.
+  double popcount_min_ratio = std::numeric_limits<double>::infinity();
+  std::string popcount_worst_row;
   for (const std::size_t samples : sample_counts) {
     for (const double missing : missing_rates) {
       const auto dataset =
@@ -117,6 +123,8 @@ int main() {
       const double packed_rate = measure_cells_per_second(packed, kSites);
       const double ratio = gemm_rate > 0.0 ? packed_rate / gemm_rate : 0.0;
       if (samples == 2048 && missing == 0.0) gate_ratio = ratio;
+      const double vs_popcount =
+          popcount_rate > 0.0 ? packed_rate / popcount_rate : 0.0;
 
       char missing_str[16];
       std::snprintf(missing_str, sizeof(missing_str), "%.0f%%",
@@ -125,11 +133,16 @@ int main() {
                      rate_str(naive_rate), rate_str(popcount_rate),
                      rate_str(gemm_rate), rate_str(packed_scalar_rate),
                      rate_str(packed_rate),
-                     omega::util::Table::num(ratio, 1) + "x"});
+                     omega::util::Table::num(ratio, 1) + "x",
+                     omega::util::Table::num(vs_popcount, 1) + "x"});
 
       char key[48];
       std::snprintf(key, sizeof(key), "s%zu_m%02d", samples,
                     static_cast<int>(missing * 100.0));
+      if (vs_popcount < popcount_min_ratio) {
+        popcount_min_ratio = vs_popcount;
+        popcount_worst_row = key;
+      }
       auto entry = omega::core::metrics::JsonValue::object();
       entry.set("samples", static_cast<std::int64_t>(samples));
       entry.set("missing_rate", missing);
@@ -141,6 +154,7 @@ int main() {
       engines.set("packed", packed_rate);
       entry.set("cells_per_second", std::move(engines));
       entry.set("packed_vs_gemm_ratio", ratio);
+      entry.set("packed_vs_popcount_ratio", vs_popcount);
       json.results().set(key, std::move(entry));
     }
   }
@@ -150,15 +164,29 @@ int main() {
   gate.set("armed", avx2);
   gate.set("threshold_ratio", 5.0);
   gate.set("measured_ratio", gate_ratio);
+  gate.set("popcount_threshold_ratio", 1.0);
+  gate.set("popcount_min_ratio", popcount_min_ratio);
+  gate.set("popcount_worst_row", popcount_worst_row);
   json.results().set("gate", std::move(gate));
   json.write();
 
+  bool failed = false;
   if (avx2 && gate_ratio < 5.0) {
     std::printf("\nFAIL: packed AVX2 is %.1fx GEMM at 2,048 samples "
                 "(acceptance floor: 5x)\n", gate_ratio);
-    return 1;
+    failed = true;
   }
+  if (avx2 && popcount_min_ratio < 1.0) {
+    std::printf("\nFAIL: packed AVX2 is %.2fx popcount in row %s "
+                "(floor: 1x in every row)\n",
+                popcount_min_ratio, popcount_worst_row.c_str());
+    failed = true;
+  }
+  if (failed) return 1;
+  const char* disarmed = avx2 ? "" : " (gates disarmed: no AVX2)";
   std::printf("\npacked vs gemm at 2,048 samples: %.1fx%s\n", gate_ratio,
-              avx2 ? "" : " (gate disarmed: no AVX2)");
+              disarmed);
+  std::printf("packed vs popcount, slowest row (%s): %.1fx%s\n",
+              popcount_worst_row.c_str(), popcount_min_ratio, disarmed);
   return 0;
 }

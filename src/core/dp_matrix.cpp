@@ -85,6 +85,11 @@ void DpMatrix::make_room(std::size_t cells) {
 
 void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
                       par::ThreadPool* pool) {
+  if (new_end > engine.num_sites()) {
+    throw std::out_of_range("DpMatrix::extend to " + std::to_string(new_end) +
+                            " past the engine's " +
+                            std::to_string(engine.num_sites()) + " sites");
+  }
   // No new rows: return before touching storage or the engine.
   if (new_end <= end()) return;
   const std::size_t old_count = count_;

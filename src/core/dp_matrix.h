@@ -106,7 +106,8 @@ class DpMatrix {
   /// [base, new_end - 1), so the fetch scratch stays small while every fetch
   /// count matches one whole-extend block. When `pool` is non-null, large
   /// extends tile the suffix-scan phase across it; results are bit-identical
-  /// with or without a pool (per-row summation order is fixed).
+  /// with or without a pool (per-row summation order is fixed). Throws
+  /// std::out_of_range when new_end > engine.num_sites().
   void extend(std::size_t new_end, const ld::LdEngine& engine,
               par::ThreadPool* pool = nullptr);
 

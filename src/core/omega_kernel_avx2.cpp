@@ -12,6 +12,16 @@
 // reproduces the reference "first strict maximum in scan order" result
 // bit-for-bit. The loop tail is handled by a scalar carbon copy whose
 // candidate joins the same reduce.
+//
+// Skipping vectors that cannot win (fp64 body): g is the best value any lane
+// or the tail has recorded so far. When every lane of a vector has den > 0
+// and num < fl(g * den), then num < g * den exactly (under round-to-nearest
+// num is at most the float below fl(g * den), which lies below g * den; this
+// holds on overflow to +inf and for subnormals too), so num / den < g and
+// fl(num / den) <= g: no lane can beat g, and none can win a tie at g either,
+// because the candidate that set g comes earlier in b-major order. Such a
+// vector skips its divide and blend; every other vector runs them exactly as
+// before, so results are unchanged bit for bit.
 
 #include "core/omega_kernel_cpu.h"
 
@@ -70,6 +80,9 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
   double tail_best = 0.0;
   std::size_t tail_a = 0, tail_b = 0;
 
+  double g = 0.0;  // best value recorded by any lane or the tail so far
+  __m256d vg = vzero;
+
   for (std::size_t b = b_begin; b <= b_end; ++b) {
     const double rs = m.at_fast(b, c + 1);
     const double r_d = static_cast<double>(b - c);
@@ -94,6 +107,11 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
       const __m256d vnum = _mm256_mul_pd(vsum, vlr);
       const __m256d vden =
           _mm256_mul_pd(vpairs, _mm256_fmadd_pd(veps, vlr, vcross));
+      const __m256d vcannot_win =
+          _mm256_and_pd(_mm256_cmp_pd(vden, vzero, _CMP_GT_OQ),
+                        _mm256_cmp_pd(vnum, _mm256_mul_pd(vg, vden),
+                                      _CMP_LT_OQ));
+      if (_mm256_movemask_pd(vcannot_win) == 0xF) continue;
       __m256d vomega = _mm256_div_pd(vnum, vden);
       // Degenerate l == r == 1 windows (pairs == 0) score 0; the AND also
       // clears any NaN bits those lanes produced.
@@ -107,6 +125,14 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
         vbest = _mm256_blendv_pd(vbest, vomega, vgt);
         vbest_a = _mm256_blendv_pd(vbest_a, va, vgt);
         vbest_b = _mm256_blendv_pd(vbest_b, vb, vgt);
+        const __m128d half = _mm_max_pd(_mm256_castpd256_pd128(vbest),
+                                        _mm256_extractf128_pd(vbest, 1));
+        const double lane_max =
+            _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
+        if (lane_max > g) {
+          g = lane_max;
+          vg = _mm256_set1_pd(g);
+        }
       }
     }
 
@@ -121,6 +147,10 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
         tail_best = w;
         tail_a = ai;
         tail_b = b;
+        if (w > g) {
+          g = w;
+          vg = _mm256_set1_pd(g);
+        }
       }
     }
   }

@@ -16,11 +16,6 @@ namespace omega::ld {
 namespace packed_detail {
 namespace {
 
-// Rows are padded to a multiple of this many u64 words (one cache line, two
-// AVX2 vectors) so the vector bodies never need a scalar tail: the pad words
-// are zero in both data and mask and contribute nothing to any count stream.
-constexpr std::size_t kRowPadWords = 8;
-
 void tile_counts_scalar(const std::uint64_t* a_panel,
                         const std::uint64_t* b_panel, std::size_t stride_words,
                         std::size_t words, std::size_t m, std::size_t n,
@@ -42,7 +37,7 @@ void tile_fused_scalar(const std::uint64_t* a_panel,
                        const std::uint64_t* b_panel, std::size_t stride_words,
                        std::size_t mask_offset, std::size_t words,
                        std::size_t m, std::size_t n, std::uint32_t* c,
-                       std::size_t ldc) {
+                       std::size_t ldc, std::size_t plane) {
   for (std::size_t i = 0; i < m; ++i) {
     const std::uint64_t* ad = a_panel + i * stride_words;
     const std::uint64_t* am = ad + mask_offset;
@@ -60,12 +55,32 @@ void tile_fused_scalar(const std::uint64_t* a_panel,
         nj += static_cast<std::uint64_t>(std::popcount(ma & db));
         nn += static_cast<std::uint64_t>(std::popcount(ma & mb));
       }
-      std::uint32_t* cell = c + (i * ldc + j) * 4;
+      std::uint32_t* cell = c + i * ldc + j;
       cell[0] += static_cast<std::uint32_t>(n11);
-      cell[1] += static_cast<std::uint32_t>(ni);
-      cell[2] += static_cast<std::uint32_t>(nj);
-      cell[3] += static_cast<std::uint32_t>(nn);
+      cell[plane] += static_cast<std::uint32_t>(ni);
+      cell[2 * plane] += static_cast<std::uint32_t>(nj);
+      cell[3 * plane] += static_cast<std::uint32_t>(nn);
     }
+  }
+}
+
+void r2_shared_scalar(std::int32_t samples, std::int32_t ni,
+                      const std::int32_t* nj, const std::uint32_t* nij,
+                      std::size_t count, float* out) {
+  for (std::size_t j = 0; j < count; ++j) {
+    out[j] = r2_from_counts_f(
+        {samples, ni, nj[j], static_cast<std::int32_t>(nij[j])});
+  }
+}
+
+void r2_pairwise_scalar(const std::uint32_t* nij, const std::uint32_t* ni,
+                        const std::uint32_t* nj, const std::uint32_t* n,
+                        std::size_t count, float* out) {
+  for (std::size_t k = 0; k < count; ++k) {
+    out[k] = r2_from_counts_f({static_cast<std::int32_t>(n[k]),
+                               static_cast<std::int32_t>(ni[k]),
+                               static_cast<std::int32_t>(nj[k]),
+                               static_cast<std::int32_t>(nij[k])});
   }
 }
 
@@ -73,6 +88,7 @@ void tile_fused_scalar(const std::uint64_t* a_panel,
 
 const PackedKernels& scalar_kernels() noexcept {
   static const PackedKernels kernels{tile_counts_scalar, tile_fused_scalar,
+                                     r2_shared_scalar, r2_pairwise_scalar,
                                      "scalar"};
   return kernels;
 }
@@ -121,16 +137,13 @@ PackedLd::PackedLd(const SnpMatrix& snps, PackedBlocking blocking,
       blocking_(blocking),
       kernels_(packed_detail::resolve_kernels(isa)),
       fused_(snps.has_missing()) {
-  blocking_.mc = std::max<std::size_t>(blocking_.mc, PackedBlocking::mr);
-  blocking_.nc = std::max<std::size_t>(blocking_.nc, PackedBlocking::nr);
+  blocking_.mc = std::max<std::size_t>(blocking_.mc, 1);
+  blocking_.nc = std::max<std::size_t>(blocking_.nc, 1);
   blocking_.kc_words = std::max<std::size_t>(blocking_.kc_words, 1);
   blocking_.sites_per_panel = std::max<std::size_t>(blocking_.sites_per_panel, 1);
 
-  const std::size_t words = snps_.words_per_site();
-  padded_words_ = (words + packed_detail::kRowPadWords - 1) /
-                  packed_detail::kRowPadWords * packed_detail::kRowPadWords;
-  if (padded_words_ == 0) padded_words_ = packed_detail::kRowPadWords;
-  stride_words_ = padded_words_ * (fused_ ? 2 : 1);
+  row_words_ = snps_.words_per_site();
+  stride_words_ = row_words_ * (fused_ ? 2 : 1);
   const std::size_t sites = snps_.num_sites();
   num_blocks_ =
       (sites + blocking_.sites_per_panel - 1) / blocking_.sites_per_panel;
@@ -170,7 +183,6 @@ std::size_t PackedLd::ensure_packed(std::size_t begin, std::size_t end) const {
 
   std::size_t packed_now = 0;
   std::uint64_t hits_now = 0;
-  const std::size_t words = snps_.words_per_site();
   const std::lock_guard<std::mutex> lock(pack_mutex_);
   for (std::size_t b = first; b <= last; ++b) {
     if (block_packed_[b].load(std::memory_order_relaxed)) {
@@ -182,14 +194,10 @@ std::size_t PackedLd::ensure_packed(std::size_t begin, std::size_t end) const {
         std::min(s0 + blocking_.sites_per_panel, snps_.num_sites());
     for (std::size_t s = s0; s < s1; ++s) {
       std::uint64_t* row = arena_.get() + s * stride_words_;
-      std::memcpy(row, snps_.row(s), words * sizeof(std::uint64_t));
-      std::memset(row + words, 0,
-                  (padded_words_ - words) * sizeof(std::uint64_t));
+      std::memcpy(row, snps_.row(s), row_words_ * sizeof(std::uint64_t));
       if (fused_) {
-        std::uint64_t* mask = row + padded_words_;
-        std::memcpy(mask, snps_.mask(s), words * sizeof(std::uint64_t));
-        std::memset(mask + words, 0,
-                    (padded_words_ - words) * sizeof(std::uint64_t));
+        std::memcpy(row + row_words_, snps_.mask(s),
+                    row_words_ * sizeof(std::uint64_t));
       }
     }
     block_packed_[b].store(true, std::memory_order_release);
@@ -231,70 +239,53 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
 
   const util::perf::StageScope kernel_perf_scope(kernel_perf);
   const util::Timer kernel_timer;
-  constexpr std::size_t MR = PackedBlocking::mr;
-  constexpr std::size_t NR = PackedBlocking::nr;
-  const std::size_t lanes = fused_ ? 4 : 1;
+  const auto samples = static_cast<std::int32_t>(snps_.num_samples());
+  const std::size_t mc = std::min(blocking_.mc, m);
+  const std::size_t nc = std::min(blocking_.nc, n);
+  const std::size_t plane = mc * nc;
 
-  // Per-thread count scratch: engines are shared across scan workers, so the
-  // accumulator cannot live in the (const) engine itself.
-  static thread_local std::vector<std::uint32_t> counts;
-  counts.assign(m * n * lanes, 0);
+  // Per-thread scratch: engines are shared across scan workers, so the count
+  // planes of one block cannot live in the (const) engine itself.
+  static thread_local std::vector<std::uint32_t> scratch;
+  scratch.resize(plane * (fused_ ? 4 : 1));
+  std::uint32_t* counts = scratch.data();
 
-  // BLIS-shaped pc (depth words) -> jc (B sites) -> ic (A sites) loop nest
-  // over the packed arena, NR/MR slivers feeding the microkernel. Depth
-  // blocking splits each pair's popcount into kc_words partial sums; integer
-  // addition commutes, so the counts (and hence r2) are independent of the
-  // blocking parameters.
-  for (std::size_t pc = 0; pc < padded_words_; pc += blocking_.kc_words) {
-    const std::size_t kw = std::min(blocking_.kc_words, padded_words_ - pc);
-    for (std::size_t jc = 0; jc < n; jc += blocking_.nc) {
-      const std::size_t ncb = std::min(blocking_.nc, n - jc);
-      for (std::size_t ic = 0; ic < m; ic += blocking_.mc) {
-        const std::size_t mcb = std::min(blocking_.mc, m - ic);
-        for (std::size_t jb = 0; jb < ncb; jb += NR) {
-          const std::size_t nrb = std::min(NR, ncb - jb);
-          const std::uint64_t* b_panel = arena_row(j0 + jc + jb) + pc;
-          for (std::size_t ib = 0; ib < mcb; ib += MR) {
-            const std::size_t mrb = std::min(MR, mcb - ib);
-            const std::uint64_t* a_panel = arena_row(i0 + ic + ib) + pc;
-            std::uint32_t* c_tile =
-                counts.data() + ((ic + ib) * n + (jc + jb)) * lanes;
-            if (fused_) {
-              kernels_.tile_fused(a_panel, b_panel, stride_words_,
-                                  padded_words_, kw, mrb, nrb, c_tile, n);
-            } else {
-              kernels_.tile(a_panel, b_panel, stride_words_, kw, mrb, nrb,
-                            c_tile, n);
-            }
-          }
+  // BLIS-shaped jc (B sites) -> ic (A sites) -> pc (depth words) loop nest
+  // over the packed arena. Depth blocking splits each pair's popcount into
+  // kc_words partial sums; integer addition commutes, so the counts (and
+  // hence r2) are independent of the blocking parameters. Each finished
+  // mc x nc block of counts goes straight through the count->r2 kernel, one
+  // row of cells at a time, while it is still in cache.
+  for (std::size_t jc = 0; jc < n; jc += nc) {
+    const std::size_t ncb = std::min(nc, n - jc);
+    const std::uint64_t* b_block = arena_row(j0 + jc);
+    for (std::size_t ic = 0; ic < m; ic += mc) {
+      const std::size_t mcb = std::min(mc, m - ic);
+      const std::uint64_t* a_block = arena_row(i0 + ic);
+      for (std::size_t k = 0; k < (fused_ ? 4u : 1u); ++k) {
+        std::fill_n(counts + k * plane, mcb * ncb, 0u);
+      }
+      for (std::size_t pc = 0; pc < row_words_; pc += blocking_.kc_words) {
+        const std::size_t kw = std::min(blocking_.kc_words, row_words_ - pc);
+        if (fused_) {
+          kernels_.tile_fused(a_block + pc, b_block + pc, stride_words_,
+                              row_words_, kw, mcb, ncb, counts, ncb, plane);
+        } else {
+          kernels_.tile(a_block + pc, b_block + pc, stride_words_, kw, mcb,
+                        ncb, counts, ncb);
         }
       }
-    }
-  }
-
-  // Counts -> r2 through the same r2_from_counts_f every engine uses, so the
-  // floats are bitwise identical to PopcountLd/GemmLd/NaiveLd.
-  if (fused_) {
-    for (std::size_t i = 0; i < m; ++i) {
-      float* row = out + i * ld;
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint32_t* cell = counts.data() + (i * n + j) * 4;
-        const PairCounts pair{static_cast<std::int32_t>(cell[3]),
-                              static_cast<std::int32_t>(cell[1]),
-                              static_cast<std::int32_t>(cell[2]),
-                              static_cast<std::int32_t>(cell[0])};
-        row[j] = r2_from_counts_f(pair);
-      }
-    }
-  } else {
-    const auto n_samples = static_cast<std::int32_t>(snps_.num_samples());
-    for (std::size_t i = 0; i < m; ++i) {
-      float* row = out + i * ld;
-      const std::int32_t ni = snps_.derived_count(i0 + i);
-      for (std::size_t j = 0; j < n; ++j) {
-        const PairCounts pair{n_samples, ni, snps_.derived_count(j0 + j),
-                              static_cast<std::int32_t>(counts[i * n + j])};
-        row[j] = r2_from_counts_f(pair);
+      for (std::size_t r = 0; r < mcb; ++r) {
+        float* row = out + (ic + r) * ld + jc;
+        const std::uint32_t* cell = counts + r * ncb;
+        if (fused_) {
+          kernels_.r2_pairwise(cell, cell + plane, cell + 2 * plane,
+                               cell + 3 * plane, ncb, row);
+        } else {
+          kernels_.r2_shared(samples, snps_.derived_count(i0 + ic + r),
+                             snps_.derived_counts() + j0 + jc, cell, ncb,
+                             row);
+        }
       }
     }
   }

@@ -1,16 +1,26 @@
 #pragma once
 // Bit-packed blocked LD engine (ROADMAP item 2): the PLINK-style answer to
 // GemmLd's byte panels. Operands stay 1 bit per genotype end-to-end — 256
-// genotypes per AVX2 vector — and the MR x NR microkernel is VPAND +
-// vectorized popcount (vpshufb nibble-LUT + vpsadbw, with a Harley-Seal
-// carry-save reduction once the sample dimension is deep enough to amortize
-// it). A scalar std::popcount-over-u64 body backs the same loop nest on
-// hosts/binaries without AVX2; selection happens once at engine construction
-// through util/cpu_features, mirroring the omega_kernel_avx2.cpp per-TU
-// dispatch pattern.
+// genotypes per AVX2 vector — and every row is stored and counted at its real
+// width (words_per_site() words, no padding), so a 64-haplotype site is one
+// u64 word and a B block of 256 sites is 2 KiB of contiguous words.
 //
-// Missing data: rows are packed as fused [data | mask] panels and the fused
-// microkernel produces all four pairwise-complete count streams
+// Counting runs in two steps per (A block x B block) of the BLIS-shaped loop
+// nest. The count kernel ANDs and popcounts each pair, its body picked by the
+// row width: one-word complete rows broadcast an A word against contiguous B
+// words and one-word fused rows run popcntq; other rows a vectorized popcount
+// (vpshufb nibble-LUT + vpsadbw, popcntq for the last words % 4 words) in a
+// 1 x 4 register tile, or per pair with a Harley-Seal carry-save reduction
+// once the sample dimension is deep enough to amortize it. The count->r2
+// kernel then evaluates Eq. (1) eight cells at a time in r2_from_counts_f's
+// exact operation order, so every r2 float is bitwise what PopcountLd and
+// GemmLd produce. Scalar bodies (std::popcount, r2_from_counts_f) back the
+// same loop nest on hosts/binaries without AVX2; selection happens once at
+// engine construction through util/cpu_features, mirroring the
+// omega_kernel_avx2.cpp per-TU dispatch pattern.
+//
+// Missing data: rows are packed as fused [data | mask] rows and the fused
+// count kernel produces all four pairwise-complete count streams
 // (data.data, data.mask, mask.data, mask.mask) in ONE pass — where GemmLd
 // runs four independent GEMM sweeps.
 //
@@ -31,25 +41,22 @@
 
 namespace omega::ld {
 
-/// Cache/register blocking of the packed engine. Depth (sample) blocking is
-/// in 64-bit words: kc_words = 512 keeps one row slice at 4 KiB, so an NR
-/// B-sliver sits in L1 while MR A-rows stream against it.
+/// Cache blocking of the packed engine. One count-kernel call covers an
+/// mc x nc block of sites over a kc_words depth slice; its counts stay in a
+/// per-thread scratch until the count->r2 step turns them into floats.
 struct PackedBlocking {
-  std::size_t mc = 128;        // A-tile height in sites (ic loop)
-  std::size_t nc = 256;        // B-tile width in sites (jc loop)
+  std::size_t mc = 128;        // A-block height in sites (ic loop)
+  std::size_t nc = 256;        // B-block width in sites (jc loop)
   std::size_t kc_words = 512;  // depth slice in u64 words (pc loop)
   /// Pack/cache granularity: sites per lazily-packed panel block.
   std::size_t sites_per_panel = 256;
-  // Register blocking of the microkernel.
-  static constexpr std::size_t mr = 8;
-  static constexpr std::size_t nr = 4;
 };
 
-/// Which microkernel body the packed engine runs. Auto resolves to Avx2 when
+/// Which kernel bodies the packed engine runs. Auto resolves to Avx2 when
 /// the binary carries the AVX2 TU and the host supports it.
 enum class PackedIsa { Auto, Scalar, Avx2 };
 
-/// True when the AVX2 microkernel is compiled in and the host can run it.
+/// True when the AVX2 kernels are compiled in and the host can run them.
 [[nodiscard]] bool packed_avx2_available() noexcept;
 
 /// The body PackedIsa::Auto resolves to on this binary/host ("avx2" or
@@ -58,9 +65,9 @@ enum class PackedIsa { Auto, Scalar, Avx2 };
 
 namespace packed_detail {
 
-/// MR x NR count microkernel: c[i * ldc + j] += popcount(A_i & B_j) over
-/// `words` words, for i < m (<= mr), j < n (<= nr). Row r of a panel starts
-/// at panel + r * stride_words; callers offset `panel` by the current depth
+/// Count kernel over complete rows: c[i * ldc + j] += popcount(A_i & B_j)
+/// over `words` words, for i < m, j < n. Row r of a panel starts at
+/// panel + r * stride_words; callers offset `panel` by the current depth
 /// slice and keep `stride_words` at the full row stride.
 using TileCountsFn = void (*)(const std::uint64_t* a_panel,
                               const std::uint64_t* b_panel,
@@ -68,23 +75,39 @@ using TileCountsFn = void (*)(const std::uint64_t* a_panel,
                               std::size_t m, std::size_t n, std::uint32_t* c,
                               std::size_t ldc);
 
-/// Fused pairwise-complete microkernel over [data | mask] rows (mask at
-/// row + mask_offset words): accumulates the four streams into
-/// c[(i * ldc + j) * 4 + {0: n11, 1: ni, 2: nj, 3: n}] in one pass.
+/// Fused pairwise-complete count kernel over [data | mask] rows (mask at
+/// row + mask_offset words): accumulates the four streams in one pass into
+/// four planes laid out like TileCountsFn's c, plane k at c + k * plane for
+/// k = 0: n11, 1: ni, 2: nj, 3: n.
 using TileFusedFn = void (*)(const std::uint64_t* a_panel,
                              const std::uint64_t* b_panel,
                              std::size_t stride_words, std::size_t mask_offset,
                              std::size_t words, std::size_t m, std::size_t n,
-                             std::uint32_t* c, std::size_t ldc);
+                             std::uint32_t* c, std::size_t ldc,
+                             std::size_t plane);
+
+/// Count->r2 over one row of cells sharing n = samples (complete rows):
+/// out[j] = r2_from_counts_f({samples, ni, nj[j], nij[j]}) bit for bit, with
+/// nj[j] the column sites' derived counts.
+using R2SharedFn = void (*)(std::int32_t samples, std::int32_t ni,
+                            const std::int32_t* nj, const std::uint32_t* nij,
+                            std::size_t count, float* out);
+
+/// Count->r2 over pairwise-complete cells:
+/// out[k] = r2_from_counts_f({n[k], ni[k], nj[k], nij[k]}) bit for bit.
+using R2PairwiseFn = void (*)(const std::uint32_t* nij, const std::uint32_t* ni,
+                              const std::uint32_t* nj, const std::uint32_t* n,
+                              std::size_t count, float* out);
 
 struct PackedKernels {
   TileCountsFn tile = nullptr;
   TileFusedFn tile_fused = nullptr;
+  R2SharedFn r2_shared = nullptr;
+  R2PairwiseFn r2_pairwise = nullptr;
   const char* isa = "scalar";
 };
 
-/// Scalar std::popcount bodies (always available; the test oracle for the
-/// AVX2 TU).
+/// Scalar bodies (always available; the test oracle for the AVX2 TU).
 [[nodiscard]] const PackedKernels& scalar_kernels() noexcept;
 /// AVX2 bodies; only valid to call when packed_avx2_available().
 [[nodiscard]] const PackedKernels& avx2_kernels() noexcept;
@@ -107,7 +130,7 @@ class PackedLd final : public LdEngine {
     return snps_.num_sites();
   }
 
-  /// The microkernel body this instance resolved to ("avx2" | "scalar").
+  /// The kernel bodies this instance resolved to ("avx2" | "scalar").
   [[nodiscard]] const char* isa() const noexcept { return kernels_.isa; }
 
   /// Panel-cache accounting over this engine's lifetime (also mirrored into
@@ -132,9 +155,9 @@ class PackedLd final : public LdEngine {
   const SnpMatrix& snps_;
   PackedBlocking blocking_;
   packed_detail::PackedKernels kernels_;
-  bool fused_ = false;          // missing data -> fused [data | mask] rows
-  std::size_t padded_words_ = 0;  // row words rounded up to a vector multiple
-  std::size_t stride_words_ = 0;  // padded_words_ * (fused_ ? 2 : 1)
+  bool fused_ = false;           // missing data -> fused [data | mask] rows
+  std::size_t row_words_ = 0;    // words_per_site(): rows at their real width
+  std::size_t stride_words_ = 0;  // row_words_ * (fused_ ? 2 : 1)
   std::size_t num_blocks_ = 0;    // ceil(sites / sites_per_panel)
 
   // The arena and the per-block packed flags are the panel cache: blocks are

@@ -48,6 +48,10 @@ class SnpMatrix {
   [[nodiscard]] std::int32_t derived_count(std::size_t site) const noexcept {
     return derived_[site];
   }
+  /// All sites' derived counts, site s at index s.
+  [[nodiscard]] const std::int32_t* derived_counts() const noexcept {
+    return derived_.data();
+  }
   /// Cached valid-call count of a site.
   [[nodiscard]] std::int32_t valid_count(std::size_t site) const noexcept {
     return valid_[site];

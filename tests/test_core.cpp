@@ -350,6 +350,29 @@ TEST(DpMatrix, BackwardRelocationThrows) {
   EXPECT_THROW(m.relocate(5), std::invalid_argument);
 }
 
+TEST(DpMatrix, ExtendPastEngineThrows) {
+  const Dataset d = test_dataset(10, 24, 7);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  DpMatrix m;
+  m.reset(4);
+  EXPECT_THROW(m.extend(11, engine), std::out_of_range);
+  EXPECT_EQ(m.end(), 4u) << "a refused extend leaves the matrix as it was";
+  EXPECT_EQ(m.r2_fetches(), 0u);
+  m.extend(10, engine);  // up to the last site is legal
+  EXPECT_EQ(m.end(), 10u);
+
+  // A streamed chunk's engine reports offset + chunk sites, so extends in
+  // global indices reach the chunk's last site and no further.
+  const omega::ld::OffsetLd chunk(engine, 100);
+  DpMatrix streamed;
+  streamed.reset(103);
+  streamed.extend(110, chunk);
+  EXPECT_EQ(streamed.end(), 110u);
+  EXPECT_DOUBLE_EQ(streamed.at(109, 104), m.at(9, 4));
+  EXPECT_THROW(streamed.extend(111, chunk), std::out_of_range);
+}
+
 TEST(DpMatrix, OutOfRangeAccessThrows) {
   const Dataset d = test_dataset(10, 24, 7);
   const omega::ld::SnpMatrix snps(d);

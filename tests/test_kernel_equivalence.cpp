@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -231,6 +233,208 @@ TEST(KernelEquivalence, ZeroCrossSumRegion) {
     check_comaximal(omega::core::omega_kernel_search(
                         fx.m, position, CpuKernelKind::Avx2, scratch),
                     "avx2-zero-cross");
+  }
+}
+
+// ------------------------------------------ AVX2 fp64 body, bit for bit --
+
+/// Scalar model of the AVX2 fp64 body: every candidate in that body's op
+/// order — its vector fmadd is std::fma here, and the TU's scalar tail is
+/// contracted to the same FMA — keeping the first strict maximum in b-major,
+/// a-ascending order. The body skips the divide of vectors that cannot win;
+/// this model never skips, so agreement shows the skip changes nothing.
+OmegaResult avx2_order_oracle(const DpMatrix& m, const GridPosition& position,
+                              std::size_t b_begin, std::size_t b_end) {
+  OmegaKernelScratch scratch;
+  scratch.prepare(m, position);
+  const double eps = OmegaConfig::denominator_offset;
+  const std::size_t c = position.c;
+  const std::size_t n_left = position.a_max - position.lo + 1;
+  OmegaResult result;
+  for (std::size_t b = b_begin; b <= b_end; ++b) {
+    const double rs = m.at_fast(b, c + 1);
+    const double r_d = static_cast<double>(b - c);
+    const double kr = omega::core::choose2(b - c);
+    const double* row_b = m.row_data(b) + (position.lo - m.base());
+    for (std::size_t ai = 0; ai < n_left; ++ai) {
+      const double lr = scratch.l_d[ai] * r_d;
+      const double sum = scratch.ls[ai] + rs;
+      const double cross = row_b[ai] - sum;
+      const double pairs = scratch.kl[ai] + kr;
+      const double num = sum * lr;
+      const double den = pairs * std::fma(eps, lr, cross);
+      const double w = pairs > 0.0 ? num / den : 0.0;
+      if (w > result.max_omega) {
+        result.max_omega = w;
+        result.best_a = position.lo + ai;
+        result.best_b = b;
+      }
+    }
+  }
+  result.evaluated = static_cast<std::uint64_t>(b_end - b_begin + 1) * n_left;
+  return result;
+}
+
+void expect_bitwise(const OmegaResult& expected, const OmegaResult& got,
+                    const std::string& label) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_omega),
+            std::bit_cast<std::uint64_t>(expected.max_omega))
+      << label << ": " << got.max_omega << " vs " << expected.max_omega;
+  EXPECT_EQ(got.best_a, expected.best_a) << label;
+  EXPECT_EQ(got.best_b, expected.best_b) << label;
+  EXPECT_EQ(got.evaluated, expected.evaluated) << label;
+}
+
+/// Runs the AVX2 body over the whole right-border range of `position` and
+/// over a few sub-ranges (the parallel search's building block), each
+/// against the oracle.
+void check_avx2_against_oracle(const DpMatrix& m, const GridPosition& position,
+                               omega::util::Xoshiro256& rng,
+                               const std::string& label) {
+  OmegaKernelScratch scratch;
+  expect_bitwise(avx2_order_oracle(m, position, position.b_min, position.hi),
+                 omega::core::omega_kernel_search(m, position,
+                                                  CpuKernelKind::Avx2, scratch),
+                 label);
+  for (int r = 0; r < 3; ++r) {
+    const std::size_t span = position.hi - position.b_min + 1;
+    const std::size_t b_begin = position.b_min + rng.bounded(span);
+    const std::size_t b_end = b_begin + rng.bounded(position.hi - b_begin + 1);
+    expect_bitwise(avx2_order_oracle(m, position, b_begin, b_end),
+                   omega::core::omega_kernel_search_range(
+                       m, position, b_begin, b_end, CpuKernelKind::Avx2,
+                       scratch),
+                   label + " range [" + std::to_string(b_begin) + ", " +
+                       std::to_string(b_end) + "]");
+  }
+}
+
+/// Hand-built positions over [0, sites): left regions of 1..41 sites so
+/// every vector-tail length runs, including degenerate l == 1 / r == 1
+/// windows (pairs == 0).
+std::vector<GridPosition> oracle_positions(std::size_t sites) {
+  std::vector<GridPosition> positions;
+  for (std::size_t c = 1; c + 2 < sites; c += 5) {
+    GridPosition position;
+    position.valid = true;
+    position.lo = c >= 40 ? c - 40 : 0;
+    position.c = c;
+    position.a_max = c;
+    position.b_min = c + 1;
+    position.hi = std::min(c + 45, sites - 1);
+    positions.push_back(position);
+  }
+  return positions;
+}
+
+TEST(KernelEquivalence, Avx2MatchesOpOrderOracleBitwise) {
+  if (!omega::core::cpu_kernel_avx2_available()) {
+    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
+  }
+  omega::util::Xoshiro256 rng(41);
+  // Random matrices: coalescent data on a real grid, and hand-built
+  // positions that cover the vector tails.
+  for (std::uint64_t seed : {3u, 29u}) {
+    KernelFixture fx(kernel_dataset(seed));
+    for (const auto& position :
+         omega::core::build_grid(fx.dataset, kernel_config())) {
+      if (!position.valid) continue;
+      fx.build(position);
+      check_avx2_against_oracle(fx.m, position, rng,
+                                "grid seed " + std::to_string(seed));
+    }
+    for (const auto& position : oracle_positions(fx.dataset.num_sites())) {
+      fx.build(position);
+      check_avx2_against_oracle(fx.m, position, rng,
+                                "tails c " + std::to_string(position.c));
+    }
+  }
+}
+
+TEST(KernelEquivalence, Avx2OracleExactTiesAndZeroCrossSums) {
+  if (!omega::core::cpu_kernel_avx2_available()) {
+    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
+  }
+  // A left block of identical sites and a right block of identical sites
+  // uncorrelated with it: every cross sum is exactly 0 and many windows tie
+  // exactly, so the winner is decided by the first-in-b-major-order rule.
+  std::vector<std::vector<std::uint8_t>> rows;
+  std::vector<std::int64_t> positions;
+  for (int s = 0; s < 40; ++s) {
+    rows.push_back(s < 20 ? std::vector<std::uint8_t>{1, 1, 0, 0}
+                          : std::vector<std::uint8_t>{1, 0, 1, 0});
+    positions.push_back(100 * (s + 1));
+  }
+  KernelFixture fx(Dataset(std::move(positions), std::move(rows), 10'000));
+  omega::util::Xoshiro256 rng(43);
+  for (std::size_t lo : {0u, 1u, 5u}) {
+    for (std::size_t c : {17u, 19u}) {
+      GridPosition position;
+      position.valid = true;
+      position.lo = lo;
+      position.c = c;
+      position.a_max = c - 1;
+      position.b_min = c + 2;
+      position.hi = 39;
+      fx.build(position);
+      check_avx2_against_oracle(fx.m, position, rng,
+                                "ties lo " + std::to_string(lo) + " c " +
+                                    std::to_string(c));
+    }
+  }
+}
+
+/// LD engine serving r2 values no genotype data produces: uniform in
+/// [-0.7, 1] and NaN for one pair, so the omega kernels see negative
+/// numerators and denominators and NaN lanes.
+class SignedNanLd final : public omega::ld::LdEngine {
+ public:
+  SignedNanLd(std::size_t sites, std::uint64_t seed, std::size_t nan_row)
+      : sites_(sites), seed_(seed), nan_row_(nan_row) {}
+
+  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                float* out, std::size_t ld) const override {
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        out[(i - i0) * ld + (j - j0)] = value(i, j);
+      }
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "signed-nan"; }
+  [[nodiscard]] std::size_t num_sites() const override { return sites_; }
+
+ private:
+  [[nodiscard]] float value(std::size_t i, std::size_t j) const {
+    if (i == nan_row_ && j + 3 == i) {
+      return std::numeric_limits<float>::quiet_NaN();
+    }
+    omega::util::Xoshiro256 rng(seed_ ^ (i * 1'000'003u + j));
+    return static_cast<float>(-0.7 + 1.7 * rng.uniform());
+  }
+
+  std::size_t sites_;
+  std::uint64_t seed_;
+  std::size_t nan_row_;
+};
+
+TEST(KernelEquivalence, Avx2OracleNegativeAndNanR2) {
+  if (!omega::core::cpu_kernel_avx2_available()) {
+    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
+  }
+  constexpr std::size_t kSites = 110;
+  omega::util::Xoshiro256 rng(47);
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    // The NaN pair poisons every M cell at and below its row, so positions
+    // before it see only signed values and later ones see NaN lanes too.
+    const SignedNanLd engine(kSites, seed, 70);
+    for (const auto& position : oracle_positions(kSites)) {
+      DpMatrix m;
+      m.reset(position.lo);
+      m.extend(position.hi + 1, engine);
+      check_avx2_against_oracle(m, position, rng,
+                                "signed seed " + std::to_string(seed) +
+                                    " c " + std::to_string(position.c));
+    }
   }
 }
 

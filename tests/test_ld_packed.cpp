@@ -1,11 +1,14 @@
 // PackedLd-specific tests: ISA dispatch (scalar vs AVX2 bitwise identity),
-// panel-cache behaviour across r2_block / DpMatrix extend-relocate-reset
-// patterns and chunk switches, backend-name plumbing, and the headline
-// guarantee — whole-scan results are bitwise identical across every
-// LdBackendKind, in-memory and streaming.
+// the count->r2 kernels against r2_from_counts_f over every feasible count
+// set, narrow and wide rows against PopcountLd, panel-cache behaviour across
+// r2_block / DpMatrix extend-relocate-reset patterns and chunk switches,
+// backend-name plumbing, and the headline guarantee — whole-scan results are
+// bitwise identical across every LdBackendKind, in-memory and streaming.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +36,7 @@ using omega::ld::PackedIsa;
 using omega::ld::PackedLd;
 using omega::ld::PopcountLd;
 using omega::ld::SnpMatrix;
+namespace packed_detail = omega::ld::packed_detail;
 
 Dataset random_dataset(std::size_t sites, std::size_t samples,
                        std::uint64_t seed, double missing_rate = 0.0) {
@@ -156,6 +160,172 @@ TEST(PackedIsaDispatch, DeepSampleDimensionHitsHarleySeal) {
   auto_engine.r2_block(0, 10, 0, 10, a.data(), 10);
   scalar_engine.r2_block(0, 10, 0, 10, s.data(), 10);
   EXPECT_EQ(a, s);
+}
+
+// ------------------------------------------------------- count->r2 kernels --
+
+/// Every kernel table this binary/host can run: the scalar bodies always,
+/// the AVX2 bodies when available.
+std::vector<const packed_detail::PackedKernels*> runnable_kernels() {
+  std::vector<const packed_detail::PackedKernels*> kernels{
+      &packed_detail::scalar_kernels()};
+  if (omega::ld::packed_avx2_available()) {
+    kernels.push_back(&packed_detail::avx2_kernels());
+  }
+  return kernels;
+}
+
+std::uint32_t float_bits(float value) {
+  return std::bit_cast<std::uint32_t>(value);
+}
+
+/// One cell of Eq. (1) input: every (samples, ni, nj, nij) that integer
+/// counting can produce has ni, nj <= samples and
+/// max(0, ni + nj - samples) <= nij <= min(ni, nj).
+struct CountCell {
+  std::int32_t samples, ni, nj, nij;
+};
+
+std::vector<CountCell> feasible_cells(std::int32_t samples, std::int32_t ni) {
+  std::vector<CountCell> cells;
+  for (std::int32_t nj = 0; nj <= samples; ++nj) {
+    for (std::int32_t nij = std::max(0, ni + nj - samples);
+         nij <= std::min(ni, nj); ++nij) {
+      cells.push_back({samples, ni, nj, nij});
+    }
+  }
+  return cells;
+}
+
+constexpr std::int32_t kMaxCountSamples = 70;
+
+TEST(PackedCountToR2, SharedNMatchesScalarOverEveryFeasibleCount) {
+  for (const auto* kernels : runnable_kernels()) {
+    std::uint64_t checked = 0;
+    std::size_t row_length = 1;
+    for (std::int32_t samples = 0; samples <= kMaxCountSamples; ++samples) {
+      for (std::int32_t ni = 0; ni <= samples; ++ni) {
+        const std::vector<CountCell> cells = feasible_cells(samples, ni);
+        std::vector<std::int32_t> nj(cells.size());
+        std::vector<std::uint32_t> nij(cells.size());
+        for (std::size_t k = 0; k < cells.size(); ++k) {
+          nj[k] = cells[k].nj;
+          nij[k] = static_cast<std::uint32_t>(cells[k].nij);
+        }
+        // Rows of 1..17 cells so every vector tail length runs.
+        std::vector<float> out(cells.size(), -1.0f);
+        for (std::size_t k = 0; k < cells.size();) {
+          const std::size_t len = std::min(row_length, cells.size() - k);
+          kernels->r2_shared(samples, ni, nj.data() + k, nij.data() + k, len,
+                             out.data() + k);
+          k += len;
+          row_length = row_length % 17 + 1;
+        }
+        for (std::size_t k = 0; k < cells.size(); ++k) {
+          const auto& cell = cells[k];
+          const float expected = omega::ld::r2_from_counts_f(
+              {cell.samples, cell.ni, cell.nj, cell.nij});
+          ASSERT_EQ(float_bits(out[k]), float_bits(expected))
+              << kernels->isa << " samples " << cell.samples << " ni "
+              << cell.ni << " nj " << cell.nj << " nij " << cell.nij;
+        }
+        checked += cells.size();
+      }
+    }
+    EXPECT_GT(checked, 1'000'000u) << kernels->isa;
+  }
+}
+
+TEST(PackedCountToR2, PairwiseMatchesScalarOverEveryFeasibleCount) {
+  // Cells of every sample count 0..70 are interleaved so each vector mixes
+  // different n, as the pairwise-complete counts of a missing-data block do.
+  std::vector<CountCell> cells;
+  for (std::int32_t samples = 0; samples <= kMaxCountSamples; ++samples) {
+    for (std::int32_t ni = 0; ni <= samples; ++ni) {
+      const std::vector<CountCell> part = feasible_cells(samples, ni);
+      cells.insert(cells.end(), part.begin(), part.end());
+    }
+  }
+  omega::util::Xoshiro256 rng(2024);
+  for (std::size_t k = cells.size(); k > 1; --k) {
+    std::swap(cells[k - 1], cells[rng.bounded(k)]);
+  }
+  std::vector<std::uint32_t> n(cells.size()), ni(cells.size()),
+      nj(cells.size()), nij(cells.size());
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    n[k] = static_cast<std::uint32_t>(cells[k].samples);
+    ni[k] = static_cast<std::uint32_t>(cells[k].ni);
+    nj[k] = static_cast<std::uint32_t>(cells[k].nj);
+    nij[k] = static_cast<std::uint32_t>(cells[k].nij);
+  }
+
+  for (const auto* kernels : runnable_kernels()) {
+    std::vector<float> out(cells.size(), -1.0f);
+    std::size_t row_length = 1;
+    for (std::size_t k = 0; k < cells.size();) {
+      const std::size_t len = std::min(row_length, cells.size() - k);
+      kernels->r2_pairwise(nij.data() + k, ni.data() + k, nj.data() + k,
+                           n.data() + k, len, out.data() + k);
+      k += len;
+      row_length = row_length % 17 + 1;
+    }
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const auto& cell = cells[k];
+      const float expected = omega::ld::r2_from_counts_f(
+          {cell.samples, cell.ni, cell.nj, cell.nij});
+      ASSERT_EQ(float_bits(out[k]), float_bits(expected))
+          << kernels->isa << " samples " << cell.samples << " ni " << cell.ni
+          << " nj " << cell.nj << " nij " << cell.nij;
+    }
+    EXPECT_GT(cells.size(), 1'000'000u);
+  }
+}
+
+// ------------------------------------------------- narrow and wide rows --
+
+TEST(PackedRowWidths, MatchPopcountBitwiseAtEveryWidth) {
+  // 1..257 haplotypes cover one-word rows, rows narrower than one vector
+  // (2-3 words) and vector rows with and without a scalar word tail; 101
+  // sites with blocks of 37 x 71 and 101 x 99 cells straddle a 64-site panel
+  // boundary, the 32-site B blocks and the 8/4-cell vector steps.
+  PackedBlocking blocking;
+  blocking.sites_per_panel = 64;
+  blocking.mc = 24;
+  blocking.nc = 32;
+  struct Block {
+    std::size_t i0, i1, j0, j1;
+  };
+  const Block blocks[] = {{17, 54, 30, 101}, {0, 101, 1, 100}};
+  for (const std::size_t haplotypes :
+       {1u, 63u, 64u, 65u, 128u, 129u, 192u, 256u, 257u}) {
+    for (const double missing : {0.0, 0.1}) {
+      const Dataset d = random_dataset(101, haplotypes, 300 + haplotypes,
+                                       missing);
+      const SnpMatrix snps(d);
+      const PopcountLd popcount(snps);
+      const PackedLd packed_default(snps);
+      const PackedLd packed_blocked(snps, blocking);
+      const PackedLd packed_scalar(snps, blocking, PackedIsa::Scalar);
+      for (const Block& b : blocks) {
+        const std::size_t m = b.i1 - b.i0;
+        const std::size_t n = b.j1 - b.j0;
+        const std::size_t ld = n + 3;  // a row stride wider than the block
+        std::vector<float> expected(m * ld, -1.0f);
+        popcount.r2_block(b.i0, b.i1, b.j0, b.j1, expected.data(), ld);
+        for (const PackedLd* engine :
+             {&packed_default, &packed_blocked, &packed_scalar}) {
+          std::vector<float> actual(m * ld, -1.0f);
+          engine->r2_block(b.i0, b.i1, b.j0, b.j1, actual.data(), ld);
+          for (std::size_t k = 0; k < actual.size(); ++k) {
+            ASSERT_EQ(float_bits(actual[k]), float_bits(expected[k]))
+                << engine->isa() << " haplotypes " << haplotypes
+                << " missing " << missing << " cell " << k / ld << ","
+                << k % ld;
+          }
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- panel cache --

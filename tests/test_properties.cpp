@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/dp_matrix.h"
@@ -24,7 +25,8 @@ TEST_P(RandomizedDpChains, ArbitraryRelocateExtendEqualsFreshBuild) {
   // Property: after ANY monotone sequence of relocate/extend operations, the
   // DP matrix equals one built fresh over its final range.
   const std::uint64_t seed = GetParam();
-  const auto dataset = omega::sim::make_dataset({.snps = 120,
+  constexpr std::size_t kSites = 120;
+  const auto dataset = omega::sim::make_dataset({.snps = kSites,
                                                  .samples = 24,
                                                  .locus_length_bp = 500'000,
                                                  .rho = 10.0,
@@ -41,15 +43,17 @@ TEST_P(RandomizedDpChains, ArbitraryRelocateExtendEqualsFreshBuild) {
 
   for (int op = 0; op < 12; ++op) {
     // Random forward relocation within the covered range, then random
-    // extension (possibly a no-op).
-    const std::size_t new_base = base + rng.bounded(end - base + 4);
+    // extension (possibly a no-op). The base stays at most kSites - 2 so the
+    // two-row fallback below never extends past the dataset.
+    const std::size_t new_base =
+        std::min(base + rng.bounded(end - base + 4), kSites - 2);
     if (new_base > base) {
       chained.relocate(new_base);
       base = new_base;
       end = std::max(end, base);
     }
     const std::size_t new_end =
-        std::min<std::size_t>(120, std::max(end, base + 1) + rng.bounded(20));
+        std::min(kSites, std::max(end, base + 1) + rng.bounded(20));
     if (new_end > end && new_end > base) {
       chained.extend(new_end, engine);
       end = new_end;

@@ -3,8 +3,9 @@
 # files — the CI guard that the LD-engine throughput numbers (cells/s per
 # engine x missing-rate x sample-count) stay schema-stable and diffable.
 # Unlike bench_mt_diff, the bench's own exit code IS honored: it carries the
-# packed-vs-gemm >= 5x acceptance gate, which self-disarms on hosts/binaries
-# without AVX2, so a red exit is a real kernel regression. Invoked as:
+# packed-vs-gemm >= 5x acceptance gate and the packed >= popcount gate in
+# every samples x missing row, which self-disarm on hosts/binaries without
+# AVX2, so a red exit is a real kernel regression. Invoked as:
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_ld_diff.cmake
 
 foreach(var BENCH_BIN DIFF_BIN WORK_DIR)
@@ -30,8 +31,8 @@ foreach(run a b)
   endif()
   if(NOT bench_result EQUAL 0)
     message(FATAL_ERROR
-      "bench_ld_diff: run '${run}' failed its packed-vs-gemm throughput "
-      "gate (exit ${bench_result})\n${bench_output}")
+      "bench_ld_diff: run '${run}' failed a packed throughput gate "
+      "(exit ${bench_result})\n${bench_output}")
   endif()
 endforeach()
 
