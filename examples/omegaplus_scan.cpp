@@ -198,10 +198,6 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
   // convention) so the reported backend name carries the actual count.
   options.threads = omega::core::resolve_scan_threads(
       static_cast<std::size_t>(cli.get_int("threads", 1)));
-  if (cli.get("mt-strategy", "grid") == "inner") {
-    options.mt_strategy =
-        omega::core::ScannerOptions::MtStrategy::InnerPosition;
-  }
   // --ld-engine supersedes the legacy --ld flag (which keeps working when it
   // alone is given). Default auto: the packed engine with runtime
   // AVX2/scalar microkernel dispatch — every engine produces bitwise-
@@ -501,7 +497,6 @@ int main(int argc, char** argv) {
       .describe("sweep-alpha", "structured sweep: alpha = 2Ns (default 1000)")
       .describe("simulate-theta", "structured sweep: theta (default 150)")
       .describe("maf", "drop sites with minor-allele frequency below this")
-      .describe("mt-strategy", "grid | inner (default grid)")
       .describe("sweep-pos", "simulation: sweep position in bp")
       .describe("sweep-carriers", "simulation: carrier fraction")
       .describe("seed", "simulation seed")

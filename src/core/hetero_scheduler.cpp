@@ -273,7 +273,6 @@ void HeteroExecutor::run_cpu_worker(
       if (cancel != nullptr && cancel->should_stop()) return;
       const GridPosition& position = grid[g];
       PositionScore& score = scores[g];
-      score.position_bp = position.position_bp;
       if (!position.valid || score.valid || score.quarantined) continue;
       detail::advance_matrix(state.matrix, state.live, reuse_, position,
                              engine, profile.stages);
@@ -358,7 +357,6 @@ void HeteroExecutor::run_accelerator(
         if (cancel != nullptr && cancel->should_stop()) return;
         const GridPosition& position = grid[g];
         PositionScore& score = scores[g];
-        score.position_bp = position.position_bp;
         if (!position.valid || score.valid || score.quarantined) continue;
         if (span_timer.seconds() > deadline) {
           push_remainder(g, span.end, /*straggler=*/true);
@@ -536,7 +534,6 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
               if (cancel != nullptr && cancel->should_stop()) break;
               const GridPosition& position = grid[g];
               PositionScore& score = scores[g];
-              score.position_bp = position.position_bp;
               if (!position.valid || score.valid || score.quarantined) {
                 continue;
               }
@@ -605,16 +602,10 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
   }
 }
 
-void HeteroExecutor::finalize(ScanProfile& profile) {
-  // Finalize *copies* of the worker profiles: the matrices are read-only
-  // here and OmegaBackend::contribute is const, so this is repeat-safe — the
-  // streaming driver snapshots cumulative totals per checkpoint exactly this
-  // way (stream_scanner.cpp's snapshot_totals contract).
-  for (std::size_t w = 0; w < backends_.size(); ++w) {
-    ScanProfile worker = profiles_[w];
-    detail::finalize_span_worker(worker, states_[w], *backends_[w]);
-    detail::merge_worker_profile(profile, worker);
-  }
+void HeteroExecutor::finalize(ScanProfile& profile) const {
+  // Repeat-safe: only copies of the worker profiles are finalized, so the
+  // stream can snapshot cumulative totals per checkpoint this way.
+  detail::merge_span_workers(profile, profiles_, states_, backends_);
   profile.omega_backend = "hetero";
   merge_hetero_stats(profile.hetero, stats_);
 }

@@ -178,7 +178,7 @@ class HeteroExecutor {
   /// (profile.omega_backend becomes "hetero"). Repeat-safe on successive
   /// snapshots of the same base profile — the streaming driver calls it per
   /// checkpoint on a totals copy and once at stream end on the real one.
-  void finalize(ScanProfile& profile);
+  void finalize(ScanProfile& profile) const;
 
   /// Accumulated co-scheduler accounting so far (finalize() stamps this
   /// into the profile).

@@ -31,7 +31,6 @@
 #include "core/dp_matrix.h"
 #include "core/grid.h"
 #include "core/omega_search.h"
-#include "par/thread_pool.h"
 
 namespace omega::core {
 
@@ -85,34 +84,15 @@ OmegaResult omega_kernel_search(const DpMatrix& m, const GridPosition& position,
                                 CpuKernelKind kind, OmegaKernelScratch& scratch);
 
 /// Same, restricted to right borders [b_begin, b_end] (both clamped to the
-/// position's range by the caller). Building block of the parallel search.
+/// position's range by the caller).
 OmegaResult omega_kernel_search_range(const DpMatrix& m,
                                       const GridPosition& position,
                                       std::size_t b_begin, std::size_t b_end,
                                       CpuKernelKind kind,
                                       OmegaKernelScratch& scratch);
 
-/// Intra-position parallel kernel search: right borders split into
-/// contiguous chunks across the pool, reduced in lane order so tie-breaking
-/// is bit-identical to the sequential kernel of the same kind. Each lane
-/// needs its own scratch; `lane_scratch` is grown as needed and reused
-/// across calls.
-OmegaResult omega_kernel_search_parallel(
-    par::ThreadPool& pool, const DpMatrix& m, const GridPosition& position,
-    CpuKernelKind kind, std::vector<OmegaKernelScratch>& lane_scratch);
-
-/// Single-precision kernel over the packed accelerator buffers — the exact
-/// arithmetic (and op order) of omega_from_sums_f / the simulated GPU and
-/// FPGA datapaths, vectorized. Scan order is ai-major/bi-ascending (the TS
-/// buffer's layout); all kernel kinds produce bit-identical results because
-/// every lane op has exact scalar parity (no FMA contraction). Returns
-/// global (best_a, best_b) indices like the fp64 search.
-OmegaResult omega_kernel_search_f32(const PositionBuffers& buffers,
-                                    const GridPosition& position,
-                                    CpuKernelKind kind);
-
 namespace detail {
-// Entry points of the separately compiled AVX2+FMA translation unit
+// Entry point of the separately compiled AVX2+FMA translation unit
 // (omega_kernel_avx2.cpp, built with per-file -mavx2 -mfma). Defined only
 // when CMake detects compiler support (OMEGA_HAVE_AVX2_TU); callers in
 // omega_kernel_cpu.cpp additionally gate on runtime CPUID.
@@ -120,9 +100,6 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
                                   const GridPosition& position,
                                   std::size_t b_begin, std::size_t b_end,
                                   const OmegaKernelScratch& scratch);
-OmegaResult omega_search_avx2_f32(const PositionBuffers& buffers,
-                                  const GridPosition& position,
-                                  const std::vector<float>& r_f);
 }  // namespace detail
 
 }  // namespace omega::core

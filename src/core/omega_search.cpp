@@ -1,9 +1,5 @@
 #include "core/omega_search.h"
 
-#include <algorithm>
-#include <functional>
-#include <vector>
-
 #include "core/omega_math.h"
 
 namespace omega::core {
@@ -38,39 +34,6 @@ OmegaResult max_omega_search_range(const DpMatrix& m,
         result.best_a = a;
         result.best_b = b;
       }
-    }
-  }
-  return result;
-}
-
-OmegaResult max_omega_search_parallel(par::ThreadPool& pool, const DpMatrix& m,
-                                      const GridPosition& position) {
-  OmegaResult result;
-  if (!position.valid) return result;
-  const std::size_t b_count = position.hi - position.b_min + 1;
-  const std::size_t lanes = pool.size() + 1;
-  const std::size_t chunk = (b_count + lanes - 1) / lanes;
-
-  std::vector<OmegaResult> partials(lanes);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::size_t begin = position.b_min + lane * chunk;
-    if (begin > position.hi) break;
-    const std::size_t end = std::min(position.hi, begin + chunk - 1);
-    tasks.emplace_back([&, lane, begin, end] {
-      partials[lane] = max_omega_search_range(m, position, begin, end);
-    });
-  }
-  pool.run_blocking(std::move(tasks));
-
-  // Reduce in lane order: lower b ranges first, so ties resolve exactly as
-  // in the sequential b-major scan.
-  for (const auto& partial : partials) {
-    result.evaluated += partial.evaluated;
-    if (partial.evaluated > 0 && partial.max_omega > result.max_omega) {
-      result.max_omega = partial.max_omega;
-      result.best_a = partial.best_a;
-      result.best_b = partial.best_b;
     }
   }
   return result;

@@ -16,7 +16,6 @@
 
 #include "core/dp_matrix.h"
 #include "core/grid.h"
-#include "par/thread_pool.h"
 
 namespace omega::core {
 
@@ -37,19 +36,10 @@ OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position);
 
 /// Scalar reference search restricted to right borders [b_begin, b_end]
 /// (caller keeps the range inside [position.b_min, position.hi]). Building
-/// block of the parallel searches and of the kernel dispatch layer.
+/// block of the kernel dispatch layer.
 OmegaResult max_omega_search_range(const DpMatrix& m,
                                    const GridPosition& position,
                                    std::size_t b_begin, std::size_t b_end);
-
-/// Fine-grained parallel variant: the right-border (outer) loop is split
-/// into contiguous chunks across the pool — the intra-position
-/// parallelization scheme of the OmegaPlus performance guide (Alachiotis &
-/// Pavlidis 2016), profitable when the grid is small but per-position
-/// workloads are large. Bit-identical to the sequential search including
-/// tie-breaking (ties resolve to the lowest (b, a)).
-OmegaResult max_omega_search_parallel(par::ThreadPool& pool, const DpMatrix& m,
-                                      const GridPosition& position);
 
 /// Host-side buffer packing for the accelerator backends, mirroring
 /// OmegaPlus-GPU's per-position transfer set:

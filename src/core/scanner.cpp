@@ -1,22 +1,13 @@
 #include "core/scanner.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
 
-#include "core/hetero_scheduler.h"
-#include "core/resilience.h"
 #include "core/scan_driver.h"
-#include "core/span_engine.h"
 #include "ld/packed.h"
-#include "par/thread_pool.h"
-#include "util/flight_recorder.h"
-#include "util/perf_counters.h"
 #include "util/progress.h"
-#include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::core {
@@ -78,353 +69,6 @@ std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
   throw std::logic_error("unknown LD backend");
 }
 
-namespace detail {
-
-void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
-                    const GridPosition& position, const ld::LdEngine& engine,
-                    StageTimes& stages, par::ThreadPool* pool) {
-  // Per-stage latency distributions; resolved once, then lock-free records.
-  // Registered metrics are never deallocated, so these references stay valid
-  // across telemetry::reset().
-  static util::telemetry::Histogram& reset_hist =
-      util::telemetry::histogram("scan.reset_seconds");
-  static util::telemetry::Histogram& relocate_hist =
-      util::telemetry::histogram("scan.relocate_seconds");
-  static util::telemetry::Histogram& extend_hist =
-      util::telemetry::histogram("scan.extend_seconds");
-  // Hardware-counter attribution mirrors the histogram stages one-to-one:
-  // each StageScope's `scopes` counter must equal the matching histogram's
-  // count (the schema v11 reconciliation invariant tests assert).
-  static util::perf::StageCounters& reset_perf =
-      util::perf::stage("scan.reset");
-  static util::perf::StageCounters& relocate_perf =
-      util::perf::stage("scan.relocate");
-  static util::perf::StageCounters& extend_perf =
-      util::perf::stage("scan.extend");
-  if (!reuse || !m_live || position.lo < m.base()) {
-    const util::trace::Span span("scan.ld.reset");
-    const util::perf::StageScope perf_scope(reset_perf);
-    const util::Timer timer;
-    m.reset(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_reset_seconds += elapsed;
-    reset_hist.record(elapsed);
-  } else {
-    const util::trace::Span span("scan.ld.relocate");
-    const util::perf::StageScope perf_scope(relocate_perf);
-    const util::Timer timer;
-    m.relocate(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_relocate_seconds += elapsed;
-    relocate_hist.record(elapsed);
-  }
-  {
-    const util::trace::Span span("scan.ld.extend");
-    const util::perf::StageScope perf_scope(extend_perf);
-    const util::Timer timer;
-    m.extend(position.hi + 1, engine, pool);
-    const double elapsed = timer.seconds();
-    stages.ld_extend_seconds += elapsed;
-    extend_hist.record(elapsed);
-  }
-  m_live = true;
-}
-
-void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m) {
-  const DpMatrixStats& stats = m.stats();
-  profile.relocation.resets += stats.resets;
-  profile.relocation.relocations += stats.relocations;
-  profile.relocation.cells_reused += stats.cells_reused;
-  profile.relocation.cells_recomputed += stats.cells_recomputed;
-  profile.r2_fetched += m.r2_fetches();
-}
-
-/// Folds a worker's chunk profile into the scan-wide one. Times add up as
-/// CPU-seconds across workers (ScanProfile's documented multithreaded
-/// semantics); counters add exactly.
-void merge_worker_profile(ScanProfile& into, const ScanProfile& from) {
-  into.ld_seconds += from.ld_seconds;
-  into.omega_seconds += from.omega_seconds;
-  into.omega_evaluations += from.omega_evaluations;
-  into.r2_fetched += from.r2_fetched;
-  into.positions_scanned += from.positions_scanned;
-  into.stages.ld_reset_seconds += from.stages.ld_reset_seconds;
-  into.stages.ld_relocate_seconds += from.stages.ld_relocate_seconds;
-  into.stages.ld_extend_seconds += from.stages.ld_extend_seconds;
-  into.stages.omega_search_seconds += from.stages.omega_search_seconds;
-  into.stages.dispatch_seconds += from.stages.dispatch_seconds;
-  into.relocation.resets += from.relocation.resets;
-  into.relocation.relocations += from.relocation.relocations;
-  into.relocation.cells_reused += from.relocation.cells_reused;
-  into.relocation.cells_recomputed += from.relocation.cells_recomputed;
-  into.gpu.kernel1_launches += from.gpu.kernel1_launches;
-  into.gpu.kernel2_launches += from.gpu.kernel2_launches;
-  into.gpu.kernel1_omegas += from.gpu.kernel1_omegas;
-  into.gpu.kernel2_omegas += from.gpu.kernel2_omegas;
-  into.gpu.modeled_kernel_seconds += from.gpu.modeled_kernel_seconds;
-  into.gpu.modeled_prep_seconds += from.gpu.modeled_prep_seconds;
-  into.gpu.modeled_transfer_seconds += from.gpu.modeled_transfer_seconds;
-  into.gpu.modeled_total_seconds += from.gpu.modeled_total_seconds;
-  into.gpu.bytes_moved += from.gpu.bytes_moved;
-  into.fpga.pipeline_cycles += from.fpga.pipeline_cycles;
-  into.fpga.stall_cycles += from.fpga.stall_cycles;
-  into.fpga.hw_omegas += from.fpga.hw_omegas;
-  into.fpga.sw_omegas += from.fpga.sw_omegas;
-  into.fpga.modeled_seconds += from.fpga.modeled_seconds;
-  into.faults.faults_injected += from.faults.faults_injected;
-  into.faults.injected_kernel_launch += from.faults.injected_kernel_launch;
-  into.faults.injected_timeout += from.faults.injected_timeout;
-  into.faults.injected_nan += from.faults.injected_nan;
-  into.faults.injected_device_lost += from.faults.injected_device_lost;
-  into.faults.errors_caught += from.faults.errors_caught;
-  into.faults.invalid_results += from.faults.invalid_results;
-  into.faults.retries += from.faults.retries;
-  into.faults.quarantined_positions += from.faults.quarantined_positions;
-  into.faults.degradations += from.faults.degradations;
-  into.faults.backoff_virtual_seconds += from.faults.backoff_virtual_seconds;
-  into.kernel.positions += from.kernel.positions;
-  into.kernel.scalar_evaluations += from.kernel.scalar_evaluations;
-  into.kernel.portable_evaluations += from.kernel.portable_evaluations;
-  into.kernel.avx2_evaluations += from.kernel.avx2_evaluations;
-  if (into.omega_backend.empty()) into.omega_backend = from.omega_backend;
-}
-
-void init_cancel_state(CancelState& cancel, const ScannerOptions& options,
-                       util::CancelToken& internal) {
-  if (options.cancel != nullptr) {
-    cancel.token = options.cancel;
-  } else if (options.deadline_seconds > 0.0) {
-    cancel.token = &internal;
-  }
-  if (cancel.token != nullptr && options.deadline_seconds > 0.0) {
-    cancel.deadline =
-        util::Deadline(options.deadline_seconds, options.deadline_clock);
-  }
-}
-
-void finalize_runtime(ScanProfile& profile, const CancelState& cancel,
-                      double deadline_seconds,
-                      const std::vector<GridPosition>& grid,
-                      const std::vector<PositionScore>& scores) {
-  RuntimeStats& runtime = profile.runtime;
-  runtime.deadline_seconds = deadline_seconds > 0.0 ? deadline_seconds : 0.0;
-  for (std::size_t g = 0; g < grid.size() && g < scores.size(); ++g) {
-    if (grid[g].valid && !scores[g].valid && !scores[g].quarantined) {
-      ++runtime.positions_skipped;
-    }
-  }
-  runtime.partial = runtime.positions_skipped > 0;
-  const bool cancelled =
-      cancel.token != nullptr && cancel.token->cancelled();
-  if (cancelled) {
-    runtime.cancelled = true;
-    runtime.cancel_reason = util::cancel_reason_name(cancel.token->reason());
-    if (cancel.observed.load(std::memory_order_acquire)) {
-      runtime.cancel_latency_seconds =
-          cancel.since_start.seconds() -
-          cancel.observed_seconds.load(std::memory_order_acquire);
-      static util::telemetry::Histogram& latency_hist =
-          util::telemetry::histogram("runtime.cancel_latency_seconds");
-      latency_hist.record(runtime.cancel_latency_seconds);
-    }
-  }
-  if (deadline_seconds > 0.0) {
-    if (cancelled &&
-        cancel.token->reason() == util::CancelReason::Deadline) {
-      runtime.deadline_outcome = "expired";
-    } else if (cancelled) {
-      // Cancelled for another reason before the deadline resolved.
-      runtime.deadline_outcome = "preempted";
-    } else {
-      runtime.deadline_outcome = "met";
-    }
-  } else {
-    runtime.deadline_outcome = "none";
-  }
-}
-
-void finalize_ld_stats(ScanProfile& profile, const ScannerOptions& options) {
-  LdStats& ld = profile.ld;
-  ld.requested =
-      options.ld_factory ? "custom" : ld_backend_name(options.ld);
-  ld.engine = profile.ld_backend;
-  // make_ld_engine builds PackedLd with PackedIsa::Auto, so the resolved
-  // microkernel body is reproducible from the build/host alone.
-  ld.isa = profile.ld_backend == "packed"
-               ? ld::packed_isa_name(ld::PackedIsa::Auto)
-               : "";
-  // Derived from the scan-attributed telemetry delta (must already be set):
-  // this accumulates correctly across per-chunk engines in streamed scans
-  // and across runs on checkpoint resume, with no extra plumbing.
-  ld.panel_packs = profile.telemetry.counter_value("ld.panel_cache.misses");
-  ld.panel_hits = profile.telemetry.counter_value("ld.panel_cache.hits");
-  const util::telemetry::HistogramSnapshot* pack =
-      profile.telemetry.find_histogram("ld.pack_seconds");
-  ld.pack_seconds = pack != nullptr ? pack->sum : 0.0;
-  const util::telemetry::HistogramSnapshot* kernel =
-      profile.telemetry.find_histogram("ld.kernel_seconds");
-  ld.kernel_seconds = kernel != nullptr ? kernel->sum : 0.0;
-}
-
-void finalize_perf_stats(ScanProfile& profile) {
-  PerfStats& perf = profile.perf;
-  perf.enabled = util::perf::enabled();
-  perf.source = perf.enabled ? util::perf::source() : "";
-  perf.stages.clear();
-  if (!perf.enabled) return;
-  // Re-group the scan-attributed delta's flat perf.<stage>.<field> counters
-  // into per-stage entries. A std::map keys them stage-name-sorted, matching
-  // the documented PerfStats order without a second sort.
-  std::map<std::string, PerfStageStats> stages;
-  for (const auto& [name, value] : profile.telemetry.counters) {
-    const std::string_view view(name);
-    if (view.substr(0, 5) != "perf.") continue;
-    const std::size_t last_dot = view.rfind('.');
-    if (last_dot == std::string_view::npos || last_dot <= 5) continue;
-    const std::string stage_name(view.substr(5, last_dot - 5));
-    const std::string_view field = view.substr(last_dot + 1);
-    PerfStageStats& stats = stages[stage_name];
-    stats.stage = stage_name;
-    if (field == "scopes") {
-      stats.scopes = value;
-    } else if (field == "cycles") {
-      stats.cycles = value;
-    } else if (field == "instructions") {
-      stats.instructions = value;
-    } else if (field == "cache_misses") {
-      stats.cache_misses = value;
-    } else if (field == "branch_misses") {
-      stats.branch_misses = value;
-    } else if (field == "task_clock_ns") {
-      stats.task_clock_seconds = static_cast<double>(value) * 1e-9;
-    }
-  }
-  for (auto& [stage_name, stats] : stages) {
-    if (stats.scopes == 0) continue;  // stage never entered during this scan
-    perf.stages.push_back(std::move(stats));
-  }
-}
-
-bool score_position(OmegaBackend& backend, const DpMatrix& m,
-                    const GridPosition& position,
-                    const RecoveryPolicy& recovery, ScanProfile& profile,
-                    PositionScore& score, util::ProgressReporter* progress) {
-  const std::uint64_t faults_before =
-      profile.faults.errors_caught + profile.faults.invalid_results;
-  RecoveryOutcome outcome;
-  {
-    const util::trace::Span span("scan.omega.search");
-    static util::perf::StageCounters& search_perf =
-        util::perf::stage("scan.omega_search");
-    const util::perf::StageScope perf_scope(search_perf);
-    const util::Timer timer;
-    outcome = recover_max_omega(backend, m, position, recovery, profile.faults);
-    profile.stages.omega_search_seconds += timer.seconds();
-  }
-  if (progress != nullptr) {
-    util::ProgressReporter::Delta delta;
-    delta.positions = 1;
-    delta.faults = profile.faults.errors_caught +
-                   profile.faults.invalid_results - faults_before;
-    delta.quarantined = outcome.ok ? 0 : 1;
-    progress->advance(delta);
-  }
-  if (!outcome.ok) {
-    score.quarantined = true;
-    // Exhausted recovery is a flight-recorder trigger: the first quarantine
-    // since arm() dumps the black box (later ones only bump the counter).
-    util::flight::note_fault_exhausted();
-    return false;
-  }
-  score.max_omega = outcome.result.max_omega;
-  score.best_a = outcome.result.best_a;
-  score.best_b = outcome.result.best_b;
-  score.evaluated = outcome.result.evaluated;
-  score.valid = true;
-  profile.omega_evaluations += outcome.result.evaluated;
-  ++profile.positions_scanned;
-  return true;
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::advance_matrix;
-using detail::merge_matrix_stats;
-using detail::merge_worker_profile;
-using detail::score_position;
-
-/// Scans a contiguous chunk of grid positions with its own DP matrix. Every
-/// backend call goes through the recovery engine: transient failures retry
-/// (virtual-clock backoff), exhausted positions are quarantined instead of
-/// aborting the scan.
-void scan_chunk(const std::vector<GridPosition>& grid, std::size_t begin,
-                std::size_t end, const ld::LdEngine& engine, bool reuse,
-                const RecoveryPolicy& recovery, OmegaBackend& backend,
-                std::vector<PositionScore>& scores, ScanProfile& profile,
-                util::ProgressReporter* progress,
-                const detail::CancelState* cancel = nullptr) {
-  DpMatrix m;
-  bool m_live = false;
-
-  try {
-    for (std::size_t g = begin; g < end; ++g) {
-      if (cancel != nullptr && cancel->should_stop()) break;
-      const GridPosition& position = grid[g];
-      PositionScore& score = scores[g];
-      score.position_bp = position.position_bp;
-      if (!position.valid) continue;
-
-      advance_matrix(m, m_live, reuse, position, engine, profile.stages);
-      score_position(backend, m, position, recovery, profile, score, progress);
-    }
-  } catch (const util::CancelledError&) {
-    // A simulator backend observed the cancel mid-launch; the position in
-    // flight stays unscored (neither valid nor quarantined) and the drain
-    // proceeds with whatever is settled so far.
-  }
-  profile.ld_seconds += profile.stages.ld_total();
-  profile.omega_seconds += profile.stages.omega_search_seconds;
-  merge_matrix_stats(profile, m);
-  backend.contribute(profile);
-  profile.omega_backend = backend.name();
-}
-
-/// Adapter presenting the intra-position parallel search as an OmegaBackend
-/// so the InnerPosition driver shares the recovery engine. Routes through the
-/// dispatched kernel layer like CpuOmegaBackend and accounts evaluations the
-/// same way.
-class InnerPositionBackend final : public OmegaBackend {
- public:
-  InnerPositionBackend(par::ThreadPool& pool, CpuKernelKind kind)
-      : pool_(pool), kind_(kind) {}
-  [[nodiscard]] std::string name() const override { return "cpu"; }
-  OmegaResult max_omega(const DpMatrix& m,
-                        const GridPosition& position) override {
-    OmegaResult result =
-        omega_kernel_search_parallel(pool_, m, position, kind_, lane_scratch_);
-    counters_.add(kind_, result.evaluated);
-    ++positions_;
-    return result;
-  }
-  void contribute(ScanProfile& profile) const override {
-    profile.kernel.positions += positions_;
-    profile.kernel.scalar_evaluations += counters_.scalar_evaluations;
-    profile.kernel.portable_evaluations += counters_.portable_evaluations;
-    profile.kernel.avx2_evaluations += counters_.avx2_evaluations;
-  }
-
- private:
-  par::ThreadPool& pool_;
-  CpuKernelKind kind_;
-  std::vector<OmegaKernelScratch> lane_scratch_;
-  CpuKernelCounters counters_;
-  std::uint64_t positions_ = 0;
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // CpuOmegaBackend
 // ---------------------------------------------------------------------------
@@ -483,29 +127,11 @@ std::vector<PositionScore> ScanResult::top(std::size_t k) const {
 ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
                 const std::function<std::unique_ptr<OmegaBackend>()>&
                     backend_factory) {
-  options.config.validate();
-  options.recovery.validate();
-  // Resolve the CPU kernel once, up front: a forced-but-unavailable Avx2
-  // request fails here (std::runtime_error) before any work starts.
-  const CpuKernelKind kernel = resolve_cpu_kernel(options.cpu_kernel);
-  // Resolve the thread-count convention (0 = hardware concurrency) exactly
-  // once; everything downstream — branch selection, pool size, profile —
-  // sees the resolved count.
-  const std::size_t threads = resolve_scan_threads(options.threads);
+  // The single-resident-chunk case of the stream driver: one engine over the
+  // whole dataset and one executor run over the whole grid, with no reader,
+  // prefetch, chunk retry or checkpoint.
   const util::trace::Span scan_span("scan");
-  util::Timer total;
-  // Registry state at scan start: the end-of-scan delta attributes the
-  // process-wide telemetry to this scan (ScanProfile::telemetry docs).
-  const util::telemetry::RegistrySnapshot telemetry_begin =
-      util::telemetry::snapshot();
-  // Cooperative cancellation: the caller's token, or an internal one when
-  // only a deadline was set. Null `cancel` means no polling overhead at all.
-  util::CancelToken internal_token;
-  detail::CancelState cancel_state;
-  detail::init_cancel_state(cancel_state, options, internal_token);
-  const detail::CancelState* cancel =
-      cancel_state.enabled() ? &cancel_state : nullptr;
-
+  detail::ScanExecutor executor(options, backend_factory);
   const ld::SnpMatrix snps(dataset);
   const auto engine = options.ld_factory
                           ? options.ld_factory(snps)
@@ -513,127 +139,16 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
   const auto grid = build_grid(dataset, options.config);
 
   ScanResult result;
-  result.scores.resize(grid.size());
+  executor.begin(grid, result);
   result.profile.ld_backend = engine->name();
-  result.profile.kernel.requested = cpu_kernel_name(options.cpu_kernel);
-  result.profile.kernel.selected = cpu_kernel_name(kernel);
-  result.profile.kernel.avx2_supported = cpu_kernel_avx2_available();
-  result.profile.sched.requested_threads = options.threads;
-  result.profile.sched.workers = threads;
-
   if (options.progress != nullptr) {
-    std::uint64_t valid_positions = 0;
-    for (const GridPosition& position : grid) {
-      if (position.valid) ++valid_positions;
-    }
+    const auto valid_positions = static_cast<std::uint64_t>(
+        std::count_if(grid.begin(), grid.end(),
+                      [](const GridPosition& p) { return p.valid; }));
     options.progress->begin(valid_positions, /*chunks_total=*/0);
   }
-
-  auto make_backend = [&]() -> std::unique_ptr<OmegaBackend> {
-    if (!backend_factory) return std::make_unique<CpuOmegaBackend>(kernel);
-    auto backend = backend_factory();
-    // Graceful degradation: a device-lost error demotes this worker's
-    // backend to the CPU loop instead of quarantining the rest of its chunk.
-    if (options.recovery.fallback_to_cpu) {
-      backend = std::make_unique<FallbackBackend>(std::move(backend), kernel);
-    }
-    return backend;
-  };
-
-  if (options.hetero != nullptr) {
-    // Heterogeneous co-scheduler (core/hetero_scheduler.h): CPU span workers
-    // plus one worker per accelerator partition, all sharing one pool. The
-    // executor overrides mt_strategy and backend_factory; `threads` bounds
-    // the total worker count.
-    HeteroExecutor executor(*options.hetero, options.recovery, kernel,
-                            options.reuse, threads);
-    result.profile.sched.workers = executor.total_workers();
-    // total_workers() >= 2 whenever an accelerator is configured; the max
-    // guard keeps the degenerate no-accelerator config off ThreadPool's
-    // 0-means-auto convention.
-    par::ThreadPool pool(std::max<std::size_t>(1, executor.total_workers() - 1));
-    // Spans only tile ranges holding valid positions; stamp every score's
-    // coordinate up front so all-invalid grids still report positions.
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      result.scores[g].position_bp = grid[g].position_bp;
-    }
-    executor.run(grid, 0, grid.size(), pool, *engine, result.scores,
-                 result.profile.sched, options.progress, cancel);
-    executor.finalize(result.profile);
-  } else if (threads <= 1) {
-    auto backend = make_backend();
-    scan_chunk(grid, 0, grid.size(), *engine, options.reuse, options.recovery,
-               *backend, result.scores, result.profile, options.progress,
-               cancel);
-  } else if (options.mt_strategy ==
-             ScannerOptions::MtStrategy::InnerPosition) {
-    if (backend_factory) {
-      throw std::invalid_argument(
-          "scan: InnerPosition multithreading requires the CPU backend");
-    }
-    // One shared DP matrix; the per-position omega loop fans out instead.
-    // The pool-backed search is routed through the same recovery engine as
-    // the chunked drivers so NaN validation and quarantine behave uniformly.
-    par::ThreadPool pool(threads - 1);
-    InnerPositionBackend backend(pool, kernel);
-    DpMatrix m;
-    bool m_live = false;
-    ScanProfile& profile = result.profile;
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      if (cancel != nullptr && cancel->should_stop()) break;
-      const GridPosition& position = grid[g];
-      PositionScore& score = result.scores[g];
-      score.position_bp = position.position_bp;
-      if (!position.valid) continue;
-      // The pool is idle between omega searches — large extends borrow it
-      // for the suffix-scan phase.
-      advance_matrix(m, m_live, options.reuse, position, *engine,
-                     profile.stages, &pool);
-      score_position(backend, m, position, options.recovery, profile, score,
-                     options.progress);
-    }
-    profile.ld_seconds = profile.stages.ld_total();
-    profile.omega_seconds = profile.stages.omega_search_seconds;
-    merge_matrix_stats(profile, m);
-    backend.contribute(profile);
-    profile.omega_backend = backend.name();
-  } else {
-    // Work-stealing span engine (core/span_engine.h): the grid is split into
-    // relocation-coherent spans budgeted by valid-position cost; each worker
-    // owns a DP matrix and a backend instance and claims spans dynamically.
-    const std::size_t workers = threads;
-    par::ThreadPool pool(workers - 1);
-    std::vector<ScanProfile> profiles(workers);
-    std::vector<std::unique_ptr<OmegaBackend>> backends;
-    backends.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) backends.push_back(make_backend());
-    std::vector<detail::SpanWorkerState> states(workers);
-    // Spans only tile ranges holding valid positions; stamp every score's
-    // coordinate up front so all-invalid grids still report positions.
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      result.scores[g].position_bp = grid[g].position_bp;
-    }
-    const auto spans = detail::build_scan_spans(grid, 0, grid.size(), workers);
-    detail::scan_spans_parallel(grid, spans, pool, *engine, options.reuse,
-                                options.recovery, backends, states,
-                                result.scores, profiles, result.profile.sched,
-                                options.progress, cancel);
-    for (std::size_t w = 0; w < workers; ++w) {
-      detail::finalize_span_worker(profiles[w], states[w], *backends[w]);
-      // Per-bucket times are summed across workers (CPU-seconds); use
-      // total_seconds (wall clock) with the bucket shares for elapsed-time
-      // throughput, as ScanProfile documents.
-      merge_worker_profile(result.profile, profiles[w]);
-    }
-  }
-  detail::finalize_runtime(result.profile, cancel_state,
-                           options.deadline_seconds, grid, result.scores);
-  result.profile.total_seconds = total.seconds();
-  result.profile.telemetry =
-      util::telemetry::snapshot().delta_since(telemetry_begin);
-  detail::finalize_ld_stats(result.profile, options);
-  detail::finalize_perf_stats(result.profile);
-  if (options.progress != nullptr) options.progress->finish();
+  executor.run(grid, 0, grid.size(), *engine, result.scores, result.profile);
+  executor.end(grid, result);
   return result;
 }
 

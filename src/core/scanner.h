@@ -7,7 +7,9 @@
 // Backends plug in through OmegaBackend, so the identical scan driver runs
 // on the CPU nested loop, the GPU execution-model simulator, or the FPGA
 // pipeline simulator, and results can be compared bit-for-bit at the level
-// of reported max-omega windows.
+// of reported max-omega windows. scan() is the single-resident-chunk case of
+// stream_scan() (core/stream_scanner.h): both run every position through one
+// executor (core/scan_driver.h) in serial, work-stealing or hetero mode.
 
 #include <cstdint>
 #include <functional>
@@ -166,13 +168,6 @@ struct ScannerOptions {
   /// resolve_scan_threads(); the *resolved* count is what the profile and
   /// backend name report.
   std::size_t threads = 1;
-  /// Multithreading strategy (Alachiotis & Pavlidis 2016 performance guide):
-  /// GridChunks scales with many grid positions; InnerPosition parallelizes
-  /// the per-position omega loop instead (one shared DP matrix; profitable
-  /// for few positions with large windows). InnerPosition requires the CPU
-  /// backend.
-  enum class MtStrategy { GridChunks, InnerPosition };
-  MtStrategy mt_strategy = MtStrategy::GridChunks;
   /// Disables M relocation between positions (ablation switch; OmegaPlus
   /// always reuses).
   bool reuse = true;
@@ -210,9 +205,8 @@ struct ScannerOptions {
   /// the scan splits the grid across the CPU span engine and the configured
   /// accelerator partitions concurrently, sized by modeled throughput, with
   /// straggler/fault re-dispatch back to the CPU. Results stay bitwise-
-  /// identical to the plain CPU scan. Overrides mt_strategy and
-  /// backend_factory; `threads` still bounds the total worker count. Not
-  /// owned; must outlive the scan.
+  /// identical to the plain CPU scan. Overrides backend_factory; `threads`
+  /// still bounds the total worker count. Not owned; must outlive the scan.
   const HeteroConfig* hetero = nullptr;
 };
 
@@ -615,9 +609,10 @@ struct ScanResult {
   [[nodiscard]] bool has_valid() const noexcept;
 };
 
-/// Runs a scan. `backend_factory` supplies one backend per worker thread
-/// (nullptr: CPU nested loop). With options.threads > 1 the factory is
-/// invoked once per worker.
+/// Runs a scan over a resident dataset: one LD engine over all of it and one
+/// executor pass over the whole grid. `backend_factory` supplies one backend
+/// per worker thread (nullptr: CPU nested loop). With options.threads > 1
+/// the factory is invoked once per worker.
 ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
                 const std::function<std::unique_ptr<OmegaBackend>()>&
                     backend_factory = {});

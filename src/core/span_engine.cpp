@@ -162,7 +162,6 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
             if (cancel != nullptr && cancel->should_stop()) break;
             const GridPosition& position = grid[g];
             PositionScore& score = scores[g];
-            score.position_bp = position.position_bp;
             // Skip already-settled positions: the streaming chunk retry
             // re-runs a chunk's spans and must not rescore what succeeded.
             if (!position.valid || score.valid || score.quarantined) continue;
@@ -204,13 +203,19 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
   }
 }
 
-void finalize_span_worker(ScanProfile& worker_profile, SpanWorkerState& state,
-                          OmegaBackend& backend) {
-  worker_profile.ld_seconds = worker_profile.stages.ld_total();
-  worker_profile.omega_seconds = worker_profile.stages.omega_search_seconds;
-  merge_matrix_stats(worker_profile, state.matrix);
-  backend.contribute(worker_profile);
-  worker_profile.omega_backend = backend.name();
+void merge_span_workers(
+    ScanProfile& into, const std::vector<ScanProfile>& profiles,
+    const std::vector<SpanWorkerState>& states,
+    const std::vector<std::unique_ptr<OmegaBackend>>& backends) {
+  for (std::size_t w = 0; w < backends.size(); ++w) {
+    ScanProfile worker = profiles[w];
+    worker.ld_seconds = worker.stages.ld_total();
+    worker.omega_seconds = worker.stages.omega_search_seconds;
+    merge_matrix_stats(worker, states[w].matrix);
+    backends[w]->contribute(worker);
+    worker.omega_backend = backends[w]->name();
+    merge_worker_profile(into, worker);
+  }
 }
 
 }  // namespace omega::core::detail

@@ -1,7 +1,7 @@
 #pragma once
-// Work-stealing span engine shared by the in-memory scan (scanner.cpp) and
-// the streaming chunked scan (stream_scanner.cpp) — ROADMAP item 1, modeled
-// on selscan's multithreaded EHH scan. The grid range is partitioned into
+// Work-stealing span engine: the multithreaded mode of the scan executor
+// (core/scan_driver.h) that runs both scan() and stream_scan(), modeled on
+// selscan's multithreaded EHH scan. The grid range is partitioned into
 // many relocation-coherent spans (contiguous grid runs, so each keeps the
 // DpMatrix M-reuse chain intact), budgeted by *valid* positions via the
 // core/workload per-position ω estimate. Workers — each owning a DP matrix
@@ -54,8 +54,8 @@ struct ScanSpan {
     std::size_t workers, std::size_t spans_per_worker = 4);
 
 /// Per-worker scan state that outlives one scan_spans_parallel call: the
-/// streaming driver keeps these across chunks so each worker's DP matrix can
-/// carry over chunk seams exactly like the serial stream scan does. The rate
+/// scan executor keeps these across stream chunks so each worker's DP matrix
+/// carries over chunk seams (its serial mode walks one the same way). The rate
 /// estimator EWMAs the worker's measured positions/sec across its claimed
 /// spans (one observation per claim); it feeds the
 /// "sched.worker<w>.rate_per_s" telemetry gauge only — deliberately not
@@ -76,8 +76,8 @@ struct SpanWorkerState {
 /// (workers_detail grows to W; spans/steals recomputed from it), so repeated
 /// calls — one per stream chunk — aggregate correctly.
 ///
-/// Worker profiles are NOT finalized here: call finalize_span_worker once
-/// per worker after the last call, then detail::merge_worker_profile.
+/// Worker profiles are NOT finalized here: fold them in with
+/// merge_span_workers after the last call.
 /// Exceptions escaping a worker rethrow out of here (earliest-submitted
 /// first, par::ThreadPool::run_blocking semantics) after the batch drains;
 /// the caller must then treat every worker matrix as dead (live = false).
@@ -98,11 +98,14 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
                          SchedStats& sched, util::ProgressReporter* progress,
                          const CancelState* cancel = nullptr);
 
-/// One-time end-of-scan bookkeeping for a span worker: derives the ld/omega
-/// second buckets from the accumulated stage times, folds the matrix's
-/// relocation counters in, and lets the backend contribute its accounting —
-/// mirroring what scan_chunk does for a serial chunk.
-void finalize_span_worker(ScanProfile& worker_profile, SpanWorkerState& state,
-                          OmegaBackend& backend);
+/// Folds every worker's accounting into `into`: a copy of each worker
+/// profile gets its ld/omega second buckets from the accumulated stage
+/// times, its matrix's relocation counters and its backend's contribution,
+/// then merges in via merge_worker_profile. Only copies are finalized, so
+/// repeating this on copies of a running profile is safe.
+void merge_span_workers(
+    ScanProfile& into, const std::vector<ScanProfile>& profiles,
+    const std::vector<SpanWorkerState>& states,
+    const std::vector<std::unique_ptr<OmegaBackend>>& backends);
 
 }  // namespace omega::core::detail

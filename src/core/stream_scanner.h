@@ -18,13 +18,15 @@
 //     carries the overlapping sub-triangle into the next chunk.
 //
 // Pipeline: a 1-thread IO pool materializes chunk k+1 while compute scans
-// chunk k (double buffering). With options.threads > 1 the compute side runs
-// the work-stealing span engine (core/span_engine.h) *within* the resident
-// chunk — workers share the one materialized chunk, so the memory bound
-// holds, and prefetch still overlaps. A chunk whose scan throws a
-// non-BackendError exception is retried, then its unscored positions are
-// quarantined and the stream continues — same never-abort contract as the
-// per-position recovery engine.
+// chunk k (double buffering). Compute is one executor (core/scan_driver.h)
+// for the whole stream, run once per resident chunk — the same code scan()
+// runs once over a resident dataset. With options.threads > 1 it runs the
+// work-stealing span engine (core/span_engine.h) *within* the chunk —
+// workers share the one materialized chunk, so the memory bound holds, and
+// prefetch still overlaps. A chunk whose scan throws a non-BackendError
+// exception is retried, then its unscored positions are quarantined and the
+// stream continues — same never-abort contract as the per-position recovery
+// engine.
 
 #include <cstddef>
 #include <cstdint>

@@ -474,6 +474,38 @@ TEST(ScanDeadlineTest, SignalPreemptsDeadlineOutcome) {
   EXPECT_EQ(report.profile.runtime.deadline_outcome, "preempted");
 }
 
+// Positions a cancelled scan never reaches stay unscored but still report
+// their coordinates, in memory and streamed, serial and multithreaded.
+TEST(ScanCancel, UnreachedPositionsKeepTheirCoordinates) {
+  const auto d = runtime_dataset(87, 120);
+  const auto grid = omega::core::build_grid(d, runtime_config());
+  for (const std::size_t threads : {1u, 3u}) {
+    for (const bool streamed : {false, true}) {
+      CancelToken token;
+      token.request(CancelReason::Api);  // cancelled before the scan starts
+      ScannerOptions options;
+      options.config = runtime_config();
+      options.threads = threads;
+      options.cancel = &token;
+      DatasetChunkReader reader(d);
+      StreamScanOptions stream_options;
+      stream_options.chunk_sites = 1'000;  // one resident chunk
+      const ScanResult result =
+          streamed ? omega::core::stream_scan(reader, options, stream_options)
+                   : omega::core::scan(d, options);
+      const std::string label = std::string(streamed ? "stream" : "scan") +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(result.scores.size(), grid.size()) << label;
+      EXPECT_TRUE(result.profile.runtime.partial) << label;
+      for (std::size_t g = 0; g < grid.size(); ++g) {
+        EXPECT_FALSE(result.scores[g].valid) << label << " grid " << g;
+        EXPECT_EQ(result.scores[g].position_bp, grid[g].position_bp)
+            << label << " grid " << g;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- kill-and-resume ----
 
 TEST(StreamKillResume, CpuBitwiseIdentity) {

@@ -4,13 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dp_matrix.h"
 #include "core/reference.h"
 #include "core/scanner.h"
 #include "core/workload.h"
-#include "ld/ld_engine.h"
-#include "ld/snp_matrix.h"
-#include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 
 namespace {
@@ -113,65 +109,6 @@ TEST_P(ScannerThreads, MultithreadedEqualsSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ScannerThreads,
                          ::testing::Values(2, 3, 4, 8));
-
-class InnerPositionThreads : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(InnerPositionThreads, MatchesSequentialExactly) {
-  const auto d = scan_dataset(14);
-  ScannerOptions sequential;
-  sequential.config = small_config();
-  ScannerOptions inner = sequential;
-  inner.threads = GetParam();
-  inner.mt_strategy = ScannerOptions::MtStrategy::InnerPosition;
-
-  const auto a = omega::core::scan(d, sequential);
-  const auto b = omega::core::scan(d, inner);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (std::size_t g = 0; g < a.scores.size(); ++g) {
-    ASSERT_DOUBLE_EQ(a.scores[g].max_omega, b.scores[g].max_omega);
-    ASSERT_EQ(a.scores[g].best_a, b.scores[g].best_a);
-    ASSERT_EQ(a.scores[g].best_b, b.scores[g].best_b);
-  }
-  EXPECT_EQ(a.profile.omega_evaluations, b.profile.omega_evaluations);
-  EXPECT_EQ(a.profile.r2_fetched, b.profile.r2_fetched);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, InnerPositionThreads,
-                         ::testing::Values(2, 3, 5));
-
-TEST(InnerPosition, RejectsNonCpuBackend) {
-  const auto d = scan_dataset(15, 60);
-  ScannerOptions options;
-  options.config = small_config();
-  options.threads = 2;
-  options.mt_strategy = ScannerOptions::MtStrategy::InnerPosition;
-  EXPECT_THROW(
-      omega::core::scan(d, options,
-                        [] { return std::make_unique<omega::core::CpuOmegaBackend>(); }),
-      std::invalid_argument);
-}
-
-TEST(ParallelSearch, MatchesSequentialPerPosition) {
-  const auto d = scan_dataset(16, 100);
-  omega::core::OmegaConfig config = small_config();
-  const auto grid = omega::core::build_grid(d, config);
-  const omega::ld::SnpMatrix snps(d);
-  const omega::ld::PopcountLd engine(snps);
-  omega::par::ThreadPool pool(3);
-  for (const auto& position : grid) {
-    if (!position.valid) continue;
-    omega::core::DpMatrix m;
-    m.reset(position.lo);
-    m.extend(position.hi + 1, engine);
-    const auto sequential = omega::core::max_omega_search(m, position);
-    const auto parallel =
-        omega::core::max_omega_search_parallel(pool, m, position);
-    ASSERT_DOUBLE_EQ(sequential.max_omega, parallel.max_omega);
-    ASSERT_EQ(sequential.best_a, parallel.best_a);
-    ASSERT_EQ(sequential.best_b, parallel.best_b);
-    ASSERT_EQ(sequential.evaluated, parallel.evaluated);
-  }
-}
 
 TEST(Scanner, ProfileCountersAreConsistent) {
   const auto d = scan_dataset(5);

@@ -274,23 +274,47 @@ TEST(StreamOptionsTest, Validation) {
 
 TEST(StreamScanEquivalence, CpuBitwiseAcrossChunkSizes) {
   const auto d = stream_dataset(31, 220);
-  ScannerOptions options;
-  options.config = stream_config();
-  const auto reference = omega::core::scan(d, options);
+  for (const std::size_t threads : {1u, 3u}) {
+    ScannerOptions options;
+    options.config = stream_config();
+    options.threads = threads;
+    const auto reference = omega::core::scan(d, options);
 
-  // 1000 >= num_sites: single chunk. 60: several chunks. 12: smaller than
-  // most window spans, so windows are split across planned chunk seams and
-  // get dedicated oversized chunks.
-  for (const std::size_t chunk_sites : {1000u, 60u, 12u}) {
-    DatasetChunkReader reader(d);
-    StreamScanOptions stream_options;
-    stream_options.chunk_sites = chunk_sites;
-    const auto streamed =
-        omega::core::stream_scan(reader, options, stream_options);
-    expect_bitwise_equal(reference, streamed);
-    EXPECT_EQ(streamed.profile.stream.chunk_sites_target, chunk_sites);
-    EXPECT_EQ(streamed.profile.stream.total_sites, d.num_sites());
-    EXPECT_EQ(streamed.profile.stream.failed_chunks, 0u);
+    // 1000 >= num_sites: single chunk. 60: several chunks. 12: smaller than
+    // most window spans, so windows are split across planned chunk seams and
+    // get dedicated oversized chunks.
+    for (const std::size_t chunk_sites : {1000u, 60u, 12u}) {
+      DatasetChunkReader reader(d);
+      StreamScanOptions stream_options;
+      stream_options.chunk_sites = chunk_sites;
+      const auto streamed =
+          omega::core::stream_scan(reader, options, stream_options);
+      expect_bitwise_equal(reference, streamed);
+      EXPECT_EQ(streamed.profile.stream.chunk_sites_target, chunk_sites);
+      EXPECT_EQ(streamed.profile.stream.total_sites, d.num_sites());
+      EXPECT_EQ(streamed.profile.stream.failed_chunks, 0u);
+      if (chunk_sites != 1000u) continue;
+
+      // scan() is the single-resident-chunk case of the same executor, so
+      // the one-chunk stream agrees on every non-timing counter as well.
+      const auto& a = reference.profile;
+      const auto& b = streamed.profile;
+      EXPECT_EQ(b.stream.chunks, 1u);
+      EXPECT_EQ(a.omega_evaluations, b.omega_evaluations);
+      EXPECT_EQ(a.positions_scanned, b.positions_scanned);
+      EXPECT_EQ(a.kernel.positions, b.kernel.positions);
+      EXPECT_EQ(a.kernel.scalar_evaluations, b.kernel.scalar_evaluations);
+      EXPECT_EQ(a.kernel.portable_evaluations, b.kernel.portable_evaluations);
+      EXPECT_EQ(a.kernel.avx2_evaluations, b.kernel.avx2_evaluations);
+      EXPECT_EQ(a.sched.workers, b.sched.workers);
+      EXPECT_EQ(a.ld.engine, b.ld.engine);
+      if (threads > 1) continue;  // MT r2_fetched depends on steal order
+      EXPECT_EQ(a.r2_fetched, b.r2_fetched);
+      EXPECT_EQ(a.relocation.resets, b.relocation.resets);
+      EXPECT_EQ(a.relocation.relocations, b.relocation.relocations);
+      EXPECT_EQ(a.relocation.cells_reused, b.relocation.cells_reused);
+      EXPECT_EQ(a.relocation.cells_recomputed, b.relocation.cells_recomputed);
+    }
   }
 }
 
