@@ -24,6 +24,7 @@
 #include "hw/gpu/timing_model.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "par/thread_pool.h"
 #include "util/table.h"
 #include "util/timer.h"

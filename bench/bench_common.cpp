@@ -13,6 +13,7 @@
 #include "core/omega_search.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
 #include "util/cpu_features.h"
 #include "util/timer.h"

@@ -17,10 +17,11 @@
 
 #include "bench_common.h"
 #include "io/dataset.h"
-#include "ld/gemm.h"
 #include "ld/ld_engine.h"
 #include "ld/packed.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
+#include "ld_reference/gemm.h"
 #include "util/prng.h"
 #include "util/table.h"
 #include "util/timer.h"

@@ -13,6 +13,7 @@
 #include "hw/gpu/omega_kernels.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 

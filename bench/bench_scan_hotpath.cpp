@@ -7,7 +7,8 @@
 //      any AVX2 host; the fused form alone gives a measurable win even on
 //      baseline hosts).
 //   2. DP-matrix extend throughput — Eq. (3) cells per second through the
-//      suffix-scan extend (r2 fetch included), the second hot loop.
+//      suffix-scan extend (r2 fetch from the CLI's default LD engine
+//      included), the second hot loop.
 //   3. End-to-end scans — identical scans with --cpu-kernel=scalar vs the
 //      dispatched kernel; positions/s and the whole ScanProfile embedded.
 //
@@ -48,10 +49,11 @@ double measure_kernel_ns(const omega::io::Dataset& dataset,
   if (position == nullptr) throw std::runtime_error("no valid grid position");
 
   const omega::ld::SnpMatrix snps(dataset);
-  const omega::ld::PopcountLd engine(snps);
+  const auto engine = omega::core::make_ld_engine(
+      omega::core::LdBackendKind::Auto, dataset, snps);
   omega::core::DpMatrix m;
   m.reset(position->lo);
-  m.extend(position->hi + 1, engine);
+  m.extend(position->hi + 1, *engine);
 
   omega::core::OmegaKernelScratch scratch;
   std::uint64_t evaluated = 0;
@@ -68,18 +70,19 @@ double measure_kernel_ns(const omega::io::Dataset& dataset,
 }
 
 /// Eq. (3) cells per second through reset + suffix-scan extend (includes the
-/// engine's r2 block fetch, as in a real scan).
+/// r2 block fetch of the engine the CLI runs by default, as in a real scan).
 double measure_extend_rate(const omega::io::Dataset& dataset,
                            std::size_t region_rows,
                            double min_seconds = 0.4) {
   const omega::ld::SnpMatrix snps(dataset);
-  const omega::ld::PopcountLd engine(snps);
+  const auto engine = omega::core::make_ld_engine(
+      omega::core::LdBackendKind::Auto, dataset, snps);
   omega::core::DpMatrix m;
   std::uint64_t cells = 0;
   omega::util::Timer timer;
   do {
     m.reset(0);
-    m.extend(region_rows, engine);
+    m.extend(region_rows, *engine);
     cells += region_rows * (region_rows - 1) / 2;
   } while (timer.seconds() < min_seconds);
   return static_cast<double>(cells) / timer.seconds();

@@ -19,7 +19,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("snps", "SNPs to simulate (default 600)")
       .describe("grid", "omega positions (default 40)");
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   const auto neutral = omega::sim::make_dataset(
-      {.snps = static_cast<std::size_t>(cli.get_int("snps", 600)),
+      {.snps = cli.get_size("snps", 600),
        .samples = 50,
        .locus_length_bp = 1'000'000,
        .rho = 120.0,
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               dataset.shape_string().c_str());
 
   omega::core::ScannerOptions options;
-  options.config.grid_size = static_cast<std::size_t>(cli.get_int("grid", 40));
+  options.config.grid_size = cli.get_size("grid", 40);
   options.config.max_window = 250'000;
   options.config.min_window = 20'000;
   options.config.max_snps_per_side = 150;
@@ -114,4 +114,6 @@ int main(int argc, char** argv) {
   std::printf("\nall backends agree on the winning locus: %s\n",
               agree ? "YES" : "NO");
   return agree ? 0 : 1;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

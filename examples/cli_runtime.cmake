@@ -1,5 +1,5 @@
 # CTest script for the crash-safe runtime CLI surface:
-#   * bad flag combinations are rejected up front (exit 2);
+#   * bad flag combinations and usage errors are rejected (exit 2);
 #   * a deadline-expired streaming scan drains cleanly (exit 11), leaves a
 #     valid checkpoint and a metrics document with the schema-v8 runtime
 #     block, and never leaks a .ckpt.tmp temp file;
@@ -42,6 +42,23 @@ if(NOT result EQUAL 2)
   message(FATAL_ERROR
     "cli_runtime: --deadline-seconds 0 exited ${result}, want 2\n${output}")
 endif()
+
+# Usage errors exit 2 with one "error:" line on stderr and no crash: the
+# retired LD engines (--ld-engine gemm, the legacy --ld flag), a deleted flag
+# and negative counts.
+foreach(bad_args
+    "--ld-engine;gemm" "--ld;popcount" "--mt-strategy;span"
+    "--threads;-3" "--grid;-5" "--max-retries;-1")
+  execute_process(
+    COMMAND "${SCAN_BIN}" --name badflags ${bad_args}
+      --reports-dir "${WORK_DIR}"
+    RESULT_VARIABLE result OUTPUT_VARIABLE output ERROR_VARIABLE error_text)
+  if(NOT result EQUAL 2 OR NOT error_text MATCHES "^error: [^\n]*\n$")
+    message(FATAL_ERROR
+      "cli_runtime: '${bad_args}' exited ${result}, want 2 and one error "
+      "line\n${output}${error_text}")
+  endif()
+endforeach()
 
 # --- 2. uninterrupted reference run ---------------------------------------
 

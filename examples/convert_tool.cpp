@@ -25,9 +25,8 @@ omega::io::Dataset load(const omega::util::Cli& cli) {
   const std::string input = cli.get("input", "");
   if (input.empty()) {
     omega::sim::DatasetSpec spec;
-    spec.snps = static_cast<std::size_t>(cli.get_int("simulate-snps", 1'000));
-    spec.samples =
-        static_cast<std::size_t>(cli.get_int("simulate-samples", 50));
+    spec.snps = cli.get_size("simulate-snps", 1'000);
+    spec.samples = cli.get_size("simulate-samples", 50);
     spec.locus_length_bp = cli.get_int("length", 1'000'000);
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     return omega::sim::make_dataset(spec);
@@ -49,7 +48,7 @@ omega::io::Dataset load(const omega::util::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("input", "input file (.ms/.vcf/.fasta); omit to simulate")
       .describe("output", "output file (.ms or .vcf) — required")
@@ -85,4 +84,6 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", output.c_str());
   return 0;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

@@ -51,7 +51,7 @@ std::string to_fasta(const omega::io::Dataset& dataset,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("samples", "number of viral genomes (default 400)")
       .describe("seed", "simulation seed (default 19)");
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   cli.reject_unknown();
-  const auto samples = static_cast<std::size_t>(cli.get_int("samples", 400));
+  const auto samples = cli.get_size("samples", 400);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 19));
 
   // Low-diversity neutral background across the genome (viruses recombine
@@ -117,4 +117,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(kSpikeEnd),
               static_cast<long long>(kSweepPosition));
   return hit ? 0 : 1;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

@@ -17,7 +17,7 @@
 #include "util/table.h"
 #include "util/timer.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("snps", "SNPs to simulate (default 1500)")
       .describe("samples", "haplotypes to simulate (default 100)")
@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   const auto dataset = omega::sim::make_dataset(
-      {.snps = static_cast<std::size_t>(cli.get_int("snps", 1'500)),
-       .samples = static_cast<std::size_t>(cli.get_int("samples", 100)),
+      {.snps = cli.get_size("snps", 1'500),
+       .samples = cli.get_size("samples", 100),
        .locus_length_bp = 1'000'000,
        .rho = 40.0,
        .seed = static_cast<std::uint64_t>(cli.get_int("seed", 9))});
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   omega::ld::LdScanOptions options;
   options.high_ld_threshold = cli.get_double("threshold", 0.2);
   options.min_maf = cli.get_double("maf", 0.05);
-  options.top_pairs = static_cast<std::size_t>(cli.get_int("top", 8));
+  options.top_pairs = cli.get_size("top", 8);
 
   omega::par::ThreadPool pool;
   omega::util::Timer timer;
@@ -89,4 +89,6 @@ int main(int argc, char** argv) {
   }
   table.print();
   return 0;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

@@ -66,9 +66,8 @@ omega::io::Dataset load_input(const omega::util::Cli& cli) {
   if (input.empty()) {
     // Simulation mode.
     omega::sim::DatasetSpec spec;
-    spec.snps = static_cast<std::size_t>(cli.get_int("simulate-snps", 1'000));
-    spec.samples =
-        static_cast<std::size_t>(cli.get_int("simulate-samples", 50));
+    spec.snps = cli.get_size("simulate-snps", 1'000);
+    spec.samples = cli.get_size("simulate-samples", 50);
     spec.locus_length_bp = cli.get_int("length", 1'000'000);
     spec.rho = cli.get_double("simulate-rho", 80.0);
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -104,7 +103,7 @@ omega::io::Dataset load_input(const omega::util::Cli& cli) {
     options.locus_length_bp = cli.get_int("length", 1'000'000);
     auto replicates = omega::io::read_ms_file(input, options);
     if (replicates.empty()) throw std::runtime_error("ms: no replicates");
-    const auto index = static_cast<std::size_t>(cli.get_int("replicate", 0));
+    const auto index = cli.get_size("replicate", 0);
     if (index >= replicates.size()) {
       throw std::runtime_error("ms: replicate index out of range");
     }
@@ -153,8 +152,7 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
       omega::io::MsReadOptions ms_options;
       ms_options.locus_length_bp = cli.get_int("length", 1'000'000);
       reader = std::make_unique<omega::io::MsChunkReader>(
-          input, ms_options,
-          static_cast<std::size_t>(cli.get_int("replicate", 0)));
+          input, ms_options, cli.get_size("replicate", 0));
     } else if (file_streamed) {
       auto vcf = std::make_unique<omega::io::VcfChunkReader>(input);
       std::printf("vcf: %zu records, %zu skipped\n",
@@ -186,25 +184,22 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
   }
 
   omega::core::ScannerOptions options;
-  options.config.grid_size = static_cast<std::size_t>(cli.get_int("grid", 1'000));
+  options.config.grid_size = cli.get_size("grid", 1'000);
   options.config.max_window = cli.get_int("maxwin", 200'000);
   options.config.min_window = cli.get_int("minwin", 10'000);
   if (cli.get_bool("snp-windows", false)) {
     options.config.window_unit = omega::core::WindowUnit::Snps;
   }
-  options.config.max_snps_per_side =
-      static_cast<std::size_t>(cli.get_int("side-cap", 0));
+  options.config.max_snps_per_side = cli.get_size("side-cap", 0);
   // 0 = auto-detect; resolve once here (the ScannerOptions::threads
   // convention) so the reported backend name carries the actual count.
-  options.threads = omega::core::resolve_scan_threads(
-      static_cast<std::size_t>(cli.get_int("threads", 1)));
-  // --ld-engine supersedes the legacy --ld flag (which keeps working when it
-  // alone is given). Default auto: the packed engine with runtime
-  // AVX2/scalar microkernel dispatch — every engine produces bitwise-
-  // identical r2, so this only changes throughput.
+  options.threads =
+      omega::core::resolve_scan_threads(cli.get_size("threads", 1));
+  // Default auto: the packed engine with runtime AVX2/scalar microkernel
+  // dispatch; naive is the double-precision oracle.
   try {
-    options.ld = omega::core::ld_backend_from_name(
-        cli.get("ld-engine", cli.get("ld", "auto")));
+    options.ld =
+        omega::core::ld_backend_from_name(cli.get("ld-engine", "auto"));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
@@ -234,22 +229,18 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
       omega::util::fault::mode_from_name(cli.get("fault-mode", "none"));
   fault_plan.rate = cli.get_double("fault-rate", 0.1);
   fault_plan.seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1337));
-  fault_plan.window_begin =
-      static_cast<std::uint64_t>(cli.get_int("fault-after", 0));
-  fault_plan.device_lost_after =
-      static_cast<std::uint64_t>(cli.get_int("device-lost-after", 0));
+  fault_plan.window_begin = cli.get_size("fault-after", 0);
+  fault_plan.device_lost_after = cli.get_size("device-lost-after", 0);
   fault_plan.validate();
   const double modeled_timeout = cli.get_double("modeled-timeout", 0.0);
-  options.recovery.max_retries =
-      static_cast<std::size_t>(cli.get_int("max-retries", 3));
+  options.recovery.max_retries = cli.get_size("max-retries", 3);
   options.recovery.fallback_to_cpu = cli.get_bool("cpu-fallback", true);
 
   const std::string directory = cli.get("reports-dir", ".");
   std::filesystem::create_directories(directory);
 
   omega::core::StreamScanOptions stream_options;
-  stream_options.chunk_sites =
-      static_cast<std::size_t>(cli.get_int("chunk-sites", 100'000));
+  stream_options.chunk_sites = cli.get_size("chunk-sites", 100'000);
   const bool resume = cli.get_bool("resume", false);
   if (cli.has("checkpoint") || resume) {
     // `--checkpoint` alone uses the default path next to the reports;
@@ -444,7 +435,7 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("name", "run name used in the output file names (required)")
       .describe("input", "input file; omit to simulate a dataset")
@@ -477,9 +468,9 @@ int main(int argc, char** argv) {
                 "wall-clock budget for the scan; expiry drains cleanly and "
                 "exits 11 with a partial report (0 = no deadline)")
       .describe("ld-engine",
-                "LD engine: auto | naive | popcount | gemm | packed "
-                "(default auto = packed with runtime AVX2/scalar dispatch)")
-      .describe("ld", "legacy alias of --ld-engine (popcount | gemm)")
+                "LD engine: auto | naive | packed (default auto = packed "
+                "with runtime AVX2/scalar dispatch; naive is the "
+                "double-precision oracle)")
       .describe("backend", "cpu | gpu | fpga | hetero (default cpu)")
       .describe("hetero-split",
                 "hetero backend grid split: auto (modeled throughput) or "
@@ -610,8 +601,9 @@ int main(int argc, char** argv) {
   if (cli.has("progress")) {
     // `--progress` alone parses as the value "true"; `--progress=5` sets the
     // update interval in seconds.
-    const std::string raw = cli.get("progress", "true");
-    const double interval = raw == "true" ? 1.0 : std::stod(raw);
+    const double interval = cli.get("progress", "true") == "true"
+                                 ? 1.0
+                                 : cli.get_double("progress", 1.0);
     progress = std::make_unique<omega::util::ProgressReporter>(
         omega::util::ProgressReporter::stderr_sink(), interval);
   }
@@ -638,6 +630,8 @@ int main(int argc, char** argv) {
   try {
     return run_scan(cli, name, metrics_path, trace_enabled, progress.get(),
                     write_trace_file, write_metrics_text);
+  } catch (const omega::util::UsageError& error) {
+    return omega::util::usage_error(error);
   } catch (const omega::core::ResumeMismatchError& error) {
     // A checkpoint that does not match the current dataset/config is a usage
     // error (same class as a bad flag), not a scan failure.
@@ -672,4 +666,6 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

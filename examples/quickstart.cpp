@@ -10,7 +10,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("snps", "number of SNPs to simulate (default 800)")
       .describe("samples", "number of haplotypes (default 50)")
@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
   // 1. Get data: here a neutral coalescent simulation; real analyses load
   //    an ms / VCF / FASTA file through omega::io instead.
   omega::sim::DatasetSpec spec;
-  spec.snps = static_cast<std::size_t>(cli.get_int("snps", 800));
-  spec.samples = static_cast<std::size_t>(cli.get_int("samples", 50));
+  spec.snps = cli.get_size("snps", 800);
+  spec.samples = cli.get_size("samples", 50);
   spec.locus_length_bp = 1'000'000;
   spec.rho = 60.0;
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   // 2. Configure the scan (OmegaPlus-style parameters).
   omega::sweep::DetectorOptions options;
-  options.config.grid_size = static_cast<std::size_t>(cli.get_int("grid", 50));
+  options.config.grid_size = cli.get_size("grid", 50);
   options.config.max_window = 200'000;  // bp
   options.config.min_window = 10'000;   // bp
 
@@ -57,4 +57,6 @@ int main(int argc, char** argv) {
   }
   table.print();
   return 0;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

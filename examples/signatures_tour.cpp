@@ -32,7 +32,7 @@ std::string bar(double value, double maximum, int width = 18) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("seed", "simulation seed (default 5)");
   if (cli.wants_help()) {
@@ -106,4 +106,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(best.position_bp),
               omega_hits ? "inside" : "outside");
   return omega_hits ? 0 : 1;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

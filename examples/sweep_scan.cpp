@@ -51,7 +51,7 @@ void draw_landscape(const omega::core::ScanResult& result,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   omega::util::Cli cli(argc, argv);
   cli.describe("sweep-pos", "planted sweep position in bp (default 650000)")
       .describe("seed", "simulation seed (default 11)");
@@ -111,4 +111,6 @@ int main(int argc, char** argv) {
               result.profile.omega_throughput() / 1e6,
               static_cast<unsigned long long>(result.profile.r2_fetched));
   return 0;
+} catch (const omega::util::UsageError& error) {
+  return omega::util::usage_error(error);
 }

@@ -101,12 +101,6 @@ std::vector<GridPosition> build_grid(
   return grid;
 }
 
-GridPosition resolve_position(const io::Dataset& dataset,
-                              const OmegaConfig& config,
-                              std::int64_t position_bp) {
-  return resolve_position(dataset.positions(), config, position_bp);
-}
-
 std::vector<GridPosition> build_grid(const io::Dataset& dataset,
                                      const OmegaConfig& config) {
   return build_grid(dataset.positions(), config);

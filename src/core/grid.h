@@ -58,18 +58,14 @@ struct GridPosition {
 std::vector<GridPosition> build_grid(const io::Dataset& dataset,
                                      const OmegaConfig& config);
 
-/// Resolves the geometry for one arbitrary genomic location.
-GridPosition resolve_position(const io::Dataset& dataset,
-                              const OmegaConfig& config,
-                              std::int64_t position_bp);
-
 /// Grid geometry depends only on the SNP coordinates, so the streaming
 /// planner (which holds a position index but no genotype data) uses these
-/// overloads; the Dataset forms above delegate to them. `positions_bp` must
+/// overloads; the Dataset form above delegates to them. `positions_bp` must
 /// be strictly increasing.
 std::vector<GridPosition> build_grid(
     const std::vector<std::int64_t>& positions_bp, const OmegaConfig& config);
 
+/// Resolves the geometry for one arbitrary genomic location.
 GridPosition resolve_position(const std::vector<std::int64_t>& positions_bp,
                               const OmegaConfig& config,
                               std::int64_t position_bp);

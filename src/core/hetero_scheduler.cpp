@@ -265,28 +265,17 @@ void HeteroExecutor::run_cpu_worker(
     const ld::LdEngine& engine, std::vector<PositionScore>& scores,
     SchedWorkerStats& wstats, RedispatchQueue& redispatch,
     util::ProgressReporter* progress, const detail::CancelState* cancel) {
-  OmegaBackend& backend = *backends_[worker];
-  detail::SpanWorkerState& state = states_[worker];
-  ScanProfile& profile = profiles_[worker];
-  auto scan_span = [&](const detail::ScanSpan& span) {
-    for (std::size_t g = span.begin; g < span.end; ++g) {
-      if (cancel != nullptr && cancel->should_stop()) return;
-      const GridPosition& position = grid[g];
-      PositionScore& score = scores[g];
-      if (!position.valid || score.valid || score.quarantined) continue;
-      detail::advance_matrix(state.matrix, state.live, reuse_, position,
-                             engine, profile.stages);
-      detail::score_position(backend, state.matrix, position, recovery_,
-                             profile, score, progress);
-      ++wstats.positions;
-    }
+  auto run_span = [&](const detail::ScanSpan& span) {
+    detail::scan_span(grid, span, engine, reuse_, recovery_,
+                      *backends_[worker], states_[worker], profiles_[worker],
+                      wstats, scores, progress, cancel);
   };
   try {
     while (const auto claim = scheduler.claim(worker)) {
       if (cancel != nullptr && cancel->should_stop()) return;
       ++wstats.spans;
       if (claim->stolen) ++wstats.steals;
-      scan_span(spans[claim->item]);
+      run_span(spans[claim->item]);
     }
     // Own segment is dry: absorb whatever the accelerators have re-dispatched
     // so far. Remainders pushed after this worker returns are mopped up by
@@ -294,7 +283,7 @@ void HeteroExecutor::run_cpu_worker(
     while (const auto span = pop_span(redispatch.mutex, redispatch.spans)) {
       if (cancel != nullptr && cancel->should_stop()) return;
       ++wstats.spans;
-      scan_span(*span);
+      run_span(*span);
     }
   } catch (const util::CancelledError&) {
     // A backend observed the cancel mid-launch: the position in flight stays
@@ -438,36 +427,14 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
     part.modeled_seconds += plan.segments[p].modeled_seconds;
   }
 
-  // CPU segment: work-stealing spans across the CPU workers, seeded in
-  // contiguous cost-balanced runs exactly like scan_spans_parallel.
+  // CPU segment: work-stealing spans across the CPU workers, seeded like
+  // scan_spans_parallel's.
   const HeteroSegmentPlan& cpu_segment = plan.segments[0];
   const std::vector<detail::ScanSpan> cpu_spans = detail::build_scan_spans(
       grid, cpu_segment.begin, cpu_segment.end, cpu_workers_);
   stats_.partitions[0].spans += cpu_spans.size();
-  par::StealScheduler scheduler(cpu_workers_);
-  {
-    std::uint64_t total_cost = 0;
-    for (const detail::ScanSpan& span : cpu_spans) total_cost += span.cost;
-    const bool equal = total_cost == 0;
-    const std::uint64_t budget =
-        equal ? static_cast<std::uint64_t>(cpu_spans.size()) : total_cost;
-    std::vector<std::size_t> run_items;
-    std::size_t worker = 0;
-    std::uint64_t cum = 0;
-    for (std::size_t s = 0; s < cpu_spans.size(); ++s) {
-      run_items.push_back(s);
-      cum += equal ? 1 : cpu_spans[s].cost;
-      if (worker + 1 < cpu_workers_ &&
-          cum * cpu_workers_ >=
-              (static_cast<std::uint64_t>(worker) + 1) * budget) {
-        scheduler.assign(worker, std::move(run_items));
-        run_items = {};
-        ++worker;
-      }
-    }
-    scheduler.assign(std::min(worker, cpu_workers_ - 1),
-                     std::move(run_items));
-  }
+  par::StealScheduler scheduler =
+      detail::seed_steal_scheduler(cpu_spans, cpu_workers_);
 
   // Accelerator segments: one ordered launch queue each, split into a few
   // spans so the straggler deadline has useful granularity.
@@ -521,28 +488,15 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
     for (std::size_t w = 0; w < cpu_workers_; ++w) {
       mopup.emplace_back([&, w] {
         const util::Timer timer;
-        OmegaBackend& backend = *backends_[w];
-        detail::SpanWorkerState& state = states_[w];
-        ScanProfile& profile = profiles_[w];
         SchedWorkerStats& wstats = sched.workers_detail[w];
         try {
           while (const auto span =
                      pop_span(redispatch.mutex, redispatch.spans)) {
             if (cancel != nullptr && cancel->should_stop()) break;
             ++wstats.spans;
-            for (std::size_t g = span->begin; g < span->end; ++g) {
-              if (cancel != nullptr && cancel->should_stop()) break;
-              const GridPosition& position = grid[g];
-              PositionScore& score = scores[g];
-              if (!position.valid || score.valid || score.quarantined) {
-                continue;
-              }
-              detail::advance_matrix(state.matrix, state.live, reuse_,
-                                     position, engine, profile.stages);
-              detail::score_position(backend, state.matrix, position,
-                                     recovery_, profile, score, progress);
-              ++wstats.positions;
-            }
+            detail::scan_span(grid, *span, engine, reuse_, recovery_,
+                              *backends_[w], states_[w], profiles_[w], wstats,
+                              scores, progress, cancel);
           }
         } catch (const util::CancelledError&) {
         }

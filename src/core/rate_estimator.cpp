@@ -13,9 +13,4 @@ void RateEstimator::observe(std::uint64_t positions,
   ++observations_;
 }
 
-void RateEstimator::reset() noexcept {
-  ewma_ = 0.0;
-  observations_ = 0;
-}
-
 }  // namespace omega::core

@@ -34,7 +34,6 @@ class RateEstimator {
   [[nodiscard]] std::uint64_t observations() const noexcept {
     return observations_;
   }
-  void reset() noexcept;
 
  private:
   double alpha_;

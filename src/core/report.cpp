@@ -3,7 +3,6 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/ios_guard.h"
@@ -92,13 +91,6 @@ void write_info(std::ostream& out, const std::string& run_name,
   }
 }
 
-void write_info(std::ostream& out, const std::string& run_name,
-                const io::Dataset& dataset, const ScannerOptions& options,
-                const ScanResult& result, const std::string& backend_name) {
-  write_info(out, run_name, dataset.shape_string(), dataset.has_missing(),
-             options, result, backend_name);
-}
-
 std::string write_run_files(const std::string& directory,
                             const std::string& run_name,
                             const std::string& dataset_summary,
@@ -125,22 +117,6 @@ std::string write_run_files(const std::string& directory,
                             const std::string& backend_name) {
   return write_run_files(directory, run_name, dataset.shape_string(),
                          dataset.has_missing(), options, result, backend_name);
-}
-
-std::vector<std::pair<std::int64_t, double>> read_report(std::istream& in) {
-  std::vector<std::pair<std::int64_t, double>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::int64_t position = 0;
-    double omega_value = 0.0;
-    if (!(fields >> position >> omega_value)) {
-      throw std::runtime_error("report: malformed line: " + line);
-    }
-    rows.emplace_back(position, omega_value);
-  }
-  return rows;
 }
 
 }  // namespace omega::core

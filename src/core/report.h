@@ -20,13 +20,9 @@ namespace omega::core {
 
 void write_report(std::ostream& out, const ScanResult& result);
 
-void write_info(std::ostream& out, const std::string& run_name,
-                const io::Dataset& dataset, const ScannerOptions& options,
-                const ScanResult& result, const std::string& backend_name);
-
-/// Dataset-free form for streamed runs, which never hold the whole alignment:
-/// `dataset_summary` replaces the shape line (e.g. "120000 sites x 64
-/// haplotypes (streamed)") and `has_missing` the missing-data note.
+/// `dataset_summary` is the shape line (Dataset::shape_string(), or e.g.
+/// "120000 sites x 64 haplotypes (streamed)" for a streamed run, which never
+/// holds the whole alignment) and `has_missing` the missing-data note.
 void write_info(std::ostream& out, const std::string& run_name,
                 const std::string& dataset_summary, bool has_missing,
                 const ScannerOptions& options, const ScanResult& result,
@@ -40,16 +36,12 @@ std::string write_run_files(const std::string& directory,
                             const ScanResult& result,
                             const std::string& backend_name);
 
-/// Dataset-free form for streamed runs (see the write_info overload).
+/// Dataset-free form for streamed runs (see write_info).
 std::string write_run_files(const std::string& directory,
                             const std::string& run_name,
                             const std::string& dataset_summary,
                             bool has_missing, const ScannerOptions& options,
                             const ScanResult& result,
                             const std::string& backend_name);
-
-/// Parses a Report file back into (position, omega) pairs — round-trip
-/// support for power studies over many replicates.
-std::vector<std::pair<std::int64_t, double>> read_report(std::istream& in);
 
 }  // namespace omega::core

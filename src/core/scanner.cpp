@@ -20,7 +20,7 @@ std::size_t resolve_scan_threads(std::size_t requested) noexcept {
 LdBackendKind resolve_ld_backend(LdBackendKind kind) noexcept {
   // Auto always resolves to the packed engine: it carries its own AVX2 vs
   // scalar microkernel dispatch, so it is the best available choice on every
-  // host, and all engines produce bitwise-identical r2 anyway.
+  // host.
   return kind == LdBackendKind::Auto ? LdBackendKind::Packed : kind;
 }
 
@@ -28,10 +28,6 @@ const char* ld_backend_name(LdBackendKind kind) noexcept {
   switch (kind) {
     case LdBackendKind::Naive:
       return "naive";
-    case LdBackendKind::Popcount:
-      return "popcount";
-    case LdBackendKind::Gemm:
-      return "gemm";
     case LdBackendKind::Packed:
       return "packed";
     case LdBackendKind::Auto:
@@ -42,13 +38,10 @@ const char* ld_backend_name(LdBackendKind kind) noexcept {
 
 LdBackendKind ld_backend_from_name(std::string_view name) {
   if (name == "naive") return LdBackendKind::Naive;
-  if (name == "popcount") return LdBackendKind::Popcount;
-  if (name == "gemm") return LdBackendKind::Gemm;
   if (name == "packed") return LdBackendKind::Packed;
   if (name == "auto") return LdBackendKind::Auto;
   throw std::invalid_argument("unknown LD engine: " + std::string(name) +
-                              " (expected auto | naive | popcount | gemm | "
-                              "packed)");
+                              " (expected auto | naive | packed)");
 }
 
 std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
@@ -57,10 +50,6 @@ std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
   switch (resolve_ld_backend(kind)) {
     case LdBackendKind::Naive:
       return std::make_unique<ld::NaiveLd>(dataset);
-    case LdBackendKind::Popcount:
-      return std::make_unique<ld::PopcountLd>(snps);
-    case LdBackendKind::Gemm:
-      return std::make_unique<ld::GemmLd>(snps);
     case LdBackendKind::Packed:
       return std::make_unique<ld::PackedLd>(snps);
     case LdBackendKind::Auto:
@@ -72,9 +61,6 @@ std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
 // ---------------------------------------------------------------------------
 // CpuOmegaBackend
 // ---------------------------------------------------------------------------
-
-CpuOmegaBackend::CpuOmegaBackend()
-    : kind_(resolve_cpu_kernel(CpuKernelKind::Auto)) {}
 
 CpuOmegaBackend::CpuOmegaBackend(CpuKernelKind kind)
     : kind_(resolve_cpu_kernel(kind)) {}

@@ -58,11 +58,9 @@ class OmegaBackend {
 /// merged into ScanProfile::kernel via contribute().
 class CpuOmegaBackend final : public OmegaBackend {
  public:
-  /// Resolves Auto against this binary/host.
-  CpuOmegaBackend();
-  /// Resolves `kind`; throws std::runtime_error when Avx2 is forced on a
-  /// host that cannot run it.
-  explicit CpuOmegaBackend(CpuKernelKind kind);
+  /// Resolves `kind` against this binary/host; throws std::runtime_error
+  /// when Avx2 is forced on a host that cannot run it.
+  explicit CpuOmegaBackend(CpuKernelKind kind = CpuKernelKind::Auto);
 
   [[nodiscard]] std::string name() const override { return "cpu"; }
   OmegaResult max_omega(const DpMatrix& m,
@@ -111,19 +109,19 @@ inline std::unique_ptr<OmegaBackend> borrow_backend(OmegaBackend& backend) {
   return std::make_unique<BorrowedBackend>(backend);
 }
 
-/// LD engine selector. Auto resolves (via resolve_ld_backend) to Packed —
-/// the bit-packed blocked engine with runtime AVX2/scalar microkernel
-/// dispatch (ld/packed.h). Every kind produces bitwise-identical r2, so the
-/// choice affects throughput only; Naive is the unpacked test oracle.
-enum class LdBackendKind { Naive, Popcount, Gemm, Packed, Auto };
+/// LD engine selector. Packed is the library's one CPU LD engine: bit-packed
+/// and blocked, with runtime AVX2/scalar microkernel dispatch (ld/packed.h).
+/// Auto resolves to it (via resolve_ld_backend). Naive is the unpacked
+/// double-precision oracle. Any other engine — the simulated GPU's, or a
+/// test's reference engine — goes in through ScannerOptions::ld_factory.
+enum class LdBackendKind { Naive, Packed, Auto };
 
-/// Resolves Auto to the concrete engine kind this build prefers (Packed; the
-/// engine itself dispatches AVX2 vs scalar per host). Concrete kinds pass
-/// through.
+/// Resolves Auto to Packed (the engine itself dispatches AVX2 vs scalar per
+/// host). Concrete kinds pass through.
 [[nodiscard]] LdBackendKind resolve_ld_backend(LdBackendKind kind) noexcept;
 
-/// Stable engine-kind names ("naive" | "popcount" | "gemm" | "packed" |
-/// "auto") — used by the CLI, the checkpoint config hash, and the report.
+/// Stable engine-kind names ("naive" | "packed" | "auto") — used by the CLI,
+/// the checkpoint config hash, and the report.
 [[nodiscard]] const char* ld_backend_name(LdBackendKind kind) noexcept;
 
 /// Inverse of ld_backend_name; throws std::invalid_argument on unknown

@@ -82,6 +82,50 @@ std::vector<ScanSpan> build_scan_spans(const std::vector<GridPosition>& grid,
   return spans;
 }
 
+par::StealScheduler seed_steal_scheduler(const std::vector<ScanSpan>& spans,
+                                         std::size_t workers) {
+  std::uint64_t total_cost = 0;
+  for (const ScanSpan& span : spans) total_cost += span.cost;
+  const bool equal_fallback = total_cost == 0;
+  const std::uint64_t budget_total =
+      equal_fallback ? static_cast<std::uint64_t>(spans.size()) : total_cost;
+  par::StealScheduler scheduler(workers);
+  std::vector<std::size_t> run;
+  std::size_t worker = 0;
+  std::uint64_t cum = 0;
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    run.push_back(s);
+    cum += equal_fallback ? 1 : spans[s].cost;
+    if (worker + 1 < workers &&
+        cum * workers >= (static_cast<std::uint64_t>(worker) + 1) * budget_total) {
+      scheduler.assign(worker, std::move(run));
+      run = {};
+      ++worker;
+    }
+  }
+  scheduler.assign(std::min(worker, workers - 1), std::move(run));
+  return scheduler;
+}
+
+void scan_span(const std::vector<GridPosition>& grid, const ScanSpan& span,
+               const ld::LdEngine& engine, bool reuse,
+               const RecoveryPolicy& recovery, OmegaBackend& backend,
+               SpanWorkerState& state, ScanProfile& profile,
+               SchedWorkerStats& wstats, std::vector<PositionScore>& scores,
+               util::ProgressReporter* progress, const CancelState* cancel) {
+  for (std::size_t g = span.begin; g < span.end; ++g) {
+    if (cancel != nullptr && cancel->should_stop()) return;
+    const GridPosition& position = grid[g];
+    PositionScore& score = scores[g];
+    if (!position.valid || score.valid || score.quarantined) continue;
+    advance_matrix(state.matrix, state.live, reuse, position, engine,
+                   profile.stages);
+    score_position(backend, state.matrix, position, recovery, profile, score,
+                   progress);
+    ++wstats.positions;
+  }
+}
+
 void scan_spans_parallel(const std::vector<GridPosition>& grid,
                          const std::vector<ScanSpan>& spans,
                          par::ThreadPool& pool, const ld::LdEngine& engine,
@@ -107,34 +151,7 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
       util::telemetry::histogram("sched.worker_busy_seconds");
   spans_total.add(spans.size());
 
-  // Seed each worker with a contiguous run of spans, balanced by estimated
-  // cost, preserving grid order within each run (owner claims pop the front,
-  // so a worker walks its run left to right — maximal relocation reuse).
-  std::uint64_t total_cost = 0;
-  for (const ScanSpan& span : spans) total_cost += span.cost;
-  // Zero-total-cost spans (degenerate grids): weigh each span equally so the
-  // seeding still spreads runs across workers instead of piling everything
-  // on worker 0.
-  const bool equal_fallback = total_cost == 0;
-  const std::uint64_t budget_total =
-      equal_fallback ? static_cast<std::uint64_t>(spans.size()) : total_cost;
-  par::StealScheduler scheduler(workers);
-  {
-    std::vector<std::size_t> run;
-    std::size_t worker = 0;
-    std::uint64_t cum = 0;
-    for (std::size_t s = 0; s < spans.size(); ++s) {
-      run.push_back(s);
-      cum += equal_fallback ? 1 : spans[s].cost;
-      if (worker + 1 < workers &&
-          cum * workers >= (static_cast<std::uint64_t>(worker) + 1) * budget_total) {
-        scheduler.assign(worker, std::move(run));
-        run = {};
-        ++worker;
-      }
-    }
-    scheduler.assign(std::min(worker, workers - 1), std::move(run));
-  }
+  par::StealScheduler scheduler = seed_steal_scheduler(spans, workers);
 
   std::vector<std::function<void()>> tasks;
   tasks.reserve(workers);
@@ -156,21 +173,8 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
             ++wstats.steals;
             steals_total.add(1);
           }
-          for (std::size_t g = span.begin; g < span.end; ++g) {
-            // Cooperative drain: the position in flight always completes, so
-            // a cancelled scan never leaves a half-scored position behind.
-            if (cancel != nullptr && cancel->should_stop()) break;
-            const GridPosition& position = grid[g];
-            PositionScore& score = scores[g];
-            // Skip already-settled positions: the streaming chunk retry
-            // re-runs a chunk's spans and must not rescore what succeeded.
-            if (!position.valid || score.valid || score.quarantined) continue;
-            advance_matrix(state.matrix, state.live, reuse, position, engine,
-                           profile.stages);
-            score_position(backend, state.matrix, position, recovery, profile,
-                           score, progress);
-            ++wstats.positions;
-          }
+          scan_span(grid, span, engine, reuse, recovery, backend, state,
+                    profile, wstats, scores, progress, cancel);
           const double elapsed = busy.seconds();
           wstats.busy_seconds += elapsed;
           busy_hist.record(elapsed);

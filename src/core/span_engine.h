@@ -66,13 +66,32 @@ struct SpanWorkerState {
   RateEstimator rate;
 };
 
+/// Builds the steal scheduler for `spans`: each of `workers` deques is seeded
+/// with a contiguous run of spans, balanced by estimated cost and in grid
+/// order, so a worker walks its own run left to right (owner claims pop the
+/// front) — maximal relocation reuse. Zero-total-cost spans (degenerate
+/// grids) weigh one each, so the runs still spread across workers.
+[[nodiscard]] par::StealScheduler seed_steal_scheduler(
+    const std::vector<ScanSpan>& spans, std::size_t workers);
+
+/// The per-span position loop every CPU span worker runs: scores each valid
+/// position of `span` that is not settled yet (neither valid nor
+/// quarantined — the stream's chunk retry and the hetero re-dispatch both
+/// rerun partly done ranges) in grid order with the worker's own matrix and
+/// backend, counting each into wstats.positions. `cancel` is polled before
+/// every position; the one in flight always completes.
+void scan_span(const std::vector<GridPosition>& grid, const ScanSpan& span,
+               const ld::LdEngine& engine, bool reuse,
+               const RecoveryPolicy& recovery, OmegaBackend& backend,
+               SpanWorkerState& state, ScanProfile& profile,
+               SchedWorkerStats& wstats, std::vector<PositionScore>& scores,
+               util::ProgressReporter* progress, const CancelState* cancel);
+
 /// Runs `spans` over `grid` with work stealing. backends / states /
 /// worker_profiles must all have the same size W >= 1; `pool` should hold
 /// W - 1 threads (the caller participates via run_blocking). Spans are
-/// seeded contiguously across workers by cost; each claimed span is scanned
-/// in grid order with the worker's own matrix and backend, skipping invalid
-/// positions and positions already scored or quarantined (the streaming
-/// chunk-retry contract). Scheduler accounting accumulates into `sched`
+/// seeded by seed_steal_scheduler; each claimed span runs through scan_span.
+/// Scheduler accounting accumulates into `sched`
 /// (workers_detail grows to W; spans/steals recomputed from it), so repeated
 /// calls — one per stream chunk — aggregate correctly.
 ///

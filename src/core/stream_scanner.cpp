@@ -317,7 +317,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
                                ? options.ld_factory(snps)
                                : make_ld_engine(options.ld, chunk->dataset, snps);
         const ld::OffsetLd engine(*inner, chunk->first_site);
-        if (profile.ld_backend.empty()) profile.ld_backend = inner->name();
+        if (profile.ld_backend.empty()) profile.ld_backend = engine.name();
         executor.run(plan.grid, step.grid_begin, step.grid_end, engine,
                      result.scores, profile);
         const double chunk_seconds = compute.seconds();

@@ -100,8 +100,6 @@ FpgaDeviceSpec alveo_u200() {
   return spec;
 }
 
-CpuSpec amd_a10_5757m() { return {"AMD A10-5757M", 4, 4, 2.5e9}; }
-CpuSpec xeon_e5_2699v3() { return {"Intel Xeon E5-2699 v3 (Colab)", 2, 2, 2.3e9}; }
 CpuSpec core_i7_6700hq() { return {"Intel Core i7-6700HQ", 4, 8, 2.6e9}; }
 
 }  // namespace omega::hw

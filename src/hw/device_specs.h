@@ -137,8 +137,6 @@ struct CpuSpec {
   double base_clock_hz = 0.0;
 };
 
-CpuSpec amd_a10_5757m();       // System I host, 4 cores @ 2.5 GHz
-CpuSpec xeon_e5_2699v3();      // System II host (Colab slice), 2 cores
 CpuSpec core_i7_6700hq();      // Table IV machine, 4 cores / 8 threads
 
 }  // namespace omega::hw

@@ -11,7 +11,7 @@ namespace omega::hw::gpu {
 void pair_count_block_gpu(par::ThreadPool& pool, const ld::SnpMatrix& snps,
                           std::size_t i0, std::size_t i1, std::size_t j0,
                           std::size_t j1, std::int32_t* out, std::size_t ld_out,
-                          ld::PackSource a_source, ld::PackSource b_source,
+                          PackSource a_source, PackSource b_source,
                           std::size_t tile) {
   const std::size_t m = i1 - i0;
   const std::size_t n = j1 - j0;
@@ -28,8 +28,8 @@ void pair_count_block_gpu(par::ThreadPool& pool, const ld::SnpMatrix& snps,
   range.global_size = tiles_i * tiles_j * tile * tile;
   range.local_size = tile * tile;
 
-  auto source_row = [&](ld::PackSource source, std::size_t site) {
-    return source == ld::PackSource::Data ? snps.row(site) : snps.mask(site);
+  auto source_row = [&](PackSource source, std::size_t site) {
+    return source == PackSource::Data ? snps.row(site) : snps.mask(site);
   };
 
   enqueue_ndrange(pool, range, [&](const WorkItem& item) {
@@ -70,11 +70,11 @@ void GpuLdEngine::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
   if (snps_.has_missing()) {
     std::vector<std::int32_t> ni(m * n_cols), nj(m * n_cols), n(m * n_cols);
     pair_count_block_gpu(pool_, snps_, i0, i1, j0, j1, ni.data(), n_cols,
-                         ld::PackSource::Data, ld::PackSource::Mask);
+                         PackSource::Data, PackSource::Mask);
     pair_count_block_gpu(pool_, snps_, i0, i1, j0, j1, nj.data(), n_cols,
-                         ld::PackSource::Mask, ld::PackSource::Data);
+                         PackSource::Mask, PackSource::Data);
     pair_count_block_gpu(pool_, snps_, i0, i1, j0, j1, n.data(), n_cols,
-                         ld::PackSource::Mask, ld::PackSource::Mask);
+                         PackSource::Mask, PackSource::Mask);
     accounting_.kernel_launches += 3;
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n_cols; ++j) {

@@ -10,26 +10,33 @@
 // GpuLdEngine plugs this into the scanner as an ld::LdEngine, giving the
 // "complete GPU-accelerated OmegaPlus" configuration: GPU LD (this kernel) +
 // GPU omega (omega_kernels.h), exactly the released tool's division of
-// labour (paper Fig. 3).
+// labour (paper Fig. 3). It is the paper's GPU LD kernel and is reached only
+// through sweep::detect_sweeps(Backend::GpuSim); the CPU scan path uses
+// ld::PackedLd. The byte-panel CPU GEMM cast of the same counts is a test
+// and bench reference outside the library (support/ld_reference/gemm.h),
+// which shares this header's PackSource operand selector.
 
 #include <cstdint>
 
 #include "hw/device_specs.h"
-#include "ld/gemm.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
 #include "par/thread_pool.h"
 
 namespace omega::hw::gpu {
 
+/// Which per-site bit vector an operand reads: the (pre-masked) derived
+/// indicator, or the validity mask. Pairwise-complete counting with missing
+/// data needs all four Data/Mask combinations.
+enum class PackSource { Data, Mask };
+
 /// Computes the pair-count block [i0,i1) x [j0,j1) on the simulated device.
-/// Sources select Data/Mask operands (pairwise-complete counting with
-/// missing calls needs all four combinations, as in ld::pair_count_block_gemm).
+/// Sources select Data/Mask operands.
 void pair_count_block_gpu(par::ThreadPool& pool, const ld::SnpMatrix& snps,
                           std::size_t i0, std::size_t i1, std::size_t j0,
                           std::size_t j1, std::int32_t* out, std::size_t ld_out,
-                          ld::PackSource a_source = ld::PackSource::Data,
-                          ld::PackSource b_source = ld::PackSource::Data,
+                          PackSource a_source = PackSource::Data,
+                          PackSource b_source = PackSource::Data,
                           std::size_t tile = 16);
 
 struct GpuLdAccounting {

@@ -88,16 +88,6 @@ EventId CommandQueue::enqueue_host(const std::string& label, double seconds,
   return record(std::move(event));
 }
 
-EventId CommandQueue::enqueue_marker(const std::vector<EventId>& wait_list) {
-  Event event;
-  event.kind = Event::Kind::Marker;
-  event.label = "marker";
-  event.queued_s = queued_clock_;
-  event.start_s = wait_barrier(wait_list);
-  event.end_s = event.start_s;
-  return record(std::move(event));
-}
-
 double CommandQueue::finish_time() const noexcept {
   double makespan = 0.0;
   for (const auto& event : events_) {

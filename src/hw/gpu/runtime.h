@@ -90,9 +90,6 @@ class CommandQueue {
   EventId enqueue_host(const std::string& label, double seconds,
                        const std::vector<EventId>& wait_list = {});
 
-  /// Pure synchronization point (no engine time).
-  EventId enqueue_marker(const std::vector<EventId>& wait_list);
-
   [[nodiscard]] const Event& event(EventId id) const { return events_.at(id); }
   [[nodiscard]] std::size_t commands() const noexcept { return events_.size(); }
 

@@ -61,16 +61,8 @@ inline std::optional<std::uint64_t> try_parse_uint64(std::string_view text) {
   return value;
 }
 
-/// Throwing variants for contexts where a bad value must abort the parse:
-/// wraps try_parse_* and raises ParseError naming the field.
-inline std::int64_t parse_int64(std::string_view text, const char* format,
-                                std::size_t line, const char* field) {
-  if (const auto value = try_parse_int64(text)) return *value;
-  throw ParseError(format, line,
-                   std::string(field) + ": invalid integer '" +
-                       std::string(text) + "'");
-}
-
+/// Throwing variant for contexts where a bad value must abort the parse:
+/// wraps try_parse_uint64 and raises ParseError naming the field.
 inline std::uint64_t parse_uint64(std::string_view text, const char* format,
                                   std::size_t line, const char* field) {
   if (const auto value = try_parse_uint64(text)) return *value;

@@ -1,15 +1,14 @@
 #pragma once
 // LD engine interface: supplies r2 values for SNP pairs to the omega DP
-// layer. Three production engines mirror the LD computation strategies in
-// the paper's lineage:
-//   * PopcountLd  — bit-parallel AND+popcount per pair (OmegaPlus CPU path),
-//   * GemmLd      — BLIS-style blocked GEMM over 0/1 byte panels (the dense-
-//                   linear-algebra cast used by the GPU LD kernel),
-//   * PackedLd    — bit-packed blocked engine (ld/packed.h): GemmLd's loop
-//                   nest with panels kept at 1 bit/genotype, an AVX2 or
-//                   scalar popcount microkernel, and a cross-extend panel
-//                   cache. The production default (LdBackendKind::Auto).
-// All produce identical counts; they differ only in throughput profile.
+// layer. The library ships one CPU engine, ld::PackedLd (ld/packed.h): the
+// PLINK-style bit-packed blocked engine with an AVX2 or scalar popcount
+// microkernel and a cross-extend panel cache, which core::make_ld_engine
+// builds for LdBackendKind::Auto and ::Packed. Beside it live the adapters
+// and oracles below — OffsetLd for the streaming scanner and NaiveLd, the
+// double-precision reference — and, on the simulated GPU, GpuLdEngine
+// (hw/gpu/gemm_ld_kernel.h). The popcount and GEMM engines the paper's
+// lineage used survive outside the library as test and bench references
+// (support/ld_reference).
 
 #include <atomic>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ld/gemm.h"
 #include "ld/r2.h"
 #include "ld/snp_matrix.h"
 
@@ -59,34 +57,6 @@ class LdEngine {
   mutable std::atomic<std::uint64_t> served_{0};
 };
 
-/// AND+popcount engine over the bit-packed matrix (non-owning view).
-class PopcountLd final : public LdEngine {
- public:
-  explicit PopcountLd(const SnpMatrix& snps) : snps_(snps) {}
-  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
-                float* out, std::size_t ld) const override;
-  [[nodiscard]] std::string name() const override { return "popcount"; }
-  [[nodiscard]] std::size_t num_sites() const override { return snps_.num_sites(); }
-
- private:
-  const SnpMatrix& snps_;
-};
-
-/// Blocked-GEMM engine (non-owning view).
-class GemmLd final : public LdEngine {
- public:
-  explicit GemmLd(const SnpMatrix& snps, GemmBlocking blocking = {})
-      : snps_(snps), blocking_(blocking) {}
-  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
-                float* out, std::size_t ld) const override;
-  [[nodiscard]] std::string name() const override { return "gemm"; }
-  [[nodiscard]] std::size_t num_sites() const override { return snps_.num_sites(); }
-
- private:
-  const SnpMatrix& snps_;
-  GemmBlocking blocking_;
-};
-
 /// Index-translation adapter for the streaming scanner: lets an engine built
 /// over one chunk of the alignment serve r2 requests addressed in global SNP
 /// indices. The chunk's first site has global index `offset`; every request
@@ -117,7 +87,8 @@ class OffsetLd final : public LdEngine {
   std::size_t offset_;
 };
 
-/// Unpacked O(samples)-per-pair oracle straight off the Dataset; tests only.
+/// Unpacked O(samples)-per-pair oracle straight off the Dataset: r2 in double
+/// precision, narrowed to float (LdBackendKind::Naive, `--ld-engine naive`).
 class NaiveLd final : public LdEngine {
  public:
   explicit NaiveLd(const io::Dataset& dataset) : dataset_(dataset) {}

@@ -1,9 +1,12 @@
 #pragma once
-// Bit-packed blocked LD engine (ROADMAP item 2): the PLINK-style answer to
-// GemmLd's byte panels. Operands stay 1 bit per genotype end-to-end — 256
-// genotypes per AVX2 vector — and every row is stored and counted at its real
-// width (words_per_site() words, no padding), so a 64-haplotype site is one
-// u64 word and a B block of 256 sites is 2 KiB of contiguous words.
+// Bit-packed blocked LD engine: the library's one CPU LD engine, which the
+// scan path builds for LdBackendKind::Auto and ::Packed. It is the
+// PLINK-style answer to the GEMM cast's byte panels (the paper's GPU LD
+// path; a CPU copy of it is a test reference in support/ld_reference).
+// Operands stay 1 bit per genotype end-to-end — 256 genotypes per AVX2
+// vector — and every row is stored and counted at its real width
+// (words_per_site() words, no padding), so a 64-haplotype site is one u64
+// word and a B block of 256 sites is 2 KiB of contiguous words.
 //
 // Counting runs in two steps per (A block x B block) of the BLIS-shaped loop
 // nest. The count kernel ANDs and popcounts each pair, its body picked by the
@@ -13,16 +16,16 @@
 // 1 x 4 register tile, or per pair with a Harley-Seal carry-save reduction
 // once the sample dimension is deep enough to amortize it. The count->r2
 // kernel then evaluates Eq. (1) eight cells at a time in r2_from_counts_f's
-// exact operation order, so every r2 float is bitwise what PopcountLd and
-// GemmLd produce. Scalar bodies (std::popcount, r2_from_counts_f) back the
-// same loop nest on hosts/binaries without AVX2; selection happens once at
-// engine construction through util/cpu_features, mirroring the
-// omega_kernel_avx2.cpp per-TU dispatch pattern.
+// exact operation order, so every r2 float is bitwise what the reference
+// popcount and GEMM engines produce. Scalar bodies (std::popcount,
+// r2_from_counts_f) back the same loop nest on hosts/binaries without AVX2;
+// selection happens once at engine construction through util/cpu_features,
+// mirroring the omega_kernel_avx2.cpp per-TU dispatch pattern.
 //
 // Missing data: rows are packed as fused [data | mask] rows and the fused
 // count kernel produces all four pairwise-complete count streams
-// (data.data, data.mask, mask.data, mask.mask) in ONE pass — where GemmLd
-// runs four independent GEMM sweeps.
+// (data.data, data.mask, mask.data, mask.mask) in ONE pass — where the GEMM
+// cast runs four independent sweeps.
 //
 // Panel cache: packing is lazy and cached per site-range block, so the
 // B-panels of a chunk are packed exactly once and every subsequent

@@ -62,23 +62,4 @@ PairCounts SnpMatrix::pair_counts_complete(std::size_t a,
   return {n, ni, nj, nij};
 }
 
-void SnpMatrix::unpack_row(std::size_t site, std::uint8_t* out) const noexcept {
-  const std::uint64_t* row_words = row(site);
-  for (std::size_t h = 0; h < samples_; ++h) {
-    out[h] = static_cast<std::uint8_t>((row_words[h / 64] >> (h % 64)) & 1ull);
-  }
-}
-
-void SnpMatrix::unpack_mask(std::size_t site, std::uint8_t* out) const noexcept {
-  const std::uint64_t* mask_words = mask(site);
-  for (std::size_t h = 0; h < samples_; ++h) {
-    out[h] = static_cast<std::uint8_t>((mask_words[h / 64] >> (h % 64)) & 1ull);
-  }
-}
-
-std::size_t SnpMatrix::bytes() const noexcept {
-  return (data_.size() + mask_.size()) * sizeof(std::uint64_t) +
-         (derived_.size() + valid_.size()) * sizeof(std::int32_t);
-}
-
 }  // namespace omega::ld

@@ -3,7 +3,7 @@
 // vector of SNP s across samples, packed 64 samples per word. This is the
 // representation the LD engines operate on; pairwise co-occurrence counts
 // reduce to AND+popcount over rows (Alachiotis, Popovici & Low 2016 cast the
-// same counts as dense linear algebra — see GemmLd).
+// same counts as dense linear algebra — see hw/gpu/gemm_ld_kernel.h).
 //
 // Missing data: each site additionally carries a validity mask (bit set =
 // called sample). Data bits are stored pre-masked (missing => 0), so for
@@ -63,15 +63,6 @@ class SnpMatrix {
   /// Full pairwise-complete count set for Eq. (1) with missing data.
   [[nodiscard]] PairCounts pair_counts_complete(std::size_t a,
                                                 std::size_t b) const noexcept;
-
-  /// Unpacks one site into a 0/1 byte vector (GEMM packing path); missing
-  /// samples unpack as 0 (they are pre-masked).
-  void unpack_row(std::size_t site, std::uint8_t* out) const noexcept;
-  /// Unpacks one site's validity mask into a 0/1 byte vector.
-  void unpack_mask(std::size_t site, std::uint8_t* out) const noexcept;
-
-  /// Memory footprint in bytes (packed words + count caches).
-  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   std::size_t sites_ = 0;

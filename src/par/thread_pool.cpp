@@ -198,21 +198,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   pool.run_blocking(std::move(tasks));
 }
 
-void parallel_for_chunks(
-    ThreadPool& pool, std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& chunk_body) {
-  if (begin >= end) return;
-  const std::size_t lanes = pool.size() + 1;
-  const std::size_t total = end - begin;
-  const std::size_t chunk = (total + lanes - 1) / lanes;
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::size_t lo = begin + lane * chunk;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk);
-    tasks.emplace_back([lo, hi, &chunk_body] { chunk_body(lo, hi); });
-  }
-  pool.run_blocking(std::move(tasks));
-}
-
 }  // namespace omega::par

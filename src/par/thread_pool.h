@@ -118,10 +118,4 @@ class StealScheduler {
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain, const std::function<void(std::size_t)>& body);
 
-/// Parallel loop handing each worker a contiguous [chunk_begin, chunk_end)
-/// range; used when the body wants to keep per-thread scratch state.
-void parallel_for_chunks(
-    ThreadPool& pool, std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& chunk_body);
-
 }  // namespace omega::par

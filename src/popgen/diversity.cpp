@@ -18,29 +18,12 @@ double site_pi(std::size_t derived, std::size_t valid) {
 
 }  // namespace
 
-std::vector<std::uint64_t> site_frequency_spectrum(const io::Dataset& dataset) {
-  const std::size_t n = dataset.num_samples();
-  std::vector<std::uint64_t> spectrum(n > 1 ? n - 1 : 0, 0);
-  for (std::size_t s = 0; s < dataset.num_sites(); ++s) {
-    const std::size_t derived = dataset.derived_count(s);
-    if (derived == 0 || derived >= n) continue;
-    ++spectrum[derived - 1];
-  }
-  return spectrum;
-}
-
 double nucleotide_diversity(const io::Dataset& dataset) {
   double total = 0.0;
   for (std::size_t s = 0; s < dataset.num_sites(); ++s) {
     total += site_pi(dataset.derived_count(s), dataset.valid_count(s));
   }
   return total;
-}
-
-double watterson_theta(const io::Dataset& dataset) {
-  const std::size_t n = dataset.num_samples();
-  if (n < 2) return 0.0;
-  return static_cast<double>(dataset.num_sites()) / util::harmonic(n - 1);
 }
 
 double tajimas_d(const io::Dataset& dataset) {

@@ -1,14 +1,14 @@
 #pragma once
 // Classical population-genetic summary statistics. The selective sweep
 // theory (paper §II) lists three signatures around a beneficial mutation:
-//   a) reduced genetic variation            -> pi, Watterson's theta
-//   b) SFS shift toward low/high-frequency  -> site frequency spectrum,
-//      derived variants                        Tajima's D
+//   a) reduced genetic variation            -> pi
+//   b) SFS shift toward low/high-frequency  -> Tajima's D
+//      derived variants
 //   c) the LD pattern                        -> the omega statistic (core/)
 // This module provides (a) and (b) so examples and analyses can show all
 // three signatures side by side, and so the simulator substrate can be
-// validated against their neutral expectations (E[pi] = E[theta_W] = theta,
-// E[Tajima's D] ~ 0).
+// validated against their neutral expectations (E[pi] = theta, E[Tajima's
+// D] ~ 0).
 
 #include <cstdint>
 #include <vector>
@@ -17,18 +17,9 @@
 
 namespace omega::popgen {
 
-/// Unfolded site frequency spectrum: entry k-1 counts sites where exactly k
-/// of the valid samples carry the derived allele (k = 1 .. n-1). Sites with
-/// missing data contribute to the bin of their derived count among valid
-/// calls, matching the pairwise-complete convention used elsewhere.
-std::vector<std::uint64_t> site_frequency_spectrum(const io::Dataset& dataset);
-
 /// Nucleotide diversity: mean pairwise difference count over all sample
 /// pairs, summed across sites (an estimator of theta under neutrality).
 double nucleotide_diversity(const io::Dataset& dataset);
-
-/// Watterson's estimator: S / H_{n-1}.
-double watterson_theta(const io::Dataset& dataset);
 
 /// Tajima's D with the standard variance normalization (Tajima 1989).
 /// Returns 0 when undefined (fewer than 3 segregating sites or samples).

@@ -154,17 +154,4 @@ io::Dataset simulate(const CoalescentConfig& config) {
   return io::Dataset(std::move(positions), std::move(sites), length);
 }
 
-std::vector<io::Dataset> simulate_replicates(const CoalescentConfig& config,
-                                             std::size_t replicates) {
-  std::vector<io::Dataset> out;
-  out.reserve(replicates);
-  util::Xoshiro256 seeder(config.seed);
-  for (std::size_t r = 0; r < replicates; ++r) {
-    CoalescentConfig one = config;
-    one.seed = seeder();
-    out.push_back(simulate(one));
-  }
-  return out;
-}
-
 }  // namespace omega::sim

@@ -41,9 +41,4 @@ struct CoalescentConfig {
 /// Simulates one replicate.
 io::Dataset simulate(const CoalescentConfig& config);
 
-/// Simulates `replicates` independent datasets (seeds derived from
-/// config.seed).
-std::vector<io::Dataset> simulate_replicates(const CoalescentConfig& config,
-                                             std::size_t replicates);
-
 }  // namespace omega::sim

@@ -79,8 +79,4 @@ Demography Demography::bottleneck(double start, double duration,
                      {start + duration, 1.0}});
 }
 
-Demography Demography::expansion(double time, double ancestral_size) {
-  return Demography({{0.0, 1.0}, {time, ancestral_size}});
-}
-
 }  // namespace omega::sim

@@ -46,9 +46,8 @@ class Demography {
     return epochs_.size() == 1 && epochs_.front().relative_size == 1.0;
   }
 
-  /// Convenience factories for the classic scenarios.
+  /// Convenience factory for the classic bottleneck scenario.
   static Demography bottleneck(double start, double duration, double severity);
-  static Demography expansion(double time, double ancestral_size);
 
  private:
   std::vector<Epoch> epochs_{{0.0, 1.0}};

@@ -1,12 +1,10 @@
 #include "sweep/detector.h"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
 
 #include "core/hetero_scheduler.h"
-#include "core/metrics_json.h"
 #include "hw/device_specs.h"
 #include "hw/fpga/fpga_backend.h"
 #include "hw/gpu/gemm_ld_kernel.h"
@@ -16,28 +14,9 @@
 
 namespace omega::sweep {
 
-std::string DetectionReport::metrics_json(const std::string& run_name) const {
-  return core::metrics::scan_metrics(run_name, profile).dump();
-}
-
-void DetectionReport::write_metrics_json(const std::string& path,
-                                         const std::string& run_name) const {
-  core::metrics::write_json_file(
-      path, core::metrics::scan_metrics(run_name, profile));
-}
-
-std::vector<Candidate> DetectionReport::above(double threshold) const {
-  std::vector<Candidate> out;
-  std::copy_if(candidates.begin(), candidates.end(), std::back_inserter(out),
-               [&](const Candidate& c) { return c.omega >= threshold; });
-  return out;
-}
-
 namespace {
 
 using BackendFactory = std::function<std::unique_ptr<core::OmegaBackend>()>;
-using ScanDriver = std::function<core::ScanResult(const core::ScannerOptions&,
-                                                  const BackendFactory&)>;
 
 /// Backs the simulated GPU's compute units; sized to hardware concurrency
 /// and built on first use, so CPU-only detection spawns no threads.
@@ -46,14 +25,11 @@ par::ThreadPool& gpu_pool() {
   return pool;
 }
 
-/// The one backend switch behind both detectors: builds the scanner options
-/// and backend factory for options.backend, runs `driver` (scan or
-/// stream_scan) with them, and ranks the candidates. Candidate windows take
-/// their bp coordinates from `positions` (the dataset's sites or the
-/// stream's position index).
-DetectionReport detect(const DetectorOptions& options,
-                       const std::vector<std::int64_t>& positions,
-                       std::size_t max_candidates, const ScanDriver& driver) {
+}  // namespace
+
+DetectionReport detect_sweeps(const io::Dataset& dataset,
+                              const DetectorOptions& options,
+                              std::size_t max_candidates) {
   core::ScannerOptions scanner_options;
   scanner_options.config = options.config;
   scanner_options.ld = options.ld;
@@ -117,7 +93,8 @@ DetectionReport detect(const DetectorOptions& options,
     }
   }
 
-  const core::ScanResult scan_result = driver(scanner_options, factory);
+  const core::ScanResult scan_result =
+      core::scan(dataset, scanner_options, factory);
   report.profile = scan_result.profile;
   report.partial = scan_result.profile.runtime.partial;
   for (const auto& score : scan_result.top(max_candidates)) {
@@ -125,35 +102,11 @@ DetectionReport detect(const DetectorOptions& options,
     Candidate candidate;
     candidate.position_bp = score.position_bp;
     candidate.omega = score.max_omega;
-    candidate.window_start_bp = positions.at(score.best_a);
-    candidate.window_end_bp = positions.at(score.best_b);
+    candidate.window_start_bp = dataset.positions().at(score.best_a);
+    candidate.window_end_bp = dataset.positions().at(score.best_b);
     report.candidates.push_back(candidate);
   }
   return report;
-}
-
-}  // namespace
-
-DetectionReport detect_sweeps(const io::Dataset& dataset,
-                              const DetectorOptions& options,
-                              std::size_t max_candidates) {
-  return detect(options, dataset.positions(), max_candidates,
-                [&](const core::ScannerOptions& scanner_options,
-                    const BackendFactory& factory) {
-                  return core::scan(dataset, scanner_options, factory);
-                });
-}
-
-DetectionReport detect_sweeps_stream(io::ChunkReader& reader,
-                                     const DetectorOptions& options,
-                                     const core::StreamScanOptions& stream_options,
-                                     std::size_t max_candidates) {
-  return detect(options, reader.index().positions_bp, max_candidates,
-                [&](const core::ScannerOptions& scanner_options,
-                    const BackendFactory& factory) {
-                  return core::stream_scan(reader, scanner_options,
-                                           stream_options, factory);
-                });
 }
 
 }  // namespace omega::sweep

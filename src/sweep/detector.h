@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "core/scanner.h"
-#include "core/stream_scanner.h"
-#include "io/chunk_reader.h"
 #include "io/dataset.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -70,33 +68,13 @@ struct DetectionReport {
   /// True when the scan was cancelled (signal, API, or deadline) before every
   /// grid position settled; mirrors profile.runtime.partial.
   bool partial = false;
-
-  /// Candidates with omega at least `threshold`.
-  [[nodiscard]] std::vector<Candidate> above(double threshold) const;
-
-  /// The scan's metrics document (core::metrics "omega.scan.metrics"
-  /// schema), serialized as pretty JSON.
-  [[nodiscard]] std::string metrics_json(
-      const std::string& run_name = "detect_sweeps") const;
-  /// Writes metrics_json(run_name) to `path`.
-  void write_metrics_json(const std::string& path,
-                          const std::string& run_name = "detect_sweeps") const;
 };
 
-/// Scans and returns the top `max_candidates` scoring positions.
+/// Scans and returns the top `max_candidates` scoring positions. The
+/// scan's metrics document is core::metrics::scan_metrics(name,
+/// report.profile); a bounded-memory scan goes through core::stream_scan.
 DetectionReport detect_sweeps(const io::Dataset& dataset,
                               const DetectorOptions& options = {},
                               std::size_t max_candidates = 10);
-
-/// Streaming counterpart: scans through a ChunkReader under the bounded-
-/// memory pipeline (core::stream_scan) and produces a report identical to
-/// detect_sweeps on the same data. Candidate window coordinates come from
-/// the reader's position index. Backend::CpuThreaded runs the work-stealing
-/// span engine per chunk (options.threads workers). Checkpoint/resume is
-/// controlled through stream_options (checkpoint_path / resume).
-DetectionReport detect_sweeps_stream(
-    io::ChunkReader& reader, const DetectorOptions& options = {},
-    const core::StreamScanOptions& stream_options = {},
-    std::size_t max_candidates = 10);
 
 }  // namespace omega::sweep

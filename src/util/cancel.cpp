@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <limits>
 
 namespace omega::util {
 
@@ -63,12 +62,6 @@ Deadline::Deadline(double budget_seconds, Clock clock)
 
 bool Deadline::expired() const {
   return enabled_ && clock_() - start_ >= budget_;
-}
-
-double Deadline::remaining() const {
-  if (!enabled_) return std::numeric_limits<double>::infinity();
-  const double left = budget_ - (clock_() - start_);
-  return left > 0.0 ? left : 0.0;
 }
 
 }  // namespace omega::util

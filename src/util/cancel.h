@@ -109,8 +109,6 @@ class Deadline {
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] bool expired() const;
-  /// Seconds left; +inf when disabled, clamped at 0 once expired.
-  [[nodiscard]] double remaining() const;
   [[nodiscard]] double budget_seconds() const noexcept { return budget_; }
 
  private:

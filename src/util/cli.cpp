@@ -1,10 +1,15 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 namespace omega::util {
+
+int usage_error(const UsageError& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -14,7 +19,7 @@ Cli::Cli(int argc, const char* const* argv) {
       continue;
     }
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("unexpected positional argument: " + arg);
+      throw UsageError("unexpected positional argument: " + arg);
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
@@ -47,13 +52,33 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  try {
+    return std::stoll(it->second);
+  } catch (const std::logic_error&) {
+    throw UsageError("--" + name + " expects an integer, got '" + it->second +
+                     "'");
+  }
+}
+
+std::size_t Cli::get_size(const std::string& name, std::size_t fallback) const {
+  const std::int64_t value =
+      get_int(name, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw UsageError("--" + name + " must be >= 0, got " +
+                     std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  try {
+    return std::stod(it->second);
+  } catch (const std::logic_error&) {
+    throw UsageError("--" + name + " expects a number, got '" + it->second +
+                     "'");
+  }
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -78,8 +103,7 @@ void Cli::reject_unknown() const {
         described_.begin(), described_.end(),
         [&](const auto& entry) { return entry.first == name; });
     if (!known) {
-      throw std::invalid_argument("unknown option --" + name +
-                                  " (see --help)");
+      throw UsageError("unknown option --" + name + " (see --help)");
     }
   }
 }

@@ -4,18 +4,6 @@
 
 namespace omega::util::fault {
 
-const char* mode_name(FaultMode mode) noexcept {
-  switch (mode) {
-    case FaultMode::None: return "none";
-    case FaultMode::KernelLaunch: return "kernel-launch";
-    case FaultMode::Timeout: return "timeout";
-    case FaultMode::TransientNan: return "nan";
-    case FaultMode::DeviceLost: return "device-lost";
-    case FaultMode::Mixed: return "mixed";
-  }
-  return "none";
-}
-
 FaultMode mode_from_name(std::string_view name) {
   if (name == "none") return FaultMode::None;
   if (name == "kernel-launch") return FaultMode::KernelLaunch;

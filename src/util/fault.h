@@ -31,7 +31,6 @@ enum class FaultMode {
   Mixed,         // plan-level only: random transient mode per fault
 };
 
-[[nodiscard]] const char* mode_name(FaultMode mode) noexcept;
 /// Parses "none|kernel-launch|timeout|nan|device-lost|mixed"; throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] FaultMode mode_from_name(std::string_view name);

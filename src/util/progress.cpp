@@ -112,16 +112,6 @@ void ProgressReporter::finish() {
   emit_locked(/*final=*/true);
 }
 
-std::uint64_t ProgressReporter::emitted() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return emitted_;
-}
-
-ProgressUpdate ProgressReporter::last_update() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return state_;
-}
-
 void ProgressReporter::emit_locked(bool final) {
   const double now = clock_();
   state_.elapsed_seconds = now - start_time_;
@@ -144,7 +134,6 @@ void ProgressReporter::emit_locked(bool final) {
     state_.eta_seconds = -1.0;
   }
   last_emit_time_ = now;
-  ++emitted_;
   if (sink_) sink_(state_);
 }
 

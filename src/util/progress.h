@@ -65,12 +65,6 @@ class ProgressReporter {
   /// or advanced).
   void finish();
 
-  /// Updates delivered to the sink so far (for rate-limit tests).
-  [[nodiscard]] std::uint64_t emitted() const;
-
-  /// Most recent update delivered to the sink.
-  [[nodiscard]] ProgressUpdate last_update() const;
-
   /// Sink writing ProgressUpdate::line() to stderr.
   [[nodiscard]] static Sink stderr_sink();
 
@@ -85,7 +79,6 @@ class ProgressReporter {
   double last_emit_time_ = 0.0;
   bool started_ = false;
   bool active_ = false;  // true between begin()/first advance and finish()
-  std::uint64_t emitted_ = 0;
   std::uint64_t baseline_positions_ = 0;  // preloaded by a resume
   ProgressUpdate state_;
 };

@@ -22,23 +22,6 @@ std::string Table::num(double value, int precision) {
   return buffer;
 }
 
-std::string Table::si(double value, int precision) {
-  const char* suffix = "";
-  if (value >= 1e9) {
-    value /= 1e9;
-    suffix = "G";
-  } else if (value >= 1e6) {
-    value /= 1e6;
-    suffix = "M";
-  } else if (value >= 1e3) {
-    value /= 1e3;
-    suffix = "k";
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f%s", precision, value, suffix);
-  return buffer;
-}
-
 std::string Table::str() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();

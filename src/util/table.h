@@ -17,8 +17,6 @@ class Table {
 
   /// Convenience: formats a double with the given precision.
   static std::string num(double value, int precision = 2);
-  /// Formats with an SI-style suffix (k/M/G) for throughput cells.
-  static std::string si(double value, int precision = 2);
 
   /// Renders with column alignment and a header rule.
   [[nodiscard]] std::string str() const;

@@ -1,4 +1,4 @@
-#include "ld/gemm.h"
+#include "ld_reference/gemm.h"
 
 #include <algorithm>
 #include <cstring>

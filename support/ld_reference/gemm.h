@@ -10,13 +10,19 @@
 // MR x NR register-blocked microkernel accumulates int32 tiles. Packing reads
 // directly from the bit-packed SnpMatrix so the unpacked matrix never exists
 // in full.
+//
+// Reference code outside the library: the tests check the simulated GPU
+// kernel and the engines against these counts, and the benches time them.
 
 #include <cstdint>
 #include <vector>
 
+#include "hw/gpu/gemm_ld_kernel.h"
 #include "ld/snp_matrix.h"
 
 namespace omega::ld {
+
+using hw::gpu::PackSource;
 
 struct GemmBlocking {
   // Cache blocking: KC x MC A-panel ~ L2, KC x NR B-sliver ~ L1.
@@ -27,11 +33,6 @@ struct GemmBlocking {
   static constexpr std::size_t mr = 8;
   static constexpr std::size_t nr = 8;
 };
-
-/// Which per-site bit vector a GEMM operand reads: the (pre-masked) derived
-/// indicator, or the validity mask. Pairwise-complete counting with missing
-/// data needs all four Data/Mask combinations.
-enum class PackSource { Data, Mask };
 
 /// Computes the co-occurrence count block
 ///   out[(i - i_begin) * ld_out + (j - j_begin)] =

@@ -23,6 +23,7 @@
 #include "ld/ld_engine.h"
 #include "ld/r2.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "util/stats.h"
 #include "sim/dataset_factory.h"
 
@@ -462,17 +463,18 @@ TEST(Grid, InvalidWhenOffTheData) {
   const Dataset d = test_dataset(50, 20, 12);
   OmegaConfig config;
   const auto before_first = omega::core::resolve_position(
-      d, config, d.positions().front() - 1000);
+      d.positions(), config, d.positions().front() - 1000);
   EXPECT_FALSE(before_first.valid);
-  const auto past_last =
-      omega::core::resolve_position(d, config, d.positions().back() + 1);
+  const auto past_last = omega::core::resolve_position(
+      d.positions(), config, d.positions().back() + 1);
   EXPECT_FALSE(past_last.valid);
 }
 
 TEST(Grid, TinyDatasetInvalid) {
   const Dataset d({10, 20, 30}, {{0, 1}, {1, 0}, {0, 1}}, 100);
   OmegaConfig config;
-  const auto position = omega::core::resolve_position(d, config, 20);
+  const auto position =
+      omega::core::resolve_position(d.positions(), config, 20);
   EXPECT_FALSE(position.valid);  // cannot satisfy l,r >= 2
 }
 

@@ -19,6 +19,7 @@
 #include "par/thread_pool.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
 
 namespace {

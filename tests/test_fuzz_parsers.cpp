@@ -10,8 +10,6 @@
 #include "io/fasta.h"
 #include "io/ms_format.h"
 #include "io/parse_error.h"
-#include "io/plink.h"
-#include "core/report.h"
 #include "io/vcf_lite.h"
 #include "util/prng.h"
 
@@ -221,97 +219,6 @@ TEST(ParserHardening, TryParseHelpersRejectJunk) {
   EXPECT_EQ(try_parse_uint64("42"), 42u);
   EXPECT_FALSE(try_parse_uint64("-1"));
   EXPECT_FALSE(try_parse_uint64("18446744073709551616"));  // 2^64
-}
-
-TEST(ParserHardening, PlinkMapPositionOverflowIsParseError) {
-  std::istringstream ped("f1 i1 0 0 1 0  A G\n");
-  std::istringstream map_in("1 rs1 0 999999999999999999999999\n");
-  try {
-    (void)omega::io::read_plink(ped, map_in);
-    FAIL() << "expected ParseError";
-  } catch (const omega::io::ParseError& error) {
-    EXPECT_EQ(error.format(), "plink");
-    EXPECT_EQ(error.line(), 1u);
-    EXPECT_NE(error.reason().find("position"), std::string::npos);
-  }
-}
-
-TEST(ParserHardening, PlinkMapGarbageIsParseError) {
-  // Garbage position, negative position, shifted line (id lands in the
-  // distance column), and a short line must all fail with the typed error.
-  const char* bad_maps[] = {
-      "1 rs1 0 12x34\n",
-      "1 rs1 0 -5\n",
-      "1 rs1 notanumber 100\n",
-      "1 rs1 0\n",
-  };
-  for (const char* map_text : bad_maps) {
-    std::istringstream ped("f1 i1 0 0 1 0  A G\n");
-    std::istringstream map_in(map_text);
-    EXPECT_THROW((void)omega::io::read_plink(ped, map_in),
-                 omega::io::ParseError)
-        << "map: " << map_text;
-  }
-}
-
-TEST(ParserHardening, PlinkPedErrorsCarryLineNumbers) {
-  const std::string map_text = "1 rs1 0 100\n1 rs2 0 200\n";
-  // Second individual is missing an allele pair.
-  std::istringstream ped("f1 i1 0 0 1 0  A G  C C\nf2 i2 0 0 1 0  A A\n");
-  std::istringstream map_in(map_text);
-  try {
-    (void)omega::io::read_plink(ped, map_in);
-    FAIL() << "expected ParseError";
-  } catch (const omega::io::ParseError& error) {
-    EXPECT_EQ(error.format(), "plink");
-    EXPECT_EQ(error.line(), 2u);
-    EXPECT_NE(error.reason().find("i2"), std::string::npos);
-  }
-}
-
-TEST(ParserHardening, PlinkTrailingGenotypesAreParseError) {
-  std::istringstream ped("f1 i1 0 0 1 0  A G  C C  T T\n");
-  std::istringstream map_in("1 rs1 0 100\n1 rs2 0 200\n");
-  EXPECT_THROW((void)omega::io::read_plink(ped, map_in),
-               omega::io::ParseError);
-}
-
-TEST(ParserHardening, PlinkParseErrorIsARuntimeError) {
-  // Pre-hardening catch sites expect std::runtime_error; the typed error
-  // must keep flowing through them.
-  std::istringstream ped("garbage\n");
-  std::istringstream map_in("1 rs1 0 100\n");
-  EXPECT_THROW((void)omega::io::read_plink(ped, map_in), std::runtime_error);
-}
-
-TEST(FuzzParsers, PlinkStructuredMutations) {
-  Xoshiro256 rng(0x1234);
-  const std::string map_base = "1 rs1 0 100\n1 rs2 0 200\n";
-  const std::string ped_base =
-      "f1 i1 0 0 1 0  A G  C C\nf2 i2 0 0 1 0  A A  C T\n";
-  for (int round = 0; round < 300; ++round) {
-    std::string ped = ped_base, map_text = map_base;
-    ped[rng.bounded(ped.size())] = static_cast<char>(32 + rng.bounded(90));
-    if (round % 3 == 0) {
-      map_text[rng.bounded(map_text.size())] =
-          static_cast<char>(32 + rng.bounded(90));
-    }
-    std::istringstream ped_in(ped), map_in(map_text);
-    try {
-      omega::io::read_plink(ped_in, map_in).validate();
-    } catch (const std::exception&) {
-    }
-  }
-}
-
-TEST(FuzzParsers, ReportRoundRobin) {
-  Xoshiro256 rng(0x5678);
-  for (int round = 0; round < 200; ++round) {
-    expect_no_crash(random_garbage(rng, 10 + rng.bounded(200)),
-                    [](std::istream& in) {
-                      (void)omega::core::read_report(in);
-                    });
-  }
 }
 
 }  // namespace

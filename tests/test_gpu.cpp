@@ -18,9 +18,10 @@
 #include "hw/gpu/omega_kernels.h"
 #include "hw/gpu/timing_model.h"
 #include "hw/ld_models.h"
-#include "ld/gemm.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
+#include "ld_reference/gemm.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/prng.h"

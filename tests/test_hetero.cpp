@@ -35,6 +35,7 @@
 #include "io/chunk_reader.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "sweep/detector.h"

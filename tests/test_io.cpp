@@ -9,7 +9,6 @@
 #include "io/dataset.h"
 #include "io/fasta.h"
 #include "io/ms_format.h"
-#include "io/plink.h"
 #include "io/vcf_lite.h"
 
 namespace {
@@ -218,59 +217,6 @@ TEST(Fasta, GapsImputedAsMajorAllele) {
   ASSERT_EQ(d.num_sites(), 1u);
   EXPECT_EQ(d.allele(0, 2), 0);  // the gap became the major allele A
   EXPECT_EQ(d.allele(0, 1), 1);
-}
-
-TEST(Plink, ParsesPedMapPair) {
-  const std::string map_text =
-      "1 rs1 0 1000\n"
-      "1 rs2 0 2000\n"
-      "1 rs3 0 3000\n";
-  // Two individuals = four haplotypes.
-  // rs1: A A | A G -> minor G; rs2: C C | C C -> monomorphic (dropped later);
-  // rs3: T 0 | G G -> missing call + minor T.
-  const std::string ped_text =
-      "f1 i1 0 0 1 0  A A  C C  T 0\n"
-      "f2 i2 0 0 2 0  A G  C C  G G\n";
-  std::istringstream ped(ped_text), map_in(map_text);
-  omega::io::PlinkLoadReport report;
-  const Dataset d = omega::io::read_plink(ped, map_in, &report);
-  EXPECT_EQ(report.individuals, 2u);
-  EXPECT_EQ(report.sites_total, 3u);
-  ASSERT_EQ(d.num_sites(), 2u);
-  EXPECT_EQ(d.num_samples(), 4u);
-  EXPECT_EQ(d.position(0), 1000);
-  EXPECT_EQ(d.position(1), 3000);
-  // rs1 haplotypes: A A A G -> 0 0 0 1.
-  EXPECT_EQ(d.allele(0, 3), 1);
-  EXPECT_EQ(d.derived_count(0), 1u);
-  // rs3 haplotypes: T . G G -> minor T: 1 missing 0 0.
-  EXPECT_EQ(d.allele(1, 0), 1);
-  EXPECT_EQ(d.allele(1, 1), Dataset::kMissing);
-}
-
-TEST(Plink, RejectsMalformedPed) {
-  std::istringstream map_in("1 rs1 0 100\n");
-  {
-    std::istringstream ped("f1 i1 0 0 1 0  A\n");  // odd allele count
-    EXPECT_THROW(omega::io::read_plink(ped, map_in), std::runtime_error);
-  }
-  std::istringstream map2("1 rs1 0 100\n");
-  {
-    std::istringstream ped("f1 i1 0 0 1 0  A A  C C\n");  // too many
-    EXPECT_THROW(omega::io::read_plink(ped, map2), std::runtime_error);
-  }
-}
-
-TEST(Plink, DropsMultiAllelicSites) {
-  std::istringstream map_in("1 rs1 0 100\n1 rs2 0 200\n");
-  std::istringstream ped(
-      "f1 i1 0 0 1 0  A C  A G\n"
-      "f2 i2 0 0 1 0  G T  A G\n");  // rs1 has 4 alleles -> dropped
-  omega::io::PlinkLoadReport report;
-  const Dataset d = omega::io::read_plink(ped, map_in, &report);
-  EXPECT_EQ(report.sites_dropped, 1u);
-  EXPECT_EQ(d.num_sites(), 1u);
-  EXPECT_EQ(d.position(0), 200);
 }
 
 TEST(VcfLite, ParsesPhasedDiploid) {

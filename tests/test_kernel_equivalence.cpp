@@ -22,6 +22,7 @@
 #include "io/dataset.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/prng.h"

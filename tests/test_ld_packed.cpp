@@ -20,6 +20,7 @@
 #include "ld/ld_engine.h"
 #include "ld/packed.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
 #include "util/prng.h"
 
@@ -104,6 +105,11 @@ void expect_bitwise_equal(const omega::core::ScanResult& expected,
     ASSERT_EQ(e.best_b, a.best_b) << "grid " << g;
     ASSERT_EQ(e.evaluated, a.evaluated) << "grid " << g;
   }
+}
+
+/// Scans with the reference popcount engine (ScannerOptions::ld_factory).
+std::unique_ptr<omega::ld::LdEngine> popcount_factory(const SnpMatrix& snps) {
+  return std::make_unique<PopcountLd>(snps);
 }
 
 // ------------------------------------------------------------ ISA dispatch --
@@ -436,13 +442,16 @@ TEST(LdBackendNames, RoundTripAndResolve) {
   using omega::core::ld_backend_name;
   using omega::core::resolve_ld_backend;
   for (const auto kind :
-       {LdBackendKind::Naive, LdBackendKind::Popcount, LdBackendKind::Gemm,
-        LdBackendKind::Packed, LdBackendKind::Auto}) {
+       {LdBackendKind::Naive, LdBackendKind::Packed, LdBackendKind::Auto}) {
     EXPECT_EQ(ld_backend_from_name(ld_backend_name(kind)), kind);
   }
   EXPECT_EQ(resolve_ld_backend(LdBackendKind::Auto), LdBackendKind::Packed);
-  EXPECT_EQ(resolve_ld_backend(LdBackendKind::Gemm), LdBackendKind::Gemm);
+  EXPECT_EQ(resolve_ld_backend(LdBackendKind::Naive), LdBackendKind::Naive);
   EXPECT_THROW((void)ld_backend_from_name("simd9000"), std::invalid_argument);
+  // The reference engines are not selectable by name: tests reach them
+  // through ScannerOptions::ld_factory.
+  EXPECT_THROW((void)ld_backend_from_name("popcount"), std::invalid_argument);
+  EXPECT_THROW((void)ld_backend_from_name("gemm"), std::invalid_argument);
 }
 
 // ------------------------------------------------------- whole-scan identity --
@@ -453,12 +462,18 @@ TEST_P(PackedScanIdentity, AllBackendsBitwise) {
   const Dataset d = scan_dataset(7, 150, GetParam());
   ScannerOptions options;
   options.config = small_config();
-  options.ld = LdBackendKind::Popcount;
+  options.ld_factory = popcount_factory;
   const auto reference = omega::core::scan(d, options);
 
-  for (const auto kind :
-       {LdBackendKind::Gemm, LdBackendKind::Packed, LdBackendKind::Auto}) {
+  ScannerOptions gemm_options = options;
+  gemm_options.ld_factory = [](const SnpMatrix& snps)
+      -> std::unique_ptr<omega::ld::LdEngine> {
+    return std::make_unique<omega::ld::GemmLd>(snps);
+  };
+  expect_bitwise_equal(reference, omega::core::scan(d, gemm_options));
+  for (const auto kind : {LdBackendKind::Packed, LdBackendKind::Auto}) {
     ScannerOptions other = options;
+    other.ld_factory = nullptr;
     other.ld = kind;
     const auto result = omega::core::scan(d, other);
     expect_bitwise_equal(reference, result);
@@ -467,6 +482,7 @@ TEST_P(PackedScanIdentity, AllBackendsBitwise) {
   // Naive computes r2 in double and narrows — agreement to float precision,
   // not bitwise.
   ScannerOptions naive_options = options;
+  naive_options.ld_factory = nullptr;
   naive_options.ld = LdBackendKind::Naive;
   const auto naive = omega::core::scan(d, naive_options);
   ASSERT_EQ(naive.scores.size(), reference.scores.size());
@@ -520,10 +536,10 @@ TEST(PackedScanIdentity, ProfileStampsResolvedEngine) {
 
   // A non-packed engine leaves the packed-only fields empty.
   ScannerOptions pop_options = options;
-  pop_options.ld = LdBackendKind::Popcount;
+  pop_options.ld_factory = popcount_factory;
   const auto pop = omega::core::scan(d, pop_options);
   EXPECT_EQ(pop.profile.ld.engine, "popcount");
-  EXPECT_EQ(pop.profile.ld.requested, "popcount");
+  EXPECT_EQ(pop.profile.ld.requested, "custom");
   EXPECT_TRUE(pop.profile.ld.isa.empty());
 }
 

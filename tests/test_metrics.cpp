@@ -326,7 +326,8 @@ TEST_P(DetectSweepsMetrics, CountersMatchWorkloadGroundTruth) {
   }
 
   // The report's JSON document reflects the same counters and round-trips.
-  const auto doc = JsonValue::parse(report.metrics_json(param.label));
+  const JsonValue doc =
+      omega::core::metrics::scan_metrics(param.label, report.profile);
   EXPECT_EQ(doc.at("schema").as_string(), omega::core::metrics::kScanSchema);
   EXPECT_EQ(doc.at("counters").at("omega_evaluations").as_uint(),
             profile.omega_evaluations);
@@ -360,7 +361,9 @@ TEST(ScanMetrics, WriteMetricsJsonProducesParseableFile) {
 
   const auto path =
       std::filesystem::temp_directory_path() / "omega_metrics_test.json";
-  report.write_metrics_json(path.string(), "file-test");
+  omega::core::metrics::write_json_file(
+      path.string(),
+      omega::core::metrics::scan_metrics("file-test", report.profile));
 
   std::string text;
   {

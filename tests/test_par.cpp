@@ -139,22 +139,6 @@ TEST_P(PoolSizes, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-TEST_P(PoolSizes, ParallelForChunksPartitionTheRange) {
-  ThreadPool pool(GetParam());
-  const std::size_t n = 5'000;
-  std::vector<std::atomic<int>> hits(n);
-  omega::par::parallel_for_chunks(
-      pool, 0, n, [&](std::size_t begin, std::size_t end) {
-        ASSERT_LE(begin, end);
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, PoolSizes, ::testing::Values(1, 2, 4, 8));
 
 TEST(ThreadPoolSubmit, FutureSynchronizesWithTheTask) {
@@ -202,14 +186,9 @@ TEST(ParallelFor, ReductionMatchesSerial) {
   ThreadPool pool(4);
   const std::size_t n = 100'000;
   std::atomic<long long> sum{0};
-  omega::par::parallel_for_chunks(pool, 0, n,
-                                  [&](std::size_t begin, std::size_t end) {
-                                    long long local = 0;
-                                    for (std::size_t i = begin; i < end; ++i) {
-                                      local += static_cast<long long>(i);
-                                    }
-                                    sum.fetch_add(local);
-                                  });
+  omega::par::parallel_for(pool, 0, n, 1'000, [&](std::size_t i) {
+    sum.fetch_add(static_cast<long long>(i), std::memory_order_relaxed);
+  });
   EXPECT_EQ(sum.load(), static_cast<long long>(n) * (n - 1) / 2);
 }
 

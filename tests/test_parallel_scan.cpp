@@ -434,9 +434,14 @@ TEST(ParallelStream, ThreadsZeroAutoDetects) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelProgress, ConcurrentAdvanceFromPoolWorkersLosesNothing) {
+  // The sink runs under the reporter's lock, so it can keep the last update.
   std::atomic<std::uint64_t> sink_calls{0};
+  omega::util::ProgressUpdate last;
   omega::util::ProgressReporter reporter(
-      [&sink_calls](const omega::util::ProgressUpdate&) { ++sink_calls; },
+      [&](const omega::util::ProgressUpdate& update) {
+        ++sink_calls;
+        last = update;
+      },
       /*interval_seconds=*/0.0);
   constexpr std::uint64_t kWorkers = 8;
   constexpr std::uint64_t kPerWorker = 5'000;
@@ -457,7 +462,6 @@ TEST(ParallelProgress, ConcurrentAdvanceFromPoolWorkersLosesNothing) {
   pool.run_blocking(std::move(tasks));
   reporter.finish();
 
-  const auto last = reporter.last_update();
   EXPECT_EQ(last.positions_done, kWorkers * kPerWorker);
   EXPECT_EQ(last.faults, kWorkers * ((kPerWorker + 2) / 3));
   EXPECT_TRUE(last.final);
@@ -468,11 +472,12 @@ TEST(ParallelProgress, MtScanReportsEveryValidPosition) {
   const auto dataset = parallel_dataset();
   auto options = parallel_options();
   options.threads = 4;
+  omega::util::ProgressUpdate last;
   omega::util::ProgressReporter reporter(
-      [](const omega::util::ProgressUpdate&) {}, /*interval_seconds=*/1e9);
+      [&](const omega::util::ProgressUpdate& update) { last = update; },
+      /*interval_seconds=*/1e9);
   options.progress = &reporter;
   const auto result = omega::core::scan(dataset, options);
-  const auto last = reporter.last_update();
   EXPECT_EQ(last.positions_done,
             result.profile.positions_scanned +
                 result.profile.faults.quarantined_positions);

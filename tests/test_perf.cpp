@@ -258,9 +258,6 @@ TEST(RateEstimator, IgnoresObservationsWithoutRateSignal) {
   EXPECT_EQ(rate.rate_per_s(), 0.0);
   rate.observe(10, 2.0);
   EXPECT_DOUBLE_EQ(rate.rate_per_s(), 5.0);
-  rate.reset();
-  EXPECT_EQ(rate.observations(), 0u);
-  EXPECT_EQ(rate.rate_per_s(), 0.0);
 }
 
 TEST(RateEstimator, SpanEngineWorkersExposeRateGauges) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 
 #include "popgen/diversity.h"
 #include "sim/coalescent.h"
@@ -16,20 +15,6 @@ namespace {
 
 using omega::io::Dataset;
 
-TEST(Popgen, SiteFrequencySpectrumCountsBins) {
-  // 4 samples; derived counts per site: 1, 1, 2, 3.
-  const Dataset d({10, 20, 30, 40},
-                  {{1, 0, 0, 0}, {0, 0, 1, 0}, {1, 1, 0, 0}, {1, 1, 1, 0}},
-                  100);
-  const auto spectrum = omega::popgen::site_frequency_spectrum(d);
-  ASSERT_EQ(spectrum.size(), 3u);
-  EXPECT_EQ(spectrum[0], 2u);  // singletons
-  EXPECT_EQ(spectrum[1], 1u);  // doubletons
-  EXPECT_EQ(spectrum[2], 1u);  // tripletons
-  EXPECT_EQ(std::accumulate(spectrum.begin(), spectrum.end(), 0ull),
-            d.num_sites());
-}
-
 TEST(Popgen, PiHandComputed) {
   // One site, 1 derived of 4: pi = 2*1*3 / (4*3) = 0.5.
   const Dataset d({10}, {{1, 0, 0, 0}}, 100);
@@ -39,29 +24,20 @@ TEST(Popgen, PiHandComputed) {
   EXPECT_DOUBLE_EQ(omega::popgen::nucleotide_diversity(e), 1.0);
 }
 
-TEST(Popgen, WattersonHandComputed) {
-  // 3 sites, 4 samples: theta_W = 3 / (1 + 1/2 + 1/3).
-  const Dataset d({10, 20, 30},
-                  {{1, 0, 0, 0}, {1, 1, 0, 0}, {0, 0, 0, 1}}, 100);
-  EXPECT_NEAR(omega::popgen::watterson_theta(d), 3.0 / (11.0 / 6.0), 1e-12);
-}
-
 TEST(Popgen, NeutralExpectations) {
-  // Under neutrality both estimators average theta and Tajima's D ~ 0.
+  // Under neutrality pi averages theta and Tajima's D ~ 0.
   omega::sim::CoalescentConfig config;
   config.samples = 20;
   config.theta = 30.0;
   config.rho = 20.0;
-  omega::util::RunningStats pi, theta_w, tajima;
+  omega::util::RunningStats pi, tajima;
   for (std::uint64_t rep = 0; rep < 200; ++rep) {
     config.seed = 10'000 + rep;
     const auto dataset = omega::sim::simulate(config);
     pi.add(omega::popgen::nucleotide_diversity(dataset));
-    theta_w.add(omega::popgen::watterson_theta(dataset));
     tajima.add(omega::popgen::tajimas_d(dataset));
   }
   EXPECT_NEAR(pi.mean(), config.theta, config.theta * 0.12);
-  EXPECT_NEAR(theta_w.mean(), config.theta, config.theta * 0.10);
   EXPECT_NEAR(tajima.mean(), 0.0, 0.25);
 }
 

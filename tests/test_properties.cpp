@@ -14,6 +14,7 @@
 #include "core/scanner.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
 #include "util/prng.h"
 

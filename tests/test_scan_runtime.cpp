@@ -110,7 +110,7 @@ class CheckpointPath {
 using BackendFactory = std::function<std::unique_ptr<omega::core::OmegaBackend>()>;
 
 /// Backend factory + LD wiring per simulated accelerator, mirroring
-/// sweep::detect_sweeps_stream (one shared pool, fresh backend per worker).
+/// sweep::detect_sweeps (one shared pool, fresh backend per worker).
 struct BackendSetup {
   BackendFactory factory;  // empty => CPU reference loop
   void apply_ld(ScannerOptions& options) const {
@@ -249,12 +249,10 @@ TEST(DeadlineTest, VirtualClockExpiry) {
   const omega::util::Deadline deadline(2.0, [&] { return now; });
   ASSERT_TRUE(deadline.enabled());
   EXPECT_FALSE(deadline.expired());
-  EXPECT_DOUBLE_EQ(deadline.remaining(), 2.0);
   now = 101.5;
   EXPECT_FALSE(deadline.expired());
   now = 102.5;
   EXPECT_TRUE(deadline.expired());
-  EXPECT_DOUBLE_EQ(deadline.remaining(), 0.0);
 
   const omega::util::Deadline disabled;
   EXPECT_FALSE(disabled.enabled());
@@ -440,7 +438,7 @@ TEST(ScanDeadlineTest, VirtualClockExpiryYieldsPartialV8Metrics) {
 
   // The metrics document carries the schema-v8 runtime block.
   const auto metrics =
-      omega::core::metrics::JsonValue::parse(report.metrics_json("deadline"));
+      omega::core::metrics::scan_metrics("deadline", report.profile);
   EXPECT_EQ(metrics.at("schema_version").as_int(),
             omega::core::metrics::kSchemaVersion);
   const auto& runtime = metrics.at("runtime");

@@ -7,6 +7,7 @@
 #include "core/reference.h"
 #include "core/scanner.h"
 #include "core/workload.h"
+#include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
 
 namespace {
@@ -55,18 +56,29 @@ TEST(Scanner, LdEnginesProduceSameScan) {
   const auto d = scan_dataset(2);
   ScannerOptions popcount_options;
   popcount_options.config = small_config();
-  popcount_options.ld = omega::core::LdBackendKind::Popcount;
+  popcount_options.ld_factory = [](const omega::ld::SnpMatrix& snps)
+      -> std::unique_ptr<omega::ld::LdEngine> {
+    return std::make_unique<omega::ld::PopcountLd>(snps);
+  };
   ScannerOptions gemm_options = popcount_options;
-  gemm_options.ld = omega::core::LdBackendKind::Gemm;
+  gemm_options.ld_factory = [](const omega::ld::SnpMatrix& snps)
+      -> std::unique_ptr<omega::ld::LdEngine> {
+    return std::make_unique<omega::ld::GemmLd>(snps);
+  };
+  ScannerOptions packed_options;  // the shipped default engine
+  packed_options.config = small_config();
 
   const auto a = omega::core::scan(d, popcount_options);
-  const auto b = omega::core::scan(d, gemm_options);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (std::size_t g = 0; g < a.scores.size(); ++g) {
-    // Identical float r2 inputs -> identical sums -> identical scores.
-    ASSERT_DOUBLE_EQ(a.scores[g].max_omega, b.scores[g].max_omega);
-    ASSERT_EQ(a.scores[g].best_a, b.scores[g].best_a);
-    ASSERT_EQ(a.scores[g].best_b, b.scores[g].best_b);
+  ASSERT_EQ(a.profile.ld_backend, "popcount");
+  for (const ScannerOptions& options : {gemm_options, packed_options}) {
+    const auto b = omega::core::scan(d, options);
+    ASSERT_EQ(a.scores.size(), b.scores.size());
+    for (std::size_t g = 0; g < a.scores.size(); ++g) {
+      // Identical float r2 inputs -> identical sums -> identical scores.
+      ASSERT_DOUBLE_EQ(a.scores[g].max_omega, b.scores[g].max_omega);
+      ASSERT_EQ(a.scores[g].best_a, b.scores[g].best_a);
+      ASSERT_EQ(a.scores[g].best_b, b.scores[g].best_b);
+    }
   }
 }
 

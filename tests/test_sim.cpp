@@ -184,16 +184,6 @@ TEST(Coalescent, RecombinationReducesLongRangeLd) {
   EXPECT_GT(no_recomb.mean(), heavy_recomb.mean());
 }
 
-TEST(Coalescent, ReplicatesAreIndependent) {
-  omega::sim::CoalescentConfig config;
-  config.samples = 8;
-  config.fixed_segsites = 30;
-  const auto replicates = omega::sim::simulate_replicates(config, 3);
-  ASSERT_EQ(replicates.size(), 3u);
-  EXPECT_FALSE(replicates[0].positions() == replicates[1].positions() &&
-               replicates[1].positions() == replicates[2].positions());
-}
-
 // ---------------------------------------------------------------------------
 // Demography (non-equilibrium scenarios)
 // ---------------------------------------------------------------------------
@@ -267,7 +257,8 @@ TEST(Demography, ExpansionIncreasesDeepDiversity) {
     config.seed = 4'000 + rep;
     config.demography = omega::sim::Demography();
     equilibrium.add(static_cast<double>(omega::sim::simulate(config).num_sites()));
-    config.demography = omega::sim::Demography::expansion(0.5, 4.0);
+    // Ancestral size 4 from backward time 0.5 on.
+    config.demography = omega::sim::Demography({{0.0, 1.0}, {0.5, 4.0}});
     expansion.add(static_cast<double>(omega::sim::simulate(config).num_sites()));
   }
   EXPECT_GT(expansion.mean(), 1.3 * equilibrium.mean());

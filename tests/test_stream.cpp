@@ -8,16 +8,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "core/omega_kernel_cpu.h"
 #include "core/scanner.h"
 #include "core/stream_scanner.h"
+#include "hw/device_specs.h"
+#include "hw/fpga/fpga_backend.h"
+#include "hw/gpu/gemm_ld_kernel.h"
+#include "hw/gpu/gpu_backend.h"
 #include "io/chunk_reader.h"
 #include "io/ms_format.h"
 #include "io/vcf_lite.h"
+#include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
-#include "sweep/detector.h"
+#include "util/fault.h"
 
 namespace {
 
@@ -391,57 +398,64 @@ TEST(StreamScanEquivalence, VcfFileStreamMatchesInMemoryLoad) {
   std::filesystem::remove(path);
 }
 
+using BackendFactory = std::function<std::unique_ptr<omega::core::OmegaBackend>()>;
+
+/// Wires `options` for the simulated GPU as sweep::detect_sweeps wires
+/// Backend::GpuSim — its GEMM LD kernel and omega kernels on one shared
+/// pool — and returns the omega-backend factory.
+BackendFactory use_gpu_sim(ScannerOptions& options,
+                           omega::util::fault::FaultPlan fault_plan = {}) {
+  static omega::par::ThreadPool pool;
+  const auto spec = omega::hw::tesla_k80();
+  options.ld_factory = [spec](const omega::ld::SnpMatrix& snps) {
+    return std::make_unique<omega::hw::gpu::GpuLdEngine>(snps, pool, spec);
+  };
+  return [spec, fault_plan] {
+    omega::hw::gpu::GpuBackendOptions backend_options;
+    backend_options.fault_plan = fault_plan;
+    return std::make_unique<omega::hw::gpu::GpuOmegaBackend>(spec, pool,
+                                                             backend_options);
+  };
+}
+
 TEST(StreamScanEquivalence, GpuSimBackendBitwise) {
   const auto d = stream_dataset(36, 150);
-  omega::sweep::DetectorOptions options;
+  ScannerOptions options;
   options.config = stream_config();
-  options.backend = omega::sweep::Backend::GpuSim;
-  const auto reference = omega::sweep::detect_sweeps(d, options);
+  const BackendFactory factory = use_gpu_sim(options);
+  const auto reference = omega::core::scan(d, options, factory);
 
   DatasetChunkReader reader(d);
-  omega::core::StreamScanOptions stream_options;
+  StreamScanOptions stream_options;
   stream_options.chunk_sites = 50;
   const auto streamed =
-      omega::sweep::detect_sweeps_stream(reader, options, stream_options);
+      omega::core::stream_scan(reader, options, stream_options, factory);
 
-  ASSERT_EQ(reference.candidates.size(), streamed.candidates.size());
-  for (std::size_t i = 0; i < reference.candidates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&reference.candidates[i].omega,
-                          &streamed.candidates[i].omega, sizeof(double)),
-              0);
-    EXPECT_EQ(reference.candidates[i].position_bp,
-              streamed.candidates[i].position_bp);
-    EXPECT_EQ(reference.candidates[i].window_start_bp,
-              streamed.candidates[i].window_start_bp);
-    EXPECT_EQ(reference.candidates[i].window_end_bp,
-              streamed.candidates[i].window_end_bp);
-  }
+  expect_bitwise_equal(reference, streamed);
   EXPECT_EQ(reference.profile.positions_scanned,
             streamed.profile.positions_scanned);
   EXPECT_EQ(reference.profile.omega_evaluations,
             streamed.profile.omega_evaluations);
-  EXPECT_EQ(reference.backend_name, streamed.backend_name);
+  EXPECT_EQ(reference.profile.omega_backend, streamed.profile.omega_backend);
 }
 
 TEST(StreamScanEquivalence, FpgaSimBackendBitwise) {
   const auto d = stream_dataset(37, 150);
-  omega::sweep::DetectorOptions options;
+  ScannerOptions options;
   options.config = stream_config();
-  options.backend = omega::sweep::Backend::FpgaSim;
-  const auto reference = omega::sweep::detect_sweeps(d, options);
+  const BackendFactory factory = [] {
+    return std::make_unique<omega::hw::fpga::FpgaOmegaBackend>(
+        omega::hw::alveo_u200());
+  };
+  const auto reference = omega::core::scan(d, options, factory);
 
   DatasetChunkReader reader(d);
-  omega::core::StreamScanOptions stream_options;
+  StreamScanOptions stream_options;
   stream_options.chunk_sites = 50;
   const auto streamed =
-      omega::sweep::detect_sweeps_stream(reader, options, stream_options);
+      omega::core::stream_scan(reader, options, stream_options, factory);
 
-  ASSERT_EQ(reference.candidates.size(), streamed.candidates.size());
-  for (std::size_t i = 0; i < reference.candidates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&reference.candidates[i].omega,
-                          &streamed.candidates[i].omega, sizeof(double)),
-              0);
-  }
+  expect_bitwise_equal(reference, streamed);
   EXPECT_EQ(reference.profile.omega_evaluations,
             streamed.profile.omega_evaluations);
 }
@@ -450,25 +464,19 @@ TEST(StreamScanEquivalence, CpuThreadedStreamBitwise) {
   // Streamed multithreaded compute (span engine per chunk) must match the
   // in-memory threaded scan bitwise, same as the single-threaded backends.
   const auto d = stream_dataset(38, 120);
-  omega::sweep::DetectorOptions options;
+  ScannerOptions options;
   options.config = stream_config();
-  options.backend = omega::sweep::Backend::CpuThreaded;
   options.threads = 3;
-  const auto reference = omega::sweep::detect_sweeps(d, options);
+  const auto reference = omega::core::scan(d, options);
 
   DatasetChunkReader reader(d);
-  omega::core::StreamScanOptions stream_options;
+  StreamScanOptions stream_options;
   stream_options.chunk_sites = 40;
   const auto streamed =
-      omega::sweep::detect_sweeps_stream(reader, options, stream_options);
+      omega::core::stream_scan(reader, options, stream_options);
 
-  EXPECT_EQ(streamed.backend_name, "cpu-mt");
-  ASSERT_EQ(reference.candidates.size(), streamed.candidates.size());
-  for (std::size_t i = 0; i < reference.candidates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&reference.candidates[i].omega,
-                          &streamed.candidates[i].omega, sizeof(double)),
-              0);
-  }
+  EXPECT_EQ(streamed.profile.sched.workers, 3u);
+  expect_bitwise_equal(reference, streamed);
   EXPECT_EQ(reference.profile.omega_evaluations,
             streamed.profile.omega_evaluations);
 }
@@ -478,30 +486,26 @@ TEST(StreamScanEquivalence, FaultInjectionSequencesMatch) {
   // PRNG in the same per-position order, so retries and recovered scores are
   // bitwise identical too.
   const auto d = stream_dataset(39, 150);
-  omega::sweep::DetectorOptions options;
+  omega::util::fault::FaultPlan plan;
+  plan.mode = omega::util::fault::FaultMode::TransientNan;
+  plan.rate = 0.35;
+  plan.seed = 99;
+  ScannerOptions options;
   options.config = stream_config();
-  options.backend = omega::sweep::Backend::GpuSim;
-  options.fault_plan.mode = omega::util::fault::FaultMode::TransientNan;
-  options.fault_plan.rate = 0.35;
-  options.fault_plan.seed = 99;
-  const auto reference = omega::sweep::detect_sweeps(d, options);
+  const BackendFactory factory = use_gpu_sim(options, plan);
+  const auto reference = omega::core::scan(d, options, factory);
   ASSERT_GT(reference.profile.faults.faults_injected, 0u);
 
   DatasetChunkReader reader(d);
-  omega::core::StreamScanOptions stream_options;
+  StreamScanOptions stream_options;
   stream_options.chunk_sites = 40;
   const auto streamed =
-      omega::sweep::detect_sweeps_stream(reader, options, stream_options);
+      omega::core::stream_scan(reader, options, stream_options, factory);
 
   EXPECT_EQ(reference.profile.faults.faults_injected,
             streamed.profile.faults.faults_injected);
   EXPECT_EQ(reference.profile.faults.retries, streamed.profile.faults.retries);
-  ASSERT_EQ(reference.candidates.size(), streamed.candidates.size());
-  for (std::size_t i = 0; i < reference.candidates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&reference.candidates[i].omega,
-                          &streamed.candidates[i].omega, sizeof(double)),
-              0);
-  }
+  expect_bitwise_equal(reference, streamed);
 }
 
 // ------------------------------------------------------ chunk-level faults --

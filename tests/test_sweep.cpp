@@ -107,16 +107,6 @@ TEST(Detector, SweptLocusScoresAboveItsNeutralCounterpart) {
   EXPECT_GT(swept_total, neutral_total);
 }
 
-TEST(Detector, AboveThresholdFilters) {
-  const auto dataset = swept_dataset(404);
-  const auto report = omega::sweep::detect_sweeps(
-      dataset, detector_options(omega::sweep::Backend::Cpu), 10);
-  const auto all = report.above(0.0);
-  const auto none = report.above(1e18);
-  EXPECT_EQ(all.size(), report.candidates.size());
-  EXPECT_TRUE(none.empty());
-}
-
 TEST(Detector, MsRoundTripPreservesScan) {
   const auto dataset = swept_dataset(505);
   std::ostringstream out;

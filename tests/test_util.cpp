@@ -177,13 +177,6 @@ TEST(Table, FormatsAlignedRows) {
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, SiSuffixes) {
-  EXPECT_EQ(omega::util::Table::si(1500.0, 1), "1.5k");
-  EXPECT_EQ(omega::util::Table::si(2.5e6, 1), "2.5M");
-  EXPECT_EQ(omega::util::Table::si(3e9, 0), "3G");
-  EXPECT_EQ(omega::util::Table::si(12.0, 0), "12");
-}
-
 TEST(Bits, WordsAndMasks) {
   EXPECT_EQ(omega::util::words_for_bits(0), 0u);
   EXPECT_EQ(omega::util::words_for_bits(1), 1u);

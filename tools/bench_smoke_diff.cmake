@@ -1,6 +1,8 @@
 # CTest script: run bench_scan_hotpath twice in separate directories and
 # assert omega_metrics_diff finds no self-regression between the two
-# BENCH_SCAN.json files. Invoked as:
+# BENCH_SCAN.json files. The bench's own exit code is honored: its one gate
+# (dispatched omega kernel >= 2x scalar) disarms itself on hosts without
+# AVX2, so a red exit is a real kernel regression. Invoked as:
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_smoke_diff.cmake
 
 foreach(var BENCH_BIN DIFF_BIN WORK_DIR)
@@ -13,8 +15,6 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/a" "${WORK_DIR}/b")
 
 foreach(run a b)
-  # The bench's own exit code reflects its AVX2-speedup gate, which can be
-  # red on exotic hosts; this smoke test only requires the JSON artifact.
   execute_process(
     COMMAND "${BENCH_BIN}"
     WORKING_DIRECTORY "${WORK_DIR}/${run}"
@@ -24,6 +24,11 @@ foreach(run a b)
   if(NOT EXISTS "${WORK_DIR}/${run}/BENCH_SCAN.json")
     message(FATAL_ERROR
       "bench_smoke_diff: run '${run}' produced no BENCH_SCAN.json "
+      "(exit ${bench_result})\n${bench_output}")
+  endif()
+  if(NOT bench_result EQUAL 0)
+    message(FATAL_ERROR
+      "bench_smoke_diff: run '${run}' failed the omega-kernel speedup gate "
       "(exit ${bench_result})\n${bench_output}")
   endif()
 endforeach()
