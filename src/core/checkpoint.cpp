@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/hetero_scheduler.h"
-#include "core/scan_driver.h"
 #include "core/stream_scanner.h"
 
 namespace omega::core {
@@ -50,21 +48,12 @@ double bits_double(std::int64_t bits) noexcept {
 
 metrics::JsonValue profile_totals_json(const ScanProfile& p) {
   using metrics::JsonValue;
+  // v3: only what the scan's telemetry does not back. Stage and bucket
+  // seconds, position/evaluation counts, the recovery counters and the
+  // stream's IO times are derived from `telemetry` at finalize.
   JsonValue totals = JsonValue::object();
-  totals.set("ld_seconds", p.ld_seconds);
-  totals.set("omega_seconds", p.omega_seconds);
   totals.set("total_seconds", p.total_seconds);
-  totals.set("omega_evaluations", p.omega_evaluations);
   totals.set("r2_fetched", p.r2_fetched);
-  totals.set("positions_scanned", p.positions_scanned);
-
-  JsonValue stages = JsonValue::object();
-  stages.set("ld_reset_seconds", p.stages.ld_reset_seconds);
-  stages.set("ld_relocate_seconds", p.stages.ld_relocate_seconds);
-  stages.set("ld_extend_seconds", p.stages.ld_extend_seconds);
-  stages.set("omega_search_seconds", p.stages.omega_search_seconds);
-  stages.set("dispatch_seconds", p.stages.dispatch_seconds);
-  totals.set("stages", std::move(stages));
 
   JsonValue relocation = JsonValue::object();
   relocation.set("resets", p.relocation.resets);
@@ -99,12 +88,7 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
   faults.set("injected_timeout", p.faults.injected_timeout);
   faults.set("injected_nan", p.faults.injected_nan);
   faults.set("injected_device_lost", p.faults.injected_device_lost);
-  faults.set("errors_caught", p.faults.errors_caught);
-  faults.set("invalid_results", p.faults.invalid_results);
-  faults.set("retries", p.faults.retries);
-  faults.set("quarantined_positions", p.faults.quarantined_positions);
   faults.set("degradations", p.faults.degradations);
-  faults.set("backoff_virtual_seconds", p.faults.backoff_virtual_seconds);
   totals.set("faults", std::move(faults));
 
   JsonValue kernel = JsonValue::object();
@@ -115,9 +99,6 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
   totals.set("kernel", std::move(kernel));
 
   JsonValue stream = JsonValue::object();
-  stream.set("io_seconds", p.stream.io_seconds);
-  stream.set("io_stall_seconds", p.stream.io_stall_seconds);
-  stream.set("compute_seconds", p.stream.compute_seconds);
   stream.set("seam_carryovers", p.stream.seam_carryovers);
   stream.set("failed_chunks", p.stream.failed_chunks);
   totals.set("stream", std::move(stream));
@@ -169,20 +150,8 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
 
 ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
   ScanProfile p;
-  p.ld_seconds = totals.at("ld_seconds").as_double();
-  p.omega_seconds = totals.at("omega_seconds").as_double();
   p.total_seconds = totals.at("total_seconds").as_double();
-  p.omega_evaluations = totals.at("omega_evaluations").as_uint();
   p.r2_fetched = totals.at("r2_fetched").as_uint();
-  p.positions_scanned = totals.at("positions_scanned").as_uint();
-
-  const auto& stages = totals.at("stages");
-  p.stages.ld_reset_seconds = stages.at("ld_reset_seconds").as_double();
-  p.stages.ld_relocate_seconds = stages.at("ld_relocate_seconds").as_double();
-  p.stages.ld_extend_seconds = stages.at("ld_extend_seconds").as_double();
-  p.stages.omega_search_seconds =
-      stages.at("omega_search_seconds").as_double();
-  p.stages.dispatch_seconds = stages.at("dispatch_seconds").as_double();
 
   const auto& relocation = totals.at("relocation");
   p.relocation.resets = relocation.at("resets").as_uint();
@@ -217,14 +186,7 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
   p.faults.injected_nan = faults.at("injected_nan").as_uint();
   p.faults.injected_device_lost =
       faults.at("injected_device_lost").as_uint();
-  p.faults.errors_caught = faults.at("errors_caught").as_uint();
-  p.faults.invalid_results = faults.at("invalid_results").as_uint();
-  p.faults.retries = faults.at("retries").as_uint();
-  p.faults.quarantined_positions =
-      faults.at("quarantined_positions").as_uint();
   p.faults.degradations = faults.at("degradations").as_uint();
-  p.faults.backoff_virtual_seconds =
-      faults.at("backoff_virtual_seconds").as_double();
 
   const auto& kernel = totals.at("kernel");
   p.kernel.positions = kernel.at("positions").as_uint();
@@ -234,9 +196,6 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
   p.kernel.avx2_evaluations = kernel.at("avx2_evaluations").as_uint();
 
   const auto& stream = totals.at("stream");
-  p.stream.io_seconds = stream.at("io_seconds").as_double();
-  p.stream.io_stall_seconds = stream.at("io_stall_seconds").as_double();
-  p.stream.compute_seconds = stream.at("compute_seconds").as_double();
   p.stream.seam_carryovers = stream.at("seam_carryovers").as_uint();
   p.stream.failed_chunks = stream.at("failed_chunks").as_uint();
 
@@ -251,6 +210,8 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
     w.positions = fields[2].as_uint();
     w.busy_seconds = fields[3].as_double();
     p.sched.workers_detail.push_back(w);
+    p.sched.spans += w.spans;
+    p.sched.steals += w.steals;
   }
 
   // Optional (absent in pre-v10 checkpoints and in cpu/mt runs).
@@ -449,35 +410,6 @@ ScanCheckpoint load_checkpoint(const std::string& path) {
                              " is not valid JSON: " + error.what());
   }
   return checkpoint_from_json(doc);
-}
-
-void restore_profile_totals(ScanProfile& profile, const ScanProfile& totals) {
-  detail::merge_worker_profile(profile, totals);
-  merge_hetero_stats(profile.hetero, totals.hetero);
-  profile.total_seconds += totals.total_seconds;
-  profile.stream.io_seconds += totals.stream.io_seconds;
-  profile.stream.io_stall_seconds += totals.stream.io_stall_seconds;
-  profile.stream.compute_seconds += totals.stream.compute_seconds;
-  profile.stream.seam_carryovers += totals.stream.seam_carryovers;
-  profile.stream.failed_chunks += totals.stream.failed_chunks;
-  if (profile.sched.workers_detail.size() <
-      totals.sched.workers_detail.size()) {
-    profile.sched.workers_detail.resize(totals.sched.workers_detail.size());
-  }
-  for (std::size_t w = 0; w < totals.sched.workers_detail.size(); ++w) {
-    const SchedWorkerStats& from = totals.sched.workers_detail[w];
-    SchedWorkerStats& into = profile.sched.workers_detail[w];
-    into.spans += from.spans;
-    into.steals += from.steals;
-    into.positions += from.positions;
-    into.busy_seconds += from.busy_seconds;
-  }
-  profile.sched.spans = 0;
-  profile.sched.steals = 0;
-  for (const SchedWorkerStats& w : profile.sched.workers_detail) {
-    profile.sched.spans += w.spans;
-    profile.sched.steals += w.steals;
-  }
 }
 
 }  // namespace omega::core

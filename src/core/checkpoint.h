@@ -3,8 +3,9 @@
 // (docs/ROBUSTNESS.md "Checkpoint, cancellation, and deadlines"). The
 // streaming driver writes one after every committed chunk — dataset
 // fingerprint, grid/config hash, chunk cursor, every settled per-position
-// score (including the quarantine set), and the accumulated profile totals
-// with a telemetry snapshot — via an atomic temp-file-plus-rename, so the
+// score (including the quarantine set), and the accumulated profile totals:
+// the scan's telemetry plus the fields it does not back — via an atomic
+// temp-file-plus-rename, so the
 // file on disk is always a complete, parseable checkpoint no matter where
 // the process died.
 //
@@ -42,7 +43,10 @@ struct ScanCheckpoint {
   /// Bump when the on-disk layout changes; load_checkpoint rejects others.
   /// v2: hetero partitions carry measured_rate_per_s / rate_observations
   /// (schema v11 measured-rate estimation).
-  static constexpr int kVersion = 2;
+  /// v3: totals drop every field the telemetry derives (stages, ld/omega
+  /// seconds, positions and evaluations, recovery counters, stream IO
+  /// times); they travel in totals.telemetry.
+  static constexpr int kVersion = 3;
 
   io::StreamFingerprint fingerprint;
   /// scan_config_hash of the producing run; resume refuses a mismatch.
@@ -60,10 +64,12 @@ struct ScanCheckpoint {
   std::uint64_t grid_committed = 0;
   /// Exactly grid_committed entries; max_omega round-trips bitwise.
   std::vector<PositionScore> scores;
-  /// Accumulated profile of all runs so far (stages, counters, accelerator
-  /// blocks, stream IO totals, sched per-worker detail, telemetry snapshot).
+  /// Accumulated profile of all runs so far: the telemetry snapshot, from
+  /// which a resumed scan re-derives its stage times and position/fault
+  /// counts, plus wall time, r2 fetches, relocation, accelerator, injected-
+  /// fault, kernel, stream seam/failure, sched per-worker and hetero blocks.
   /// RuntimeStats and the backend/kernel name strings are per-run and are
-  /// not carried.
+  /// not carried. A resumed stream starts its profile from these totals.
   ScanProfile totals;
 };
 
@@ -96,12 +102,5 @@ std::uint64_t write_checkpoint(const std::string& path,
 /// std::runtime_error when the file is missing, unparseable, or a different
 /// version.
 [[nodiscard]] ScanCheckpoint load_checkpoint(const std::string& path);
-
-/// Folds a loaded checkpoint's accumulated totals into a fresh scan profile
-/// at resume time: everything merge_worker_profile covers plus the stream IO
-/// buckets, sched per-worker detail, and total_seconds. Telemetry is NOT
-/// merged here — the driver folds it in at scan end via
-/// RegistrySnapshot::merged_with, after the current run's delta is taken.
-void restore_profile_totals(ScanProfile& profile, const ScanProfile& totals);
 
 }  // namespace omega::core

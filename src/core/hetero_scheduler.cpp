@@ -7,8 +7,6 @@
 #include "core/resilience.h"
 #include "core/workload.h"
 #include "util/cancel.h"
-#include "util/perf_counters.h"
-#include "util/progress.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -218,6 +216,49 @@ std::optional<detail::ScanSpan> pop_span(std::mutex& mutex,
   return span;
 }
 
+/// Folds one HeteroStats accumulation into another: counters add, partitions
+/// merge by backend name (weight keeps the latest plan's share), so a
+/// resumed profile's stats accumulate across runs. No-op when `from` is
+/// disabled.
+void merge_hetero_stats(HeteroStats& into, const HeteroStats& from) {
+  if (!from.enabled) return;
+  into.enabled = true;
+  if (!from.split.empty()) into.split = from.split;
+  into.plans += from.plans;
+  into.redispatched_spans += from.redispatched_spans;
+  into.redispatched_positions += from.redispatched_positions;
+  into.straggler_spans += from.straggler_spans;
+  into.faulted_spans += from.faulted_spans;
+  for (const HeteroPartitionStats& part : from.partitions) {
+    HeteroPartitionStats* dst = nullptr;
+    for (HeteroPartitionStats& candidate : into.partitions) {
+      if (candidate.backend == part.backend) {
+        dst = &candidate;
+        break;
+      }
+    }
+    if (dst == nullptr) {
+      HeteroPartitionStats fresh;
+      fresh.backend = part.backend;
+      into.partitions.push_back(std::move(fresh));
+      dst = &into.partitions.back();
+    }
+    dst->weight = part.weight;  // latest plan's share
+    dst->planned_positions += part.planned_positions;
+    dst->actual_positions += part.actual_positions;
+    dst->spans += part.spans;
+    dst->modeled_seconds += part.modeled_seconds;
+    dst->measured_seconds += part.measured_seconds;
+    // Latest estimate wins (HeteroPartitionStats contract): a run that made
+    // observations supersedes whatever a resumed checkpoint carried, while a
+    // run that never settled anything keeps the resumed estimate.
+    if (part.rate_observations > 0) {
+      dst->measured_rate_per_s = part.measured_rate_per_s;
+    }
+    dst->rate_observations += part.rate_observations;
+  }
+}
+
 }  // namespace
 
 HeteroExecutor::HeteroExecutor(const HeteroConfig& config,
@@ -244,7 +285,6 @@ HeteroExecutor::HeteroExecutor(const HeteroConfig& config,
     backends_.push_back(std::move(backend));
   }
   states_.resize(total);
-  profiles_.resize(total);
   rates_.resize(1 + n_accel);
   stats_.enabled = true;
   stats_.split = config_.split.name();
@@ -267,8 +307,8 @@ void HeteroExecutor::run_cpu_worker(
     util::ProgressReporter* progress, const detail::CancelState* cancel) {
   auto run_span = [&](const detail::ScanSpan& span) {
     detail::scan_span(grid, span, engine, reuse_, recovery_,
-                      *backends_[worker], states_[worker], profiles_[worker],
-                      wstats, scores, progress, cancel);
+                      *backends_[worker], states_[worker], wstats, scores,
+                      progress, cancel);
   };
   try {
     while (const auto claim = scheduler.claim(worker)) {
@@ -300,7 +340,6 @@ void HeteroExecutor::run_accelerator(
   const std::size_t worker = cpu_workers_ + partition;
   OmegaBackend& backend = *backends_[worker];
   detail::SpanWorkerState& state = states_[worker];
-  ScanProfile& profile = profiles_[worker];
   const HeteroCostModel& model = config_.accelerators[partition].modeled_seconds;
 
   // Push the unsettled remainder [g, end) of a span back to the CPU
@@ -352,51 +391,16 @@ void HeteroExecutor::run_accelerator(
           break;
         }
         detail::advance_matrix(state.matrix, state.live, reuse_, position,
-                               engine, profile.stages);
-        const std::uint64_t faults_before =
-            profile.faults.errors_caught + profile.faults.invalid_results;
-        RecoveryOutcome outcome;
-        {
-          const util::trace::Span trace_span("scan.omega.search");
-          static util::perf::StageCounters& search_perf =
-              util::perf::stage("scan.omega_search");
-          const util::perf::StageScope perf_scope(search_perf);
-          const util::Timer timer;
-          outcome = recover_max_omega(backend, state.matrix, position,
-                                      recovery_, profile.faults);
-          profile.stages.omega_search_seconds += timer.seconds();
-        }
-        const std::uint64_t faults_delta = profile.faults.errors_caught +
-                                           profile.faults.invalid_results -
-                                           faults_before;
-        if (!outcome.ok) {
-          // Recovery gave up on this partition — but the CPU is a
-          // bit-identical fallback, so re-dispatch instead of quarantining:
-          // undo the recover_max_omega quarantine charge and hand the
-          // remainder over.
-          --profile.faults.quarantined_positions;
-          if (progress != nullptr && faults_delta > 0) {
-            util::ProgressReporter::Delta delta;
-            delta.faults = faults_delta;
-            progress->advance(delta);
-          }
+                               engine);
+        // Recovery gave up on this partition — but the CPU is a bit-identical
+        // fallback, so re-dispatch the remainder instead of quarantining.
+        if (!detail::score_position(backend, state.matrix, position,
+                                    recovery_, score, progress,
+                                    /*quarantine=*/false)) {
           push_remainder(g, span.end, /*straggler=*/false);
           break;
         }
-        score.max_omega = outcome.result.max_omega;
-        score.best_a = outcome.result.best_a;
-        score.best_b = outcome.result.best_b;
-        score.evaluated = outcome.result.evaluated;
-        score.valid = true;
-        profile.omega_evaluations += outcome.result.evaluated;
-        ++profile.positions_scanned;
         ++wstats.positions;
-        if (progress != nullptr) {
-          util::ProgressReporter::Delta delta;
-          delta.positions = 1;
-          delta.faults = faults_delta;
-          progress->advance(delta);
-        }
       }
     }
   } catch (const util::CancelledError&) {
@@ -495,8 +499,8 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
             if (cancel != nullptr && cancel->should_stop()) break;
             ++wstats.spans;
             detail::scan_span(grid, *span, engine, reuse_, recovery_,
-                              *backends_[w], states_[w], profiles_[w], wstats,
-                              scores, progress, cancel);
+                              *backends_[w], states_[w], wstats, scores,
+                              progress, cancel);
           }
         } catch (const util::CancelledError&) {
         }
@@ -557,50 +561,11 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
 }
 
 void HeteroExecutor::finalize(ScanProfile& profile) const {
-  // Repeat-safe: only copies of the worker profiles are finalized, so the
-  // stream can snapshot cumulative totals per checkpoint this way.
-  detail::merge_span_workers(profile, profiles_, states_, backends_);
+  for (std::size_t w = 0; w < backends_.size(); ++w) {
+    detail::fold_worker(profile, states_[w].matrix, *backends_[w]);
+  }
   profile.omega_backend = "hetero";
   merge_hetero_stats(profile.hetero, stats_);
-}
-
-void merge_hetero_stats(HeteroStats& into, const HeteroStats& from) {
-  if (!from.enabled) return;
-  into.enabled = true;
-  if (!from.split.empty()) into.split = from.split;
-  into.plans += from.plans;
-  into.redispatched_spans += from.redispatched_spans;
-  into.redispatched_positions += from.redispatched_positions;
-  into.straggler_spans += from.straggler_spans;
-  into.faulted_spans += from.faulted_spans;
-  for (const HeteroPartitionStats& part : from.partitions) {
-    HeteroPartitionStats* dst = nullptr;
-    for (HeteroPartitionStats& candidate : into.partitions) {
-      if (candidate.backend == part.backend) {
-        dst = &candidate;
-        break;
-      }
-    }
-    if (dst == nullptr) {
-      HeteroPartitionStats fresh;
-      fresh.backend = part.backend;
-      into.partitions.push_back(std::move(fresh));
-      dst = &into.partitions.back();
-    }
-    dst->weight = part.weight;  // latest plan's share
-    dst->planned_positions += part.planned_positions;
-    dst->actual_positions += part.actual_positions;
-    dst->spans += part.spans;
-    dst->modeled_seconds += part.modeled_seconds;
-    dst->measured_seconds += part.measured_seconds;
-    // Latest estimate wins (HeteroPartitionStats contract): a run that made
-    // observations supersedes whatever a resumed checkpoint carried, while a
-    // run that never settled anything keeps the resumed estimate.
-    if (part.rate_observations > 0) {
-      dst->measured_rate_per_s = part.measured_rate_per_s;
-    }
-    dst->rate_observations += part.rate_observations;
-  }
 }
 
 }  // namespace omega::core

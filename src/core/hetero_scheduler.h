@@ -132,9 +132,9 @@ struct HeteroPlan {
     const std::vector<GridPosition>& grid, std::size_t begin, std::size_t end,
     const HeteroConfig& config);
 
-/// Drives one scan's heterogeneous execution. Owns the per-worker backends,
-/// DP matrices, and profiles so the streaming driver can call run() once per
-/// chunk with seam carryover intact; scan() calls it once for the whole
+/// Drives one scan's heterogeneous execution. Owns the per-worker backends
+/// and DP matrices so the streaming driver can call run() once per chunk
+/// with seam carryover intact; scan() calls it once for the whole
 /// grid. Worker layout: cpu_workers() CPU span workers, then one worker per
 /// accelerator partition.
 class HeteroExecutor {
@@ -173,10 +173,10 @@ class HeteroExecutor {
   /// exception escaped run()).
   void invalidate_matrices() noexcept;
 
-  /// End-of-scan bookkeeping: finalizes a *copy* of every worker profile,
-  /// merges them into `profile`, and folds the accumulated HeteroStats in
+  /// End-of-scan bookkeeping: folds every worker's matrix counters and
+  /// backend accounting into `profile` and the accumulated HeteroStats in
   /// (profile.omega_backend becomes "hetero"). Repeat-safe on successive
-  /// snapshots of the same base profile — the streaming driver calls it per
+  /// copies of the same base profile — the streaming driver calls it per
   /// checkpoint on a totals copy and once at stream end on the real one.
   void finalize(ScanProfile& profile) const;
 
@@ -212,18 +212,11 @@ class HeteroExecutor {
   std::size_t cpu_workers_ = 1;
   std::vector<std::unique_ptr<OmegaBackend>> backends_;  // total_workers()
   std::vector<detail::SpanWorkerState> states_;
-  std::vector<ScanProfile> profiles_;
   HeteroStats stats_;
   /// One measured-throughput EWMA per partition (CPU first), observed once
   /// per run() — the empirical counterpart of the planner's modeled rates,
   /// stamped into HeteroPartitionStats::measured_rate_per_s (schema v11).
   std::vector<RateEstimator> rates_;
 };
-
-/// Folds one HeteroStats accumulation into another: counters add, partitions
-/// merge by backend name (weight keeps the latest plan's share). Used by
-/// HeteroExecutor::finalize and by checkpoint resume to accumulate stats
-/// across runs. No-op when `from` is disabled.
-void merge_hetero_stats(HeteroStats& into, const HeteroStats& from);
 
 }  // namespace omega::core

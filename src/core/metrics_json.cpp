@@ -620,26 +620,32 @@ JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) 
   JsonValue perf = JsonValue::object();
   perf.set("enabled", profile.perf.enabled);
   perf.set("source", profile.perf.source);
+  // v12: under the clock-only fallback the hardware counts were never
+  // measured, so they and their ratios are null rather than 0.
+  const bool measured = profile.perf.source != "fallback";
+  const auto hardware = [measured](auto value) {
+    return measured ? JsonValue(value) : JsonValue();
+  };
   JsonValue perf_stages = JsonValue::array();
   for (const PerfStageStats& stage : profile.perf.stages) {
     JsonValue entry = JsonValue::object();
     entry.set("stage", stage.stage);
     entry.set("scopes", stage.scopes);
-    entry.set("cycles", stage.cycles);
-    entry.set("instructions", stage.instructions);
-    entry.set("cache_misses", stage.cache_misses);
-    entry.set("branch_misses", stage.branch_misses);
+    entry.set("cycles", hardware(stage.cycles));
+    entry.set("instructions", hardware(stage.instructions));
+    entry.set("cache_misses", hardware(stage.cache_misses));
+    entry.set("branch_misses", hardware(stage.branch_misses));
     entry.set("task_clock_seconds", stage.task_clock_seconds);
-    entry.set("ipc", stage.ipc());
-    entry.set("cache_mpki", stage.cache_mpki());
-    entry.set("branch_mpki", stage.branch_mpki());
+    entry.set("ipc", hardware(stage.ipc()));
+    entry.set("cache_mpki", hardware(stage.cache_mpki()));
+    entry.set("branch_mpki", hardware(stage.branch_mpki()));
     perf_stages.push_back(std::move(entry));
   }
   perf.set("stages", std::move(perf_stages));
   doc.set("perf", std::move(perf));
 
-  // v6: distributional telemetry (docs/OBSERVABILITY.md) — the registry
-  // delta attributed to this scan.
+  // v6: distributional telemetry (docs/OBSERVABILITY.md) — the scan's own
+  // telemetry scope.
   doc.set("telemetry", telemetry_json(profile.telemetry));
   return doc;
 }

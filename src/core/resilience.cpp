@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "util/probe.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::core {
@@ -80,53 +80,48 @@ bool result_is_poisoned(const OmegaResult& result) {
 
 RecoveryOutcome recover_max_omega(OmegaBackend& backend, const DpMatrix& m,
                                   const GridPosition& position,
-                                  const RecoveryPolicy& policy,
-                                  FaultRecoveryStats& stats) {
-  // Distributions behind the aggregate fault counters: how long failed
+                                  const RecoveryPolicy& policy) {
+  // Distributions behind the derived fault counters: how long failed
   // attempts ran before erroring, and how the exponential backoff spread.
-  // One record per errors_caught / per retries respectively, so telemetry
-  // counts reconcile exactly against FaultRecoveryStats.
-  static util::telemetry::Histogram& attempt_hist =
-      util::telemetry::histogram("scan.retry.attempt_seconds");
+  // errors_caught is the attempt count, retries and backoff_virtual_seconds
+  // the backoff count and sum.
+  static const util::probe::Site kAttempt(nullptr,
+                                          "scan.retry.attempt_seconds");
   static util::telemetry::Histogram& backoff_hist =
       util::telemetry::histogram("scan.retry.backoff_seconds");
+  static util::telemetry::Counter& invalid_results =
+      util::telemetry::counter("scan.retry.invalid_results");
 
   RecoveryOutcome outcome;
   double backoff = policy.backoff_initial_seconds;
 
   for (std::size_t attempt = 0;; ++attempt) {
-    const util::Timer attempt_timer;
-    try {
-      OmegaResult result = backend.max_omega(m, position);
-      if (!policy.validate_results || !result_is_poisoned(result)) {
-        outcome.result = result;
-        outcome.ok = true;
-        outcome.retries = attempt;
-        return outcome;
-      }
-      ++stats.invalid_results;
-    } catch (const BackendError& error) {
-      ++stats.errors_caught;
-      attempt_hist.record(attempt_timer.seconds());
-      if (!error.retryable()) {
-        // Device lost with no fallback configured: give up immediately —
-        // retrying a dead device only burns the retry budget.
-        ++stats.quarantined_positions;
-        util::trace::instant("scan.recover.quarantine");
-        outcome.retries = attempt;
-        return outcome;
+    outcome.retries = attempt;
+    {
+      // Times only the attempts that end in a caught BackendError.
+      util::probe::Stage stage(kAttempt);
+      try {
+        OmegaResult result = backend.max_omega(m, position);
+        stage.discard();
+        if (!policy.validate_results || !result_is_poisoned(result)) {
+          outcome.result = result;
+          outcome.ok = true;
+          return outcome;
+        }
+        invalid_results.add(1);
+      } catch (const BackendError& error) {
+        if (!error.retryable()) {
+          // Device lost with no fallback configured: give up immediately —
+          // retrying a dead device only burns the retry budget.
+          ++outcome.faults;
+          return outcome;
+        }
       }
     }
+    ++outcome.faults;
 
-    // Transient failure: back off (virtual clock) and retry, or quarantine.
-    if (attempt >= policy.max_retries) {
-      ++stats.quarantined_positions;
-      util::trace::instant("scan.recover.quarantine");
-      outcome.retries = attempt;
-      return outcome;
-    }
-    ++stats.retries;
-    stats.backoff_virtual_seconds += backoff;
+    // Transient failure: back off (virtual clock) and retry, or give up.
+    if (attempt >= policy.max_retries) return outcome;
     backoff_hist.record(backoff);
     backoff *= policy.backoff_multiplier;
     util::trace::instant("scan.recover.retry");

@@ -10,15 +10,18 @@
 //   * recover_max_omega() retries transient failures up to
 //     RecoveryPolicy::max_retries with exponential backoff charged to a
 //     virtual clock (no wall-sleep), validates results for NaN/Inf poisoning,
-//     and quarantines the position when retries are exhausted — the grid
-//     position is marked invalid instead of aborting the whole-genome scan.
+//     and gives up when retries are exhausted; the scan driver then
+//     quarantines the position (marks it invalid) instead of aborting the
+//     whole-genome scan.
 //   * FallbackBackend wraps an accelerator backend and demotes it to the CPU
 //     nested loop mid-scan on DeviceLost, producing bit-identical omegas on
 //     the degraded positions (the CPU loop is the reference arithmetic).
 //
-// Every recovery action is counted in ScanProfile::faults (metrics schema v3)
-// and emitted as a trace instant when tracing is on.
+// Every recovery action is counted into the telemetry registry — and so into
+// the running scan's scope, from which ScanProfile::faults (metrics schema
+// v3) is derived — and emitted as a trace instant when tracing is on.
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -89,15 +92,19 @@ struct RecoveryOutcome {
   bool ok = false;
   /// Attempts beyond the first that this position consumed.
   std::size_t retries = 0;
+  /// Failed attempts: caught BackendErrors plus rejected non-finite results.
+  std::uint64_t faults = 0;
 };
 
 /// Runs backend.max_omega(m, position) under the recovery policy: transient
 /// BackendErrors and (optionally) non-finite results are retried with
 /// virtual-clock exponential backoff; exhaustion or a non-retryable error
-/// quarantines the position. Counters land in `stats`.
+/// gives up (ok == false) and leaves the quarantine decision to the caller.
+/// Records into the telemetry registry: one scan.retry.attempt_seconds
+/// sample per caught BackendError, one scan.retry.invalid_results count per
+/// rejected result, one scan.retry.backoff_seconds sample per retry.
 RecoveryOutcome recover_max_omega(OmegaBackend& backend, const DpMatrix& m,
                                   const GridPosition& position,
-                                  const RecoveryPolicy& policy,
-                                  FaultRecoveryStats& stats);
+                                  const RecoveryPolicy& policy);
 
 }  // namespace omega::core

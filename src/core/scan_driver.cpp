@@ -10,6 +10,7 @@
 #include "ld/packed.h"
 #include "util/flight_recorder.h"
 #include "util/perf_counters.h"
+#include "util/probe.h"
 #include "util/progress.h"
 #include "util/trace.h"
 
@@ -78,10 +79,9 @@ void finalize_runtime(ScanProfile& profile, const CancelState& cancel,
   }
 }
 
-/// End-of-scan LD accounting: fills ScanProfile::ld (schema v9) from the
-/// options and the scan-attributed telemetry delta. Call after
-/// profile.telemetry has been assigned.
-void finalize_ld_stats(ScanProfile& profile, const ScannerOptions& options) {
+/// The engine half of ScanProfile::ld (schema v9): what was requested and
+/// what ran. derive_profile fills the telemetry-backed half.
+void finalize_ld_engine(ScanProfile& profile, const ScannerOptions& options) {
   LdStats& ld = profile.ld;
   ld.requested =
       options.ld_factory ? "custom" : ld_backend_name(options.ld);
@@ -91,31 +91,20 @@ void finalize_ld_stats(ScanProfile& profile, const ScannerOptions& options) {
   ld.isa = profile.ld_backend == "packed"
                ? ld::packed_isa_name(ld::PackedIsa::Auto)
                : "";
-  // Derived from the scan-attributed telemetry delta (must already be set):
-  // this accumulates correctly across per-chunk engines in streamed scans
-  // and across runs on checkpoint resume, with no extra plumbing.
-  ld.panel_packs = profile.telemetry.counter_value("ld.panel_cache.misses");
-  ld.panel_hits = profile.telemetry.counter_value("ld.panel_cache.hits");
-  const util::telemetry::HistogramSnapshot* pack =
-      profile.telemetry.find_histogram("ld.pack_seconds");
-  ld.pack_seconds = pack != nullptr ? pack->sum : 0.0;
-  const util::telemetry::HistogramSnapshot* kernel =
-      profile.telemetry.find_histogram("ld.kernel_seconds");
-  ld.kernel_seconds = kernel != nullptr ? kernel->sum : 0.0;
 }
 
 /// End-of-scan hardware-counter accounting: fills ScanProfile::perf (schema
-/// v11) from the scan-attributed telemetry delta's perf.<stage>.* counters.
-/// Like finalize_ld_stats, call after profile.telemetry has been assigned;
-/// the block stays disabled when util::perf was never enabled.
+/// v11) from the scan telemetry's perf.<stage>.* counters. Call after
+/// profile.telemetry has been assigned; the block stays disabled when
+/// util::perf was never enabled.
 void finalize_perf_stats(ScanProfile& profile) {
   PerfStats& perf = profile.perf;
   perf.enabled = util::perf::enabled();
   perf.source = perf.enabled ? util::perf::source() : "";
   perf.stages.clear();
   if (!perf.enabled) return;
-  // Re-group the scan-attributed delta's flat perf.<stage>.<field> counters
-  // into per-stage entries. A std::map keys them stage-name-sorted, matching
+  // Re-group the scan telemetry's flat perf.<stage>.<field> counters into
+  // per-stage entries. A std::map keys them stage-name-sorted, matching
   // the documented PerfStats order without a second sort.
   std::map<std::string, PerfStageStats> stages;
   for (const auto& [name, value] : profile.telemetry.counters) {
@@ -147,11 +136,72 @@ void finalize_perf_stats(ScanProfile& profile) {
   }
 }
 
+/// Assigns every ScanProfile field the telemetry backs (docs/METRICS.md maps
+/// each to its metric) from profile.telemetry: stage and bucket seconds from
+/// the stage probes' histogram sums, position and evaluation counts from the
+/// score_position counters, the recovery counters from the retry histograms
+/// and counters, the stream's IO times from its probes, and the packed LD
+/// engine's panel-cache and phase accounting — which therefore accumulate
+/// across per-chunk engines and across runs on checkpoint resume.
+void derive_profile(ScanProfile& profile) {
+  const util::telemetry::RegistrySnapshot& telemetry = profile.telemetry;
+  const util::telemetry::HistogramSnapshot none;
+  const auto hist = [&](std::string_view name)
+      -> const util::telemetry::HistogramSnapshot& {
+    const util::telemetry::HistogramSnapshot* h =
+        telemetry.find_histogram(name);
+    return h != nullptr ? *h : none;
+  };
+  const auto sum = [&](std::string_view name) { return hist(name).sum; };
+  StageTimes& stages = profile.stages;
+  stages.ld_reset_seconds = sum("scan.reset_seconds");
+  stages.ld_relocate_seconds = sum("scan.relocate_seconds");
+  stages.ld_extend_seconds = sum("scan.extend_seconds");
+  stages.omega_search_seconds = sum("scan.omega_search_seconds");
+  stages.dispatch_seconds =
+      sum("gpu.dispatch_seconds") + sum("fpga.dispatch_seconds");
+  profile.ld_seconds = stages.ld_total();
+  profile.omega_seconds = stages.omega_search_seconds;
+  profile.positions_scanned =
+      telemetry.counter_value("scan.positions_scanned");
+  profile.omega_evaluations =
+      telemetry.counter_value("scan.omega_evaluations");
+
+  FaultRecoveryStats& faults = profile.faults;
+  faults.errors_caught = hist("scan.retry.attempt_seconds").count;
+  faults.invalid_results =
+      telemetry.counter_value("scan.retry.invalid_results");
+  faults.retries = hist("scan.retry.backoff_seconds").count;
+  faults.backoff_virtual_seconds = sum("scan.retry.backoff_seconds");
+  faults.quarantined_positions =
+      telemetry.counter_value("scan.quarantined_positions");
+
+  LdStats& ld = profile.ld;
+  ld.panel_packs = telemetry.counter_value("ld.panel_cache.misses");
+  ld.panel_hits = telemetry.counter_value("ld.panel_cache.hits");
+  ld.pack_seconds = sum("ld.pack_seconds");
+  ld.kernel_seconds = sum("ld.kernel_seconds");
+
+  StreamStats& stream = profile.stream;
+  stream.io_seconds = sum("stream.chunk_fetch_seconds");
+  stream.io_stall_seconds = sum("stream.io_stall_seconds");
+  stream.compute_seconds = sum("stream.chunk_scan_seconds");
+  if (stream.chunks > 0) {
+    // The overlap gauge is derived as well: publish it and stamp it into
+    // this scan's telemetry.
+    const double overlap = stream.io_overlap_ratio();
+    util::telemetry::gauge("stream.io_overlap_ratio").set(overlap);
+    util::telemetry::RegistrySnapshot gauge;
+    gauge.gauges.emplace_back("stream.io_overlap_ratio", overlap);
+    profile.telemetry = gauge.merged_with(profile.telemetry);
+  }
+}
+
 }  // namespace
 
 ScanExecutor::ScanExecutor(const ScannerOptions& options,
                            const BackendFactory& backend_factory)
-    : options_(options), telemetry_begin_(util::telemetry::snapshot()) {
+    : options_(options) {
   options.config.validate();
   options.recovery.validate();
   kernel_ = resolve_cpu_kernel(options.cpu_kernel);
@@ -181,7 +231,6 @@ ScanExecutor::ScanExecutor(const ScannerOptions& options,
     backends_.push_back(std::move(backend));
   }
   states_.resize(threads_);
-  profiles_.resize(threads_);
   if (threads_ > 1) pool_.emplace(threads_ - 1);
 }
 
@@ -220,7 +269,7 @@ void ScanExecutor::run(const std::vector<GridPosition>& grid,
     const auto spans = build_scan_spans(grid, begin, end, threads_);
     scan_spans_parallel(grid, spans, *pool_, engine, options_.reuse,
                         options_.recovery, backends_, states_, scores,
-                        profiles_, profile.sched, options_.progress, cancel());
+                        profile.sched, options_.progress, cancel());
     return;
   }
   SpanWorkerState& state = states_[0];
@@ -241,9 +290,9 @@ void ScanExecutor::run(const std::vector<GridPosition>& grid,
       }
       first = false;
       advance_matrix(state.matrix, state.live, options_.reuse, position,
-                     engine, profiles_[0].stages);
+                     engine);
       score_position(*backends_[0], state.matrix, position, options_.recovery,
-                     profiles_[0], score, options_.progress);
+                     score, options_.progress);
     }
   } catch (const util::CancelledError&) {
     // A simulator backend observed the cancel mid-launch; the position in
@@ -258,19 +307,18 @@ void ScanExecutor::invalidate() noexcept {
 }
 
 void ScanExecutor::finalize(ScanProfile& profile) const {
+  profile.telemetry = scope_.snapshot().merged_with(profile.telemetry);
   if (hetero_) {
     hetero_->finalize(profile);
   } else {
-    merge_span_workers(profile, profiles_, states_, backends_);
+    for (std::size_t w = 0; w < backends_.size(); ++w) {
+      fold_worker(profile, states_[w].matrix, *backends_[w]);
+    }
     profile.omega_backend = backends_[0]->name();
   }
   profile.total_seconds += clock_.seconds();
-  // Registry state at construction: the delta attributes the process-wide
-  // telemetry to this scan (ScanProfile::telemetry docs).
-  profile.telemetry = util::telemetry::snapshot()
-                          .delta_since(telemetry_begin_)
-                          .merged_with(profile.telemetry);
-  finalize_ld_stats(profile, options_);
+  derive_profile(profile);
+  finalize_ld_engine(profile, options_);
   finalize_perf_stats(profile);
 }
 
@@ -283,143 +331,74 @@ void ScanExecutor::end(const std::vector<GridPosition>& grid,
 }
 
 void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
-                    const GridPosition& position, const ld::LdEngine& engine,
-                    StageTimes& stages) {
-  // Per-stage latency distributions; resolved once, then lock-free records.
-  // Registered metrics are never deallocated, so these references stay valid
-  // across telemetry::reset().
-  static util::telemetry::Histogram& reset_hist =
-      util::telemetry::histogram("scan.reset_seconds");
-  static util::telemetry::Histogram& relocate_hist =
-      util::telemetry::histogram("scan.relocate_seconds");
-  static util::telemetry::Histogram& extend_hist =
-      util::telemetry::histogram("scan.extend_seconds");
-  // Hardware-counter attribution mirrors the histogram stages one-to-one:
-  // each StageScope's `scopes` counter must equal the matching histogram's
-  // count (the schema v11 reconciliation invariant tests assert).
-  static util::perf::StageCounters& reset_perf =
-      util::perf::stage("scan.reset");
-  static util::perf::StageCounters& relocate_perf =
-      util::perf::stage("scan.relocate");
-  static util::perf::StageCounters& extend_perf =
-      util::perf::stage("scan.extend");
+                    const GridPosition& position,
+                    const ld::LdEngine& engine) {
+  static const util::probe::Site kReset("scan.ld.reset", "scan.reset_seconds",
+                                        "scan.reset");
+  static const util::probe::Site kRelocate(
+      "scan.ld.relocate", "scan.relocate_seconds", "scan.relocate");
+  static const util::probe::Site kExtend(
+      "scan.ld.extend", "scan.extend_seconds", "scan.extend");
   if (!reuse || !m_live || position.lo < m.base()) {
-    const util::trace::Span span("scan.ld.reset");
-    const util::perf::StageScope perf_scope(reset_perf);
-    const util::Timer timer;
+    const util::probe::Stage stage(kReset);
     m.reset(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_reset_seconds += elapsed;
-    reset_hist.record(elapsed);
   } else {
-    const util::trace::Span span("scan.ld.relocate");
-    const util::perf::StageScope perf_scope(relocate_perf);
-    const util::Timer timer;
+    const util::probe::Stage stage(kRelocate);
     m.relocate(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_relocate_seconds += elapsed;
-    relocate_hist.record(elapsed);
   }
   {
-    const util::trace::Span span("scan.ld.extend");
-    const util::perf::StageScope perf_scope(extend_perf);
-    const util::Timer timer;
+    const util::probe::Stage stage(kExtend);
     m.extend(position.hi + 1, engine);
-    const double elapsed = timer.seconds();
-    stages.ld_extend_seconds += elapsed;
-    extend_hist.record(elapsed);
   }
   m_live = true;
 }
 
-void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m) {
+void fold_worker(ScanProfile& profile, const DpMatrix& m,
+                 const OmegaBackend& backend) {
   const DpMatrixStats& stats = m.stats();
   profile.relocation.resets += stats.resets;
   profile.relocation.relocations += stats.relocations;
   profile.relocation.cells_reused += stats.cells_reused;
   profile.relocation.cells_recomputed += stats.cells_recomputed;
   profile.r2_fetched += m.r2_fetches();
-}
-
-/// Folds a worker's chunk profile into the scan-wide one. Times add up as
-/// CPU-seconds across workers (ScanProfile's documented multithreaded
-/// semantics); counters add exactly.
-void merge_worker_profile(ScanProfile& into, const ScanProfile& from) {
-  into.ld_seconds += from.ld_seconds;
-  into.omega_seconds += from.omega_seconds;
-  into.omega_evaluations += from.omega_evaluations;
-  into.r2_fetched += from.r2_fetched;
-  into.positions_scanned += from.positions_scanned;
-  into.stages.ld_reset_seconds += from.stages.ld_reset_seconds;
-  into.stages.ld_relocate_seconds += from.stages.ld_relocate_seconds;
-  into.stages.ld_extend_seconds += from.stages.ld_extend_seconds;
-  into.stages.omega_search_seconds += from.stages.omega_search_seconds;
-  into.stages.dispatch_seconds += from.stages.dispatch_seconds;
-  into.relocation.resets += from.relocation.resets;
-  into.relocation.relocations += from.relocation.relocations;
-  into.relocation.cells_reused += from.relocation.cells_reused;
-  into.relocation.cells_recomputed += from.relocation.cells_recomputed;
-  into.gpu.kernel1_launches += from.gpu.kernel1_launches;
-  into.gpu.kernel2_launches += from.gpu.kernel2_launches;
-  into.gpu.kernel1_omegas += from.gpu.kernel1_omegas;
-  into.gpu.kernel2_omegas += from.gpu.kernel2_omegas;
-  into.gpu.modeled_kernel_seconds += from.gpu.modeled_kernel_seconds;
-  into.gpu.modeled_prep_seconds += from.gpu.modeled_prep_seconds;
-  into.gpu.modeled_transfer_seconds += from.gpu.modeled_transfer_seconds;
-  into.gpu.modeled_total_seconds += from.gpu.modeled_total_seconds;
-  into.gpu.bytes_moved += from.gpu.bytes_moved;
-  into.fpga.pipeline_cycles += from.fpga.pipeline_cycles;
-  into.fpga.stall_cycles += from.fpga.stall_cycles;
-  into.fpga.hw_omegas += from.fpga.hw_omegas;
-  into.fpga.sw_omegas += from.fpga.sw_omegas;
-  into.fpga.modeled_seconds += from.fpga.modeled_seconds;
-  into.faults.faults_injected += from.faults.faults_injected;
-  into.faults.injected_kernel_launch += from.faults.injected_kernel_launch;
-  into.faults.injected_timeout += from.faults.injected_timeout;
-  into.faults.injected_nan += from.faults.injected_nan;
-  into.faults.injected_device_lost += from.faults.injected_device_lost;
-  into.faults.errors_caught += from.faults.errors_caught;
-  into.faults.invalid_results += from.faults.invalid_results;
-  into.faults.retries += from.faults.retries;
-  into.faults.quarantined_positions += from.faults.quarantined_positions;
-  into.faults.degradations += from.faults.degradations;
-  into.faults.backoff_virtual_seconds += from.faults.backoff_virtual_seconds;
-  into.kernel.positions += from.kernel.positions;
-  into.kernel.scalar_evaluations += from.kernel.scalar_evaluations;
-  into.kernel.portable_evaluations += from.kernel.portable_evaluations;
-  into.kernel.avx2_evaluations += from.kernel.avx2_evaluations;
-  if (into.omega_backend.empty()) into.omega_backend = from.omega_backend;
+  backend.contribute(profile);
 }
 
 bool score_position(OmegaBackend& backend, const DpMatrix& m,
                     const GridPosition& position,
-                    const RecoveryPolicy& recovery, ScanProfile& profile,
-                    PositionScore& score, util::ProgressReporter* progress) {
-  const std::uint64_t faults_before =
-      profile.faults.errors_caught + profile.faults.invalid_results;
+                    const RecoveryPolicy& recovery, PositionScore& score,
+                    util::ProgressReporter* progress, bool quarantine) {
+  static const util::probe::Site kSearch(
+      "scan.omega.search", "scan.omega_search_seconds", "scan.omega_search");
+  static util::telemetry::Counter& positions =
+      util::telemetry::counter("scan.positions_scanned");
+  static util::telemetry::Counter& evaluations =
+      util::telemetry::counter("scan.omega_evaluations");
+  static util::telemetry::Counter& quarantined =
+      util::telemetry::counter("scan.quarantined_positions");
   RecoveryOutcome outcome;
   {
-    const util::trace::Span span("scan.omega.search");
-    static util::perf::StageCounters& search_perf =
-        util::perf::stage("scan.omega_search");
-    const util::perf::StageScope perf_scope(search_perf);
-    const util::Timer timer;
-    outcome = recover_max_omega(backend, m, position, recovery, profile.faults);
-    profile.stages.omega_search_seconds += timer.seconds();
+    const util::probe::Stage stage(kSearch);
+    outcome = recover_max_omega(backend, m, position, recovery);
   }
-  if (progress != nullptr) {
+  const bool settled = outcome.ok || quarantine;
+  if (progress != nullptr && (settled || outcome.faults > 0)) {
     util::ProgressReporter::Delta delta;
-    delta.positions = 1;
-    delta.faults = profile.faults.errors_caught +
-                   profile.faults.invalid_results - faults_before;
-    delta.quarantined = outcome.ok ? 0 : 1;
+    delta.positions = settled ? 1 : 0;
+    delta.faults = outcome.faults;
+    delta.quarantined = outcome.ok ? 0 : delta.positions;
     progress->advance(delta);
   }
   if (!outcome.ok) {
-    score.quarantined = true;
-    // Exhausted recovery is a flight-recorder trigger: the first quarantine
-    // since arm() dumps the black box (later ones only bump the counter).
-    util::flight::note_fault_exhausted();
+    if (quarantine) {
+      score.quarantined = true;
+      quarantined.add(1);
+      util::trace::instant("scan.recover.quarantine");
+      // Exhausted recovery is a flight-recorder trigger: the first
+      // quarantine since arm() dumps the black box (later ones only bump
+      // the counter).
+      util::flight::note_fault_exhausted();
+    }
     return false;
   }
   score.max_omega = outcome.result.max_omega;
@@ -427,8 +406,8 @@ bool score_position(OmegaBackend& backend, const DpMatrix& m,
   score.best_b = outcome.result.best_b;
   score.evaluated = outcome.result.evaluated;
   score.valid = true;
-  profile.omega_evaluations += outcome.result.evaluated;
-  ++profile.positions_scanned;
+  positions.add(1);
+  evaluations.add(outcome.result.evaluated);
   return true;
 }
 

@@ -3,8 +3,8 @@
 // in-memory scan (scanner.cpp) and the streaming chunked scan
 // (stream_scanner.cpp). scan() is the single-resident-chunk case of the same
 // code stream_scan() runs per chunk: both advance the DP matrix, run the
-// recovery-wrapped backend search, and account profiles through ScanExecutor,
-// so the streamed-equals-in-memory bitwise guarantee holds by construction.
+// recovery-wrapped backend search, and account through ScanExecutor, so the
+// streamed-equals-in-memory bitwise guarantee holds by construction.
 //
 // Not installed API; include only from src/core/*.cpp.
 
@@ -77,11 +77,12 @@ using BackendFactory = std::function<std::unique_ptr<OmegaBackend>()>;
 /// Executes one scan for either driver. Construction is the drivers' shared
 /// prologue: it validates the options, resolves the CPU kernel (a forced but
 /// unavailable Avx2 throws here, before any work) and the thread count once,
-/// starts the wall clock, the telemetry window and cancellation, and builds
-/// the one execution mode the options select:
+/// starts the wall clock and cancellation, enters the scan's telemetry scope
+/// on the constructing thread, and builds the one execution mode the options
+/// select:
 ///   * serial (threads == 1): one backend and one DP matrix walking the grid;
 ///   * span (threads > 1): the work-stealing span engine (core/span_engine.h)
-///     with one backend, matrix and profile per worker on a compute pool;
+///     with one backend and matrix per worker on a compute pool;
 ///   * hetero (options.hetero set): the heterogeneous co-scheduler
 ///     (core/hetero_scheduler.h) on a pool sized to its workers.
 /// Backends come from `backend_factory` (nullptr: the CPU loop), wrapped in
@@ -89,6 +90,12 @@ using BackendFactory = std::function<std::unique_ptr<OmegaBackend>()>;
 /// backends persist across run() calls, so the stream's chunk seams carry
 /// the matrices over and degradation state outlives a chunk. `options` is
 /// held by reference and must outlive the executor.
+///
+/// Accounting is one ledger per scan: every stage probe (util/probe.h) and
+/// counter the scan records, on any of its threads, lands in the executor's
+/// util::telemetry::Scope, from which finalize() derives the profile, so
+/// concurrent scans never see each other's work. Construct and destroy the
+/// executor on the same thread.
 class ScanExecutor {
  public:
   ScanExecutor(const ScannerOptions& options,
@@ -127,11 +134,11 @@ class ScanExecutor {
   /// Marks every worker matrix dead, forcing a rebuild on the next run().
   void invalidate() noexcept;
 
-  /// Folds the workers' accounting, the wall clock and the scan's telemetry
-  /// window into `profile` (adding to any totals a resumed checkpoint put
-  /// there, including profile.telemetry), then derives its ld and perf
-  /// blocks. Safe to call repeatedly on copies of the running profile: the
-  /// stream snapshots its checkpoint totals this way.
+  /// Sets profile.telemetry to the scan's scope merged with whatever a
+  /// resumed checkpoint put there, folds in each worker's matrix counters,
+  /// backend accounting and the wall clock, then derives every telemetry-
+  /// backed field (docs/METRICS.md). Safe to call repeatedly on copies of the
+  /// running profile: the stream snapshots its checkpoint totals this way.
   void finalize(ScanProfile& profile) const;
 
   /// The drivers' shared epilogue: the runtime census over `grid`,
@@ -140,8 +147,9 @@ class ScanExecutor {
 
  private:
   const ScannerOptions& options_;
+  util::telemetry::Scope scope_;
+  util::telemetry::Scope::Enter enter_{&scope_};
   util::Timer clock_;
-  util::telemetry::RegistrySnapshot telemetry_begin_;
   CpuKernelKind kernel_ = CpuKernelKind::Auto;
   std::size_t threads_ = 1;
   util::CancelToken internal_token_;
@@ -149,35 +157,32 @@ class ScanExecutor {
   std::unique_ptr<HeteroExecutor> hetero_;
   std::vector<std::unique_ptr<OmegaBackend>> backends_;
   std::vector<SpanWorkerState> states_;
-  std::vector<ScanProfile> profiles_;
   std::optional<par::ThreadPool> pool_;
 };
 
 /// Advances the DP matrix to `position`: the single home of the
 /// reset-vs-relocate policy, shared by every execution mode so the
-/// relocation behaviour cannot silently diverge between them. Stage wall
-/// time is accumulated into `stages`.
+/// relocation behaviour cannot silently diverge between them. Each stage
+/// runs under its probe (scan.ld.reset / relocate / extend).
 void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
-                    const GridPosition& position, const ld::LdEngine& engine,
-                    StageTimes& stages);
+                    const GridPosition& position, const ld::LdEngine& engine);
 
-/// Folds the matrix's relocation/fetch counters into the profile.
-void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m);
+/// Folds one worker's matrix counters (relocation, r2 fetches) and its
+/// backend's accounting (OmegaBackend::contribute) into `profile`.
+void fold_worker(ScanProfile& profile, const DpMatrix& m,
+                 const OmegaBackend& backend);
 
-/// Folds a worker's profile into the scan-wide one. Times add up as
-/// CPU-seconds across workers (ScanProfile's documented multithreaded
-/// semantics); counters add exactly.
-void merge_worker_profile(ScanProfile& into, const ScanProfile& from);
-
-/// Runs the recovery-wrapped omega search for one valid grid position and
-/// records the outcome into `score` (valid on success, quarantined on
-/// exhaustion) and `profile` (omega_search_seconds, evaluations,
-/// positions_scanned, fault counters). When `progress` is non-null, reports
-/// one position (plus fault/quarantine deltas) to it. Returns score.valid.
+/// The one omega-search site: runs the recovery-wrapped search for one valid
+/// grid position under the scan.omega.search probe and records a success
+/// into `score` (valid) and the scan.positions_scanned /
+/// scan.omega_evaluations counters. When recovery gives up, the position is
+/// quarantined (score and scan.quarantined_positions) unless `quarantine` is
+/// false: hetero's accelerator partitions re-dispatch it to the CPU instead.
+/// When `progress` is non-null, reports the settled position and the failed
+/// attempts to it. Returns score.valid.
 bool score_position(OmegaBackend& backend, const DpMatrix& m,
                     const GridPosition& position,
-                    const RecoveryPolicy& recovery, ScanProfile& profile,
-                    PositionScore& score,
-                    util::ProgressReporter* progress = nullptr);
+                    const RecoveryPolicy& recovery, PositionScore& score,
+                    util::ProgressReporter* progress, bool quarantine = true);
 
 }  // namespace omega::core::detail

@@ -45,9 +45,9 @@ class OmegaBackend {
   [[nodiscard]] virtual std::string name() const = 0;
   virtual OmegaResult max_omega(const DpMatrix& m,
                                 const GridPosition& position) = 0;
-  /// Merges backend-internal accounting (accelerator counters, modeled
-  /// device time) into the scan profile. The scan driver calls this once per
-  /// backend instance after its last max_omega call.
+  /// Adds backend-internal accounting (accelerator counters, modeled device
+  /// time, injected faults) to the scan profile. The scan executor calls
+  /// this on each backend instance when it finalizes the profile.
   virtual void contribute(ScanProfile& profile) const { (void)profile; }
 };
 
@@ -221,11 +221,12 @@ struct PositionScore {
   bool quarantined = false;
 };
 
-/// Per-stage time buckets (profile v2). The three DP-matrix stages add up to
-/// the legacy LD bucket; omega_search is the backend max-omega loop.
-/// dispatch_seconds is an *informational sub-bucket of omega_search* — the
-/// accelerator backends' host-side packing + kernel-selection overhead — and
-/// is therefore excluded from sum().
+/// Per-stage time buckets (profile v2), each the sum of its stage probe's
+/// histogram. The three DP-matrix stages add up to the legacy LD bucket;
+/// omega_search is the backend max-omega loop. dispatch_seconds is an
+/// *informational sub-bucket of omega_search* — the accelerator backends'
+/// host-side packing + kernel-selection overhead — and is therefore
+/// excluded from sum().
 struct StageTimes {
   double ld_reset_seconds = 0.0;     // full DP-matrix rebuilds
   double ld_relocate_seconds = 0.0;  // in-place triangle moves (data reuse)
@@ -264,8 +265,12 @@ struct GpuProfile {
   std::uint64_t bytes_moved = 0;
 };
 
-/// Fault-tolerance counters (profile v3): what the injectors produced and
-/// what the recovery engine did about it. All-zero in a healthy scan.
+/// Fault-tolerance counters (profile v3): what the injectors produced
+/// (backend contributions) and what the recovery engine did about it
+/// (derived from the scan's telemetry: errors_caught, retries and
+/// backoff_virtual_seconds from the scan.retry.* histograms,
+/// invalid_results and quarantined_positions from their counters).
+/// All-zero in a healthy scan.
 struct FaultRecoveryStats {
   std::uint64_t faults_injected = 0;  // total from backend fault injectors
   std::uint64_t injected_kernel_launch = 0;
@@ -400,7 +405,7 @@ struct RuntimeStats {
 /// requested kind) served the scan's r2 fetches, the packed engine's
 /// microkernel ISA and panel-cache effectiveness, and how the LD time splits
 /// between packing panels and running the count kernels. Derived from the
-/// scan's telemetry delta (ld.panel_cache.* counters, ld.pack_seconds /
+/// scan's telemetry (ld.panel_cache.* counters, ld.pack_seconds /
 /// ld.kernel_seconds histograms), so streamed scans accumulate across
 /// per-chunk engines and resumes accumulate across runs. pack/kernel seconds
 /// stay zero for engines without a pack phase (popcount/naive/gemm).
@@ -414,17 +419,17 @@ struct LdStats {
   double kernel_seconds = 0.0;    // time in the count microkernels
 };
 
-/// Per-stage hardware-counter totals (profile/metrics schema v11). Filled by
-/// the drivers from the scan's telemetry delta over the
-/// perf.<stage>.{scopes,cycles,...} counters that util/perf_counters.h
-/// StageScopes record, so — exactly like the v9 "ld" block — streamed scans
-/// accumulate across chunks and resumes accumulate across runs. The stage
-/// set mirrors the instrumented latency histograms: scan.reset / relocate /
-/// extend / omega_search, ld.pack / ld.kernel, stream.chunk_fetch — each
-/// stage's `scopes` equals the matching histogram's sample count.
+/// Per-stage hardware-counter totals (profile/metrics schema v11). Derived
+/// from the scan telemetry's perf.<stage>.{scopes,cycles,...} counters that
+/// the stage probes (util/probe.h) record, so — exactly like the v9 "ld"
+/// block — streamed scans accumulate across chunks and resumes accumulate
+/// across runs. The stage set mirrors the instrumented latency histograms:
+/// scan.reset / relocate / extend / omega_search, ld.pack / ld.kernel,
+/// stream.chunk_fetch — each stage's `scopes` equals the matching
+/// histogram's sample count.
 struct PerfStageStats {
   std::string stage;
-  std::uint64_t scopes = 0;        // StageScopes entered (== histogram count)
+  std::uint64_t scopes = 0;        // probes completed (== histogram count)
   std::uint64_t cycles = 0;        // 0 under the clock-only fallback
   std::uint64_t instructions = 0;
   std::uint64_t cache_misses = 0;
@@ -520,6 +525,11 @@ struct FpgaProfile {
   double modeled_seconds = 0.0;
 };
 
+/// One scan's accounting, built at finalize by the executor
+/// (core/scan_driver.h) from one ledger — the scan's telemetry scope: times,
+/// position and evaluation counts, recovery counters and the stream's IO
+/// times are derived from `telemetry` (docs/METRICS.md maps each field);
+/// matrix counters and OmegaBackend::contribute are added directly.
 struct ScanProfile {
   /// Bucket times. Single-threaded scans: wall clock. Multithreaded scans:
   /// CPU-seconds summed across workers — combine with total_seconds (always
@@ -551,8 +561,8 @@ struct ScanProfile {
   /// Cancellation/deadline/checkpoint accounting (v8); defaults describe an
   /// uninterrupted, checkpoint-free run.
   RuntimeStats runtime;
-  /// LD engine + packed-panel-cache accounting (v9), filled by the drivers
-  /// from the scan's telemetry delta at finalize.
+  /// LD engine + packed-panel-cache accounting (v9), derived from the scan's
+  /// telemetry at finalize.
   LdStats ld;
   /// Heterogeneous co-scheduler accounting (v10); disabled unless the scan
   /// ran with a HeteroConfig.
@@ -560,14 +570,12 @@ struct ScanProfile {
   /// Hardware-counter per-stage profile (v11); disabled unless
   /// util::perf::enable() was armed (CLI --perf-counters).
   PerfStats perf;
-  /// Distributional telemetry attributed to this scan (v6): the delta of the
-  /// process-wide util/telemetry registry between scan start and end —
-  /// queue-depth, task/chunk/retry-latency histograms, overlap-ratio gauges
-  /// (docs/OBSERVABILITY.md). Gauges carry end-of-scan values. Deltas from
-  /// concurrent scans in one process overlap; single-scan processes (the CLI,
-  /// the benches) attribute exactly.
+  /// This scan's telemetry (v6): a snapshot of its util::telemetry::Scope —
+  /// what the scan's threads and pool tasks recorded, merged with a resumed
+  /// checkpoint's (docs/OBSERVABILITY.md).
   util::telemetry::RegistrySnapshot telemetry;
-  /// Grid positions actually evaluated (valid positions).
+  /// Grid positions that scored (valid positions), from the
+  /// scan.positions_scanned counter.
   std::uint64_t positions_scanned = 0;
   /// Names recorded by the scan driver: the LD engine serving r2 fetches and
   /// the omega backend. Multi-worker scans record the first worker's backend

@@ -110,19 +110,19 @@ par::StealScheduler seed_steal_scheduler(const std::vector<ScanSpan>& spans,
 void scan_span(const std::vector<GridPosition>& grid, const ScanSpan& span,
                const ld::LdEngine& engine, bool reuse,
                const RecoveryPolicy& recovery, OmegaBackend& backend,
-               SpanWorkerState& state, ScanProfile& profile,
-               SchedWorkerStats& wstats, std::vector<PositionScore>& scores,
+               SpanWorkerState& state, SchedWorkerStats& wstats,
+               std::vector<PositionScore>& scores,
                util::ProgressReporter* progress, const CancelState* cancel) {
   for (std::size_t g = span.begin; g < span.end; ++g) {
     if (cancel != nullptr && cancel->should_stop()) return;
     const GridPosition& position = grid[g];
     PositionScore& score = scores[g];
     if (!position.valid || score.valid || score.quarantined) continue;
-    advance_matrix(state.matrix, state.live, reuse, position, engine,
-                   profile.stages);
-    score_position(backend, state.matrix, position, recovery, profile, score,
-                   progress);
-    ++wstats.positions;
+    advance_matrix(state.matrix, state.live, reuse, position, engine);
+    if (score_position(backend, state.matrix, position, recovery, score,
+                       progress)) {
+      ++wstats.positions;
+    }
   }
 }
 
@@ -133,7 +133,6 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
                          const std::vector<std::unique_ptr<OmegaBackend>>& backends,
                          std::vector<SpanWorkerState>& states,
                          std::vector<PositionScore>& scores,
-                         std::vector<ScanProfile>& worker_profiles,
                          SchedStats& sched,
                          util::ProgressReporter* progress,
                          const CancelState* cancel) {
@@ -160,7 +159,6 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
       const util::trace::Span worker_span("scan.worker");
       OmegaBackend& backend = *backends[w];
       SpanWorkerState& state = states[w];
-      ScanProfile& profile = worker_profiles[w];
       SchedWorkerStats& wstats = sched.workers_detail[w];
       try {
         while (const auto claim = scheduler.claim(w)) {
@@ -174,7 +172,7 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
             steals_total.add(1);
           }
           scan_span(grid, span, engine, reuse, recovery, backend, state,
-                    profile, wstats, scores, progress, cancel);
+                    wstats, scores, progress, cancel);
           const double elapsed = busy.seconds();
           wstats.busy_seconds += elapsed;
           busy_hist.record(elapsed);
@@ -204,21 +202,6 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
   for (const SchedWorkerStats& w : sched.workers_detail) {
     sched.spans += w.spans;
     sched.steals += w.steals;
-  }
-}
-
-void merge_span_workers(
-    ScanProfile& into, const std::vector<ScanProfile>& profiles,
-    const std::vector<SpanWorkerState>& states,
-    const std::vector<std::unique_ptr<OmegaBackend>>& backends) {
-  for (std::size_t w = 0; w < backends.size(); ++w) {
-    ScanProfile worker = profiles[w];
-    worker.ld_seconds = worker.stages.ld_total();
-    worker.omega_seconds = worker.stages.omega_search_seconds;
-    merge_matrix_stats(worker, states[w].matrix);
-    backends[w]->contribute(worker);
-    worker.omega_backend = backends[w]->name();
-    merge_worker_profile(into, worker);
   }
 }
 

@@ -78,25 +78,24 @@ struct SpanWorkerState {
 /// position of `span` that is not settled yet (neither valid nor
 /// quarantined — the stream's chunk retry and the hetero re-dispatch both
 /// rerun partly done ranges) in grid order with the worker's own matrix and
-/// backend, counting each into wstats.positions. `cancel` is polled before
-/// every position; the one in flight always completes.
+/// backend, counting each one that scores into wstats.positions. `cancel` is
+/// polled before every position; the one in flight always completes.
 void scan_span(const std::vector<GridPosition>& grid, const ScanSpan& span,
                const ld::LdEngine& engine, bool reuse,
                const RecoveryPolicy& recovery, OmegaBackend& backend,
-               SpanWorkerState& state, ScanProfile& profile,
-               SchedWorkerStats& wstats, std::vector<PositionScore>& scores,
+               SpanWorkerState& state, SchedWorkerStats& wstats,
+               std::vector<PositionScore>& scores,
                util::ProgressReporter* progress, const CancelState* cancel);
 
-/// Runs `spans` over `grid` with work stealing. backends / states /
-/// worker_profiles must all have the same size W >= 1; `pool` should hold
-/// W - 1 threads (the caller participates via run_blocking). Spans are
-/// seeded by seed_steal_scheduler; each claimed span runs through scan_span.
-/// Scheduler accounting accumulates into `sched`
-/// (workers_detail grows to W; spans/steals recomputed from it), so repeated
-/// calls — one per stream chunk — aggregate correctly.
+/// Runs `spans` over `grid` with work stealing. backends / states must have
+/// the same size W >= 1; `pool` should hold W - 1 threads (the caller
+/// participates via run_blocking). Spans are seeded by seed_steal_scheduler;
+/// each claimed span runs through scan_span. Scheduler accounting
+/// accumulates into `sched` (workers_detail grows to W; spans/steals
+/// recomputed from it), so repeated calls — one per stream chunk — aggregate
+/// correctly. Everything else lands in the caller's telemetry scope, which
+/// the pool tasks inherit.
 ///
-/// Worker profiles are NOT finalized here: fold them in with
-/// merge_span_workers after the last call.
 /// Exceptions escaping a worker rethrow out of here (earliest-submitted
 /// first, par::ThreadPool::run_blocking semantics) after the batch drains;
 /// the caller must then treat every worker matrix as dead (live = false).
@@ -113,18 +112,7 @@ void scan_spans_parallel(const std::vector<GridPosition>& grid,
                          const std::vector<std::unique_ptr<OmegaBackend>>& backends,
                          std::vector<SpanWorkerState>& states,
                          std::vector<PositionScore>& scores,
-                         std::vector<ScanProfile>& worker_profiles,
                          SchedStats& sched, util::ProgressReporter* progress,
                          const CancelState* cancel = nullptr);
-
-/// Folds every worker's accounting into `into`: a copy of each worker
-/// profile gets its ld/omega second buckets from the accumulated stage
-/// times, its matrix's relocation counters and its backend's contribution,
-/// then merges in via merge_worker_profile. Only copies are finalized, so
-/// repeating this on copies of a running profile is safe.
-void merge_span_workers(
-    ScanProfile& into, const std::vector<ScanProfile>& profiles,
-    const std::vector<SpanWorkerState>& states,
-    const std::vector<std::unique_ptr<OmegaBackend>>& backends);
 
 }  // namespace omega::core::detail

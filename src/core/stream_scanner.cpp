@@ -11,10 +11,9 @@
 #include "core/scan_driver.h"
 #include "io/fingerprint.h"
 #include "par/thread_pool.h"
-#include "util/perf_counters.h"
+#include "util/probe.h"
 #include "util/progress.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::core {
@@ -94,18 +93,69 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   // carry over chunk seams.
   detail::ScanExecutor executor(options, backend_factory);
   const detail::CancelState* cancel = executor.cancel();
-  util::telemetry::Histogram& fetch_hist =
-      util::telemetry::histogram("stream.chunk_fetch_seconds");
-  util::telemetry::Histogram& chunk_scan_hist =
-      util::telemetry::histogram("stream.chunk_scan_seconds");
-  util::telemetry::Histogram& stall_hist =
-      util::telemetry::histogram("stream.io_stall_seconds");
+  // The pipeline's three stages: IO-side chunk materialization (on the IO
+  // pool thread, the stream's memory-bound stage), the compute thread's wait
+  // for it, and the per-chunk scan.
+  static const util::probe::Site kFetch(nullptr, "stream.chunk_fetch_seconds",
+                                        "stream.chunk_fetch");
+  static const util::probe::Site kStall("stream.io.wait",
+                                        "stream.io_stall_seconds");
+  static const util::probe::Site kChunk("stream.chunk",
+                                        "stream.chunk_scan_seconds");
 
   const io::StreamIndex& index = reader.index();
   StreamPlan plan = plan_stream_chunks(index.positions_bp, options.config,
                                        stream_options.chunk_sites);
 
+  // Crash-safe runtime (core/checkpoint.h): the identity of this scan is the
+  // dataset fingerprint plus the hash of every score-relevant setting.
+  const bool checkpointing = !stream_options.checkpoint_path.empty();
+  const io::StreamFingerprint fingerprint =
+      io::fingerprint_stream(index, stream_options.source_path);
+  const std::string config_backend_name = executor.config_backend_name();
+  const std::string config_summary = scan_config_summary(
+      options, stream_options.chunk_sites, config_backend_name);
+  const std::uint64_t config_hash = scan_config_hash(
+      options, stream_options.chunk_sites, config_backend_name);
+
   ScanResult result;
+  std::size_t k0 = 0;  // first chunk this run scans
+  if (stream_options.resume && !plan.chunks.empty()) {
+    ScanCheckpoint ckpt = load_checkpoint(stream_options.checkpoint_path);
+    if (!(ckpt.fingerprint == fingerprint)) {
+      throw ResumeMismatchError(
+          "stream_scan: checkpoint belongs to a different dataset: "
+          "checkpoint " +
+          ckpt.fingerprint.describe() + " vs current " +
+          fingerprint.describe());
+    }
+    if (ckpt.config_hash != config_hash) {
+      throw ResumeMismatchError(
+          "stream_scan: checkpoint was written with a different scan "
+          "config: checkpoint {" +
+          ckpt.config_summary + "} vs current {" + config_summary + "}");
+    }
+    if (ckpt.chunks_total != plan.chunks.size() ||
+        ckpt.grid_size != plan.grid.size()) {
+      throw ResumeMismatchError(
+          "stream_scan: checkpoint chunk/grid geometry does not match the "
+          "current plan");
+    }
+    k0 = static_cast<std::size_t>(ckpt.chunks_completed);
+    const std::size_t expected_committed =
+        k0 == 0 ? 0 : plan.chunks[k0 - 1].grid_end;
+    if (ckpt.grid_committed != expected_committed) {
+      throw ResumeMismatchError(
+          "stream_scan: checkpoint grid cursor does not match the chunk "
+          "cursor");
+    }
+    // The resumed run starts from the checkpoint's totals and scores:
+    // finalize() adds this run's accounting and telemetry on top.
+    result.profile = std::move(ckpt.totals);
+    result.scores = std::move(ckpt.scores);
+    result.profile.runtime.resume_validations = 1;
+    result.profile.runtime.chunks_resumed = k0;
+  }
   executor.begin(plan.grid, result);
   ScanProfile& profile = result.profile;
   StreamStats& stream = profile.stream;
@@ -137,57 +187,6 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     return result;
   }
 
-  // Crash-safe runtime (core/checkpoint.h): the identity of this scan is the
-  // dataset fingerprint plus the hash of every score-relevant setting.
-  const bool checkpointing = !stream_options.checkpoint_path.empty();
-  const io::StreamFingerprint fingerprint =
-      io::fingerprint_stream(index, stream_options.source_path);
-  const std::string config_backend_name = executor.config_backend_name();
-  const std::string config_summary = scan_config_summary(
-      options, stream_options.chunk_sites, config_backend_name);
-  const std::uint64_t config_hash = scan_config_hash(
-      options, stream_options.chunk_sites, config_backend_name);
-
-  std::size_t k0 = 0;  // first chunk this run scans
-  if (stream_options.resume) {
-    ScanCheckpoint ckpt = load_checkpoint(stream_options.checkpoint_path);
-    if (!(ckpt.fingerprint == fingerprint)) {
-      throw ResumeMismatchError(
-          "stream_scan: checkpoint belongs to a different dataset: "
-          "checkpoint " +
-          ckpt.fingerprint.describe() + " vs current " +
-          fingerprint.describe());
-    }
-    if (ckpt.config_hash != config_hash) {
-      throw ResumeMismatchError(
-          "stream_scan: checkpoint was written with a different scan "
-          "config: checkpoint {" +
-          ckpt.config_summary + "} vs current {" + config_summary + "}");
-    }
-    if (ckpt.chunks_total != plan.chunks.size() ||
-        ckpt.grid_size != plan.grid.size()) {
-      throw ResumeMismatchError(
-          "stream_scan: checkpoint chunk/grid geometry does not match the "
-          "current plan");
-    }
-    k0 = static_cast<std::size_t>(ckpt.chunks_completed);
-    const std::size_t expected_committed =
-        k0 == 0 ? 0 : plan.chunks[k0 - 1].grid_end;
-    if (ckpt.grid_committed != expected_committed) {
-      throw ResumeMismatchError(
-          "stream_scan: checkpoint grid cursor does not match the chunk "
-          "cursor");
-    }
-    for (std::size_t g = 0; g < ckpt.scores.size(); ++g) {
-      result.scores[g] = ckpt.scores[g];
-    }
-    // The resumed wall clock and telemetry; finalize() adds this run's.
-    restore_profile_totals(profile, ckpt.totals);
-    profile.telemetry = std::move(ckpt.totals.telemetry);
-    profile.runtime.resume_validations = 1;
-    profile.runtime.chunks_resumed = k0;
-  }
-
   if (options.progress != nullptr) {
     std::uint64_t positions_resumed = 0;
     const std::size_t committed0 = k0 == 0 ? 0 : plan.chunks[k0 - 1].grid_end;
@@ -211,31 +210,17 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
 
   // Double-buffered fetch: one slot computes while the other fills on the IO
   // pool. Fetches are strictly serialized (submit only after the previous
-  // get()), so the slot write and the fetch time the future returns are
-  // published by it; the compute thread alone adds that time to the profile.
-  // The pool is declared last so that, on an exception path, its destructor
-  // finishes an in-flight fetch before the slots it writes are destroyed.
+  // get()), so the slot write is published by it. The pool is declared last
+  // so that, on an exception path, its destructor finishes an in-flight
+  // fetch before the slots it writes are destroyed.
   std::optional<io::DatasetChunk> slots[2];
-  std::future<double> inflight;
+  std::future<void> inflight;
   par::ThreadPool io_pool(1);
   auto submit_fetch = [&](std::size_t slot) {
-    auto fetch = std::make_shared<std::packaged_task<double()>>(
-        [&reader, &slots, &fetch_hist, slot] {
-          // Counter scope on the IO pool thread: chunk parsing is the stream
-          // pipeline's memory-bound stage, so its miss rates are the
-          // interesting ones. One scope per fetch == one fetch_hist sample
-          // (v11 invariant).
-          static util::perf::StageCounters& fetch_perf =
-              util::perf::stage("stream.chunk_fetch");
-          const util::perf::StageScope perf_scope(fetch_perf);
-          const util::Timer timer;
-          slots[slot] = reader.next();
-          const double elapsed = timer.seconds();
-          fetch_hist.record(elapsed);
-          return elapsed;
-        });
-    inflight = fetch->get_future();
-    io_pool.submit([fetch] { (*fetch)(); });
+    inflight = io_pool.submit([&reader, &slots, slot] {
+      const util::probe::Stage stage(kFetch);
+      slots[slot] = reader.next();
+    });
   };
 
   std::size_t cursor = 0;
@@ -276,12 +261,8 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
       // Without double buffering only chunk 0 was prefetched; later chunks
       // are fetched here, serialized with compute (the whole wait is stall).
       if (!inflight.valid()) submit_fetch(cursor);
-      const util::trace::Span span("stream.io.wait");
-      const util::Timer stall;
-      stream.io_seconds += inflight.get();
-      const double stalled = stall.seconds();
-      stream.io_stall_seconds += stalled;
-      stall_hist.record(stalled);
+      const util::probe::Stage stage(kStall);
+      inflight.get();
     }
     std::optional<io::DatasetChunk> chunk = std::move(slots[cursor]);
     slots[cursor].reset();
@@ -310,8 +291,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     for (std::size_t attempt = 0;
          attempt <= stream_options.chunk_retries && !scanned; ++attempt) {
       try {
-        const util::trace::Span span("stream.chunk");
-        const util::Timer compute;
+        const util::probe::Stage stage(kChunk);
         const ld::SnpMatrix snps(chunk->dataset);
         const auto inner = options.ld_factory
                                ? options.ld_factory(snps)
@@ -320,9 +300,6 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
         if (profile.ld_backend.empty()) profile.ld_backend = engine.name();
         executor.run(plan.grid, step.grid_begin, step.grid_end, engine,
                      result.scores, profile);
-        const double chunk_seconds = compute.seconds();
-        stream.compute_seconds += chunk_seconds;
-        chunk_scan_hist.record(chunk_seconds);
         scanned = true;
       } catch (const std::exception&) {
         // The matrices may hold a half-extended state; force rebuilds.
@@ -352,9 +329,11 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
       for (std::size_t g = step.grid_begin; g < step.grid_end; ++g) {
         if (!plan.grid[g].valid || result.scores[g].valid) continue;
         result.scores[g].quarantined = true;
-        ++profile.faults.quarantined_positions;
         ++chunk_quarantined;
       }
+      static util::telemetry::Counter& quarantined =
+          util::telemetry::counter("scan.quarantined_positions");
+      quarantined.add(chunk_quarantined);
       if (options.progress != nullptr && chunk_quarantined > 0) {
         util::ProgressReporter::Delta delta;
         delta.positions = chunk_quarantined;
@@ -378,13 +357,11 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     // it out so the IO task never outlives the slots it writes into. Fetch
     // errors are irrelevant once the stream has stopped consuming.
     try {
-      stream.io_seconds += inflight.get();
+      inflight.get();
     } catch (const std::exception&) {
     }
   }
 
-  util::telemetry::gauge("stream.io_overlap_ratio")
-      .set(stream.io_overlap_ratio());
   executor.end(plan.grid, result);
   return result;
 }

@@ -5,8 +5,8 @@
 
 #include "core/omega_search.h"
 #include "core/resilience.h"
+#include "util/probe.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::hw::fpga {
@@ -54,10 +54,10 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
   // the GPU backend had with its early return inside the timed block).
   core::PositionBuffers buffers;
   {
-    const util::trace::Span dispatch_span("fpga.dispatch");
-    const util::Timer dispatch_timer;
+    static const util::probe::Site kDispatch("fpga.dispatch",
+                                             "fpga.dispatch_seconds");
+    const util::probe::Stage stage(kDispatch);
     buffers = core::pack_position(m, position);
-    accounting_.dispatch_seconds += dispatch_timer.seconds();
   }
   const std::uint64_t combos = buffers.combinations();
   if (combos == 0) return result;
@@ -181,7 +181,6 @@ void FpgaOmegaBackend::contribute(core::ScanProfile& profile) const {
   profile.fpga.hw_omegas += accounting_.hw_omegas;
   profile.fpga.sw_omegas += accounting_.sw_omegas;
   profile.fpga.modeled_seconds += accounting_.modeled_total_seconds();
-  profile.stages.dispatch_seconds += accounting_.dispatch_seconds;
   const auto& faults = injector_.counters();
   profile.faults.faults_injected += faults.total_injected();
   profile.faults.injected_kernel_launch += faults.injected_kernel_launch;

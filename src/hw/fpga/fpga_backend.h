@@ -50,11 +50,6 @@ struct FpgaBackendOptions {
 };
 
 struct FpgaAccounting {
-  /// Host wall time spent packing position buffers (the FPGA analogue of
-  /// the GPU dispatch stage). Charged for every position, including
-  /// zero-combination ones — the host pays for packing before it can know
-  /// the position is empty.
-  double dispatch_seconds = 0.0;
   std::uint64_t modeled_cycles = 0;
   /// Cycles the inner loop lost to DRAM throttling (the stall_factor share
   /// of modeled_cycles above the ideal one-group-per-clock rate).

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "core/resilience.h"
+#include "util/probe.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::hw::gpu {
@@ -88,8 +88,9 @@ core::OmegaResult GpuOmegaBackend::max_omega(
     // Host-side packing + Eq. (4) kernel selection: the "dispatch" stage.
     // Pack time is charged even for zero-combination positions — the host
     // pays for packing before it can know the position is empty.
-    const util::trace::Span dispatch_span("gpu.dispatch");
-    const util::Timer dispatch_timer;
+    static const util::probe::Site kDispatch("gpu.dispatch",
+                                             "gpu.dispatch_seconds");
+    const util::probe::Stage stage(kDispatch);
     buffers = core::pack_position(m, position);
     combos = buffers.combinations();
     if (combos != 0) {
@@ -109,7 +110,6 @@ core::OmegaResult GpuOmegaBackend::max_omega(
           break;
       }
     }
-    accounting_.dispatch_seconds += dispatch_timer.seconds();
   }
   if (combos == 0) return result;
 
@@ -193,7 +193,6 @@ void GpuOmegaBackend::contribute(core::ScanProfile& profile) const {
   profile.gpu.modeled_transfer_seconds += accounting_.modeled_transfer_seconds;
   profile.gpu.modeled_total_seconds += accounting_.modeled_total_seconds;
   profile.gpu.bytes_moved += accounting_.bytes_moved;
-  profile.stages.dispatch_seconds += accounting_.dispatch_seconds;
   const auto& faults = injector_.counters();
   profile.faults.faults_injected += faults.total_injected();
   profile.faults.injected_kernel_launch += faults.injected_kernel_launch;

@@ -73,9 +73,6 @@ struct GpuAccounting {
   std::uint64_t omegas_kernel2 = 0;
   std::uint64_t omega_evaluations = 0;
   std::uint64_t bytes_moved = 0;
-  /// Host wall time spent packing buffers and choosing the kernel (a
-  /// sub-bucket of the scan's omega stage).
-  double dispatch_seconds = 0.0;
 };
 
 class GpuOmegaBackend final : public core::OmegaBackend {

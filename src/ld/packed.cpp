@@ -7,10 +7,8 @@
 #include <vector>
 
 #include "util/cpu_features.h"
-#include "util/perf_counters.h"
+#include "util/probe.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
-#include "util/trace.h"
 
 namespace omega::ld {
 namespace packed_detail {
@@ -214,31 +212,25 @@ std::size_t PackedLd::ensure_packed(std::size_t begin, std::size_t end) const {
 
 void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
                         std::size_t j1, float* out, std::size_t ld) const {
-  static util::telemetry::Histogram& pack_hist =
-      util::telemetry::histogram("ld.pack_seconds");
-  static util::telemetry::Histogram& kernel_hist =
-      util::telemetry::histogram("ld.kernel_seconds");
-  // Hardware-counter scopes cover exactly the histograms' timed regions so
-  // perf.ld.pack/ld.kernel scope counts reconcile with the histogram counts.
-  static util::perf::StageCounters& pack_perf = util::perf::stage("ld.pack");
-  static util::perf::StageCounters& kernel_perf =
-      util::perf::stage("ld.kernel");
-  const util::trace::Span span("ld.packed.r2_block");
+  // The whole block call is one trace span; its pack and kernel phases are
+  // the ld.pack / ld.kernel stages.
+  static const util::probe::Site kBlock("ld.packed.r2_block", nullptr);
+  static const util::probe::Site kPack(nullptr, "ld.pack_seconds", "ld.pack");
+  static const util::probe::Site kKernel(nullptr, "ld.kernel_seconds",
+                                         "ld.kernel");
+  const util::probe::Stage block(kBlock);
   note_served(static_cast<std::uint64_t>(i1 - i0) * (j1 - j0));
   const std::size_t m = i1 - i0;
   const std::size_t n = j1 - j0;
   if (m == 0 || n == 0) return;
 
   {
-    const util::perf::StageScope perf_scope(pack_perf);
-    const util::Timer pack_timer;
+    const util::probe::Stage pack(kPack);
     ensure_packed(i0, i1);
     ensure_packed(j0, j1);
-    pack_hist.record(pack_timer.seconds());
   }
 
-  const util::perf::StageScope kernel_perf_scope(kernel_perf);
-  const util::Timer kernel_timer;
+  const util::probe::Stage kernel(kKernel);
   const auto samples = static_cast<std::int32_t>(snps_.num_samples());
   const std::size_t mc = std::min(blocking_.mc, m);
   const std::size_t nc = std::min(blocking_.nc, n);
@@ -289,7 +281,6 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
       }
     }
   }
-  kernel_hist.record(kernel_timer.seconds());
 }
 
 }  // namespace omega::ld

@@ -54,21 +54,29 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_item(Item& item) {
-  const util::Timer timer;
-  if (item.batch == nullptr) {
-    // submit() task: the wrapper owns its promise and never throws.
-    item.task();
+  std::exception_ptr error;
+  {
+    const util::telemetry::Scope::Enter scope(item.scope);
+    const util::Timer timer;
+    try {
+      item.task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     task_seconds_hist_->record(timer.seconds());
     tasks_total_->add(1);
+  }
+  // Completion is published only after the task's last record, so a waiter
+  // may destroy the scope as soon as it wakes.
+  if (item.batch == nullptr) {
+    if (error) {
+      item.promise->set_exception(error);
+    } else {
+      item.promise->set_value();
+    }
     return;
   }
-  try {
-    item.task();
-  } catch (...) {
-    item.batch->errors[item.index] = std::current_exception();
-  }
-  task_seconds_hist_->record(timer.seconds());
-  tasks_total_->add(1);
+  item.batch->errors[item.index] = error;
   item.batch->finish_one();
 }
 
@@ -91,10 +99,11 @@ void ThreadPool::run_blocking(std::vector<std::function<void()>> tasks) {
   Batch batch;
   batch.remaining.store(tasks.size(), std::memory_order_relaxed);
   batch.errors.resize(tasks.size());
+  util::telemetry::Scope* const scope = util::telemetry::Scope::current();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queue_.push_back(Item{&batch, i, std::move(tasks[i])});
+      queue_.push_back(Item{&batch, i, std::move(tasks[i]), scope, {}});
       queue_depth_hist_->record(static_cast<double>(queue_.size()));
     }
   }
@@ -127,14 +136,9 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::future<void> future = promise->get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Item{nullptr, 0, [promise, task = std::move(task)] {
-                            try {
-                              task();
-                              promise->set_value();
-                            } catch (...) {
-                              promise->set_exception(std::current_exception());
-                            }
-                          }});
+    queue_.push_back(Item{nullptr, 0, std::move(task),
+                          util::telemetry::Scope::current(),
+                          std::move(promise)});
     queue_depth_hist_->record(static_cast<double>(queue_.size()));
   }
   cv_.notify_one();

@@ -7,7 +7,10 @@
 //    because tasks are coarse (a grid position or a work-group batch);
 //  * `run_blocking` lets the submitting thread participate in draining its
 //    own batch, so a pool of size 1 still makes progress without deadlock and
-//    single-core machines are not oversubscribed.
+//    single-core machines are not oversubscribed;
+//  * every task runs under the telemetry scope its submitter was in
+//    (util/telemetry.h Scope), whichever thread runs it, so a scan's pool
+//    work records into that scan's scope.
 
 #include <condition_variable>
 #include <cstddef>
@@ -23,6 +26,7 @@
 namespace omega::util::telemetry {
 class Counter;
 class Histogram;
+class Scope;
 }
 
 namespace omega::par {
@@ -57,6 +61,8 @@ class ThreadPool {
     Batch* batch = nullptr;
     std::size_t index = 0;  // submission order within the batch
     std::function<void()> task;
+    util::telemetry::Scope* scope = nullptr;  // the submitter's
+    std::shared_ptr<std::promise<void>> promise;  // submit() tasks only
   };
   void run_item(Item& item);
   void worker_loop();

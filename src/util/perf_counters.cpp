@@ -217,22 +217,14 @@ Sample read_thread_sample() {
   return sample;
 }
 
-StageScope::StageScope(StageCounters& counters) noexcept
-    : counters_(&counters) {
-  if (!enabled()) return;
-  begin_ = read_thread_sample();
-  active_ = true;
-}
-
-StageScope::~StageScope() {
-  if (!active_) return;
+void add_scope(StageCounters& counters, const Sample& begin) {
   const Sample end = read_thread_sample();
-  counters_->scopes.add(1);
-  counters_->cycles.add(end.cycles - begin_.cycles);
-  counters_->instructions.add(end.instructions - begin_.instructions);
-  counters_->cache_misses.add(end.cache_misses - begin_.cache_misses);
-  counters_->branch_misses.add(end.branch_misses - begin_.branch_misses);
-  counters_->task_clock_ns.add(end.task_clock_ns - begin_.task_clock_ns);
+  counters.scopes.add(1);
+  counters.cycles.add(end.cycles - begin.cycles);
+  counters.instructions.add(end.instructions - begin.instructions);
+  counters.cache_misses.add(end.cache_misses - begin.cache_misses);
+  counters.branch_misses.add(end.branch_misses - begin.branch_misses);
+  counters.task_clock_ns.add(end.task_clock_ns - begin.task_clock_ns);
 }
 
 void set_open_fn_for_testing(OpenFn fn) {

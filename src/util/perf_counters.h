@@ -5,22 +5,23 @@
 // perf::enable() arms process-wide collection; each thread lazily opens its
 // own perf_event_open(2) counter group — cycles (leader), instructions,
 // cache-misses, branch-misses, read together via PERF_FORMAT_GROUP — the
-// first time it enters a StageScope. When the kernel refuses (ENOSYS or
-// EACCES: unprivileged containers, perf_event_paranoid, seccomp, non-Linux
-// builds) the thread degrades to a clock-only fallback: the task clock comes
-// from CLOCK_THREAD_CPUTIME_ID and the hardware counts read as zero. The
-// process-wide source() reports which path is live, and the same value is
-// stamped into the metrics schema v11 "perf" block so consumers can tell
-// measured cycles from a degraded run without guessing from zeros.
+// first time it enters a stage probe (util/probe.h) with a perf stage. When
+// the kernel refuses (ENOSYS or EACCES: unprivileged containers,
+// perf_event_paranoid, seccomp, non-Linux builds) the thread degrades to a
+// clock-only fallback: the task clock comes from CLOCK_THREAD_CPUTIME_ID and
+// the hardware counts read as zero. The process-wide source() reports which
+// path is live, and the same value is stamped into the metrics "perf" block,
+// which writes the unmeasured counts as null (schema v12), so consumers can
+// tell measured cycles from a degraded run without guessing from zeros.
 //
 // Samples land in the telemetry registry as plain counters under
 //   perf.<stage>.{scopes,cycles,instructions,cache_misses,branch_misses,
 //                 task_clock_ns}
-// so the per-scan snapshot delta, streaming accumulation, and checkpoint
+// so the per-scan telemetry scope, streaming accumulation, and checkpoint
 // resume work unchanged (the same derivation path the v9 "ld" block uses).
-// A disabled StageScope costs one relaxed atomic load, mirroring
-// util/trace.h; stage handles are resolved once (function-local static) so
-// the armed path touches only atomics plus two counter reads.
+// A disabled probe costs one relaxed atomic load, mirroring util/trace.h;
+// stage handles are resolved once (a probe site) so the armed path touches
+// only atomics plus two counter reads.
 
 #include <cstdint>
 
@@ -37,7 +38,7 @@ struct Sample {
 };
 
 /// The telemetry counters one instrumented stage feeds. Resolve once with
-/// stage() (function-local static at the call site) and pass to StageScope.
+/// stage() (a probe site does) and feed with add_scope().
 struct StageCounters;
 
 /// Registers (or finds) the counter set for `stage`; the reference is valid
@@ -59,20 +60,10 @@ void disable();
 /// (no-op zero sample while disabled).
 [[nodiscard]] Sample read_thread_sample();
 
-/// RAII per-thread counter scope: reads at construction and destruction and
-/// adds the deltas to the stage's telemetry counters.
-class StageScope {
- public:
-  explicit StageScope(StageCounters& counters) noexcept;
-  ~StageScope();
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-  StageCounters* counters_;
-  Sample begin_;
-  bool active_ = false;
-};
+/// Closes one scope of `counters` opened at `begin` (a read_thread_sample()
+/// taken on this thread while enabled): reads the thread's counters again
+/// and adds one scope plus the deltas to the stage's telemetry counters.
+void add_scope(StageCounters& counters, const Sample& begin);
 
 /// Testing hook: replaces the perf_event_open syscall with `fn` (return the
 /// fd, or a negative errno such as -EACCES/-ENOSYS). Pass nullptr to restore

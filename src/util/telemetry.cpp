@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 
 namespace omega::util::telemetry {
 
@@ -53,23 +54,6 @@ double HistogramSnapshot::quantile(double q) const noexcept {
     }
   }
   return max;
-}
-
-HistogramSnapshot HistogramSnapshot::delta_since(
-    const HistogramSnapshot& begin) const noexcept {
-  HistogramSnapshot delta = *this;
-  delta.count = count >= begin.count ? count - begin.count : 0;
-  delta.sum = std::max(0.0, sum - begin.sum);
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    delta.buckets[i] =
-        buckets[i] >= begin.buckets[i] ? buckets[i] - begin.buckets[i] : 0;
-  }
-  if (delta.count == 0) {
-    delta.sum = 0.0;
-    delta.min = 0.0;
-    delta.max = 0.0;
-  }
-  return delta;
 }
 
 HistogramSnapshot HistogramSnapshot::merged_with(
@@ -140,30 +124,6 @@ std::uint64_t RegistrySnapshot::counter_value(
   return 0;
 }
 
-RegistrySnapshot RegistrySnapshot::delta_since(
-    const RegistrySnapshot& begin) const {
-  RegistrySnapshot delta;
-  delta.gauges = gauges;  // gauges are levels, not flows — keep the end value
-  delta.counters.reserve(counters.size());
-  for (const auto& [name, value] : counters) {
-    std::uint64_t before = 0;
-    for (const auto& [bname, bvalue] : begin.counters) {
-      if (bname == name) {
-        before = bvalue;
-        break;
-      }
-    }
-    delta.counters.emplace_back(name, value >= before ? value - before : 0);
-  }
-  delta.histograms.reserve(histograms.size());
-  for (const auto& [name, snap] : histograms) {
-    const HistogramSnapshot* before = begin.find_histogram(name);
-    delta.histograms.emplace_back(
-        name, before != nullptr ? snap.delta_since(*before) : snap);
-  }
-  return delta;
-}
-
 RegistrySnapshot RegistrySnapshot::merged_with(
     const RegistrySnapshot& other) const {
   RegistrySnapshot merged;
@@ -201,17 +161,64 @@ namespace {
 
 // Name-keyed maps of heap-allocated metrics: addresses stay stable across
 // rehash-free std::map growth and are intentionally never freed by reset().
-struct Registry {
-  std::mutex mutex;
+// The registry and every Scope keep one each.
+struct Metrics {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
+
+  [[nodiscard]] RegistrySnapshot snapshot() const {
+    RegistrySnapshot snap;
+    snap.counters.reserve(counters.size());
+    for (const auto& [name, metric] : counters) {
+      snap.counters.emplace_back(name, metric->value());
+    }
+    snap.gauges.reserve(gauges.size());
+    for (const auto& [name, metric] : gauges) {
+      snap.gauges.emplace_back(name, metric->value());
+    }
+    snap.histograms.reserve(histograms.size());
+    for (const auto& [name, metric] : histograms) {
+      snap.histograms.emplace_back(name, metric->snapshot());
+    }
+    return snap;
+  }
+};
+
+// Registry ids index each scope's mirror table, so a process registers at
+// most this many metric names (a scan uses a few dozen).
+constexpr std::uint32_t kMaxMetrics = 4096;
+
+struct Registry {
+  std::mutex mutex;
+  Metrics metrics;
+  std::uint32_t next_id = 0;
 
   static Registry& instance() {
     static Registry* registry = new Registry();  // immortal: outlives statics
     return *registry;
   }
+
+  /// Finds or registers `name` in `map`, stamping a fresh identity.
+  template <class Metric, class... Args>
+  Metric& resolve(std::map<std::string, std::unique_ptr<Metric>, std::less<>>&
+                      map,
+                  std::string_view name, Args... args) {
+    const std::scoped_lock lock(mutex);
+    auto it = map.find(name);
+    if (it == map.end()) {
+      if (next_id == kMaxMetrics) {
+        throw std::length_error("telemetry: too many registered metrics");
+      }
+      it = map.emplace(std::string(name), nullptr).first;
+      it->second = std::make_unique<Metric>(
+          args..., detail::Identity{next_id++, &it->first});
+    }
+    return *it->second;
+  }
 };
+
+thread_local Scope* t_current_scope = nullptr;
 
 std::string sanitized(std::string_view name) {
   std::string out = "omega_";
@@ -236,65 +243,111 @@ void format_number(std::ostringstream& out, double value) {
 
 Counter& counter(std::string_view name) {
   Registry& registry = Registry::instance();
-  const std::scoped_lock lock(registry.mutex);
-  auto it = registry.counters.find(name);
-  if (it == registry.counters.end()) {
-    it = registry.counters
-             .emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
+  return registry.resolve(registry.metrics.counters, name);
 }
 
 Gauge& gauge(std::string_view name) {
   Registry& registry = Registry::instance();
-  const std::scoped_lock lock(registry.mutex);
-  auto it = registry.gauges.find(name);
-  if (it == registry.gauges.end()) {
-    it = registry.gauges.emplace(std::string(name), std::make_unique<Gauge>())
-             .first;
-  }
-  return *it->second;
+  return registry.resolve(registry.metrics.gauges, name);
 }
 
 Histogram& histogram(std::string_view name, double base) {
   Registry& registry = Registry::instance();
-  const std::scoped_lock lock(registry.mutex);
-  auto it = registry.histograms.find(name);
-  if (it == registry.histograms.end()) {
-    it = registry.histograms
-             .emplace(std::string(name), std::make_unique<Histogram>(base))
-             .first;
-  }
-  return *it->second;
+  return registry.resolve(registry.metrics.histograms, name, base);
 }
 
 RegistrySnapshot snapshot() {
   Registry& registry = Registry::instance();
   const std::scoped_lock lock(registry.mutex);
-  RegistrySnapshot snap;
-  snap.counters.reserve(registry.counters.size());
-  for (const auto& [name, metric] : registry.counters) {
-    snap.counters.emplace_back(name, metric->value());
-  }
-  snap.gauges.reserve(registry.gauges.size());
-  for (const auto& [name, metric] : registry.gauges) {
-    snap.gauges.emplace_back(name, metric->value());
-  }
-  snap.histograms.reserve(registry.histograms.size());
-  for (const auto& [name, metric] : registry.histograms) {
-    snap.histograms.emplace_back(name, metric->snapshot());
-  }
-  return snap;
+  return registry.metrics.snapshot();
 }
 
 void reset() {
   Registry& registry = Registry::instance();
   const std::scoped_lock lock(registry.mutex);
-  for (const auto& [name, metric] : registry.counters) metric->reset();
-  for (const auto& [name, metric] : registry.gauges) metric->reset();
-  for (const auto& [name, metric] : registry.histograms) metric->reset();
+  for (const auto& [name, metric] : registry.metrics.counters) metric->reset();
+  for (const auto& [name, metric] : registry.metrics.gauges) metric->reset();
+  for (const auto& [name, metric] : registry.metrics.histograms) {
+    metric->reset();
+  }
 }
+
+// ---------------------------------------------------------------------------
+// Scope
+// ---------------------------------------------------------------------------
+
+struct Scope::Impl {
+  mutable std::mutex mutex;
+  Metrics metrics;  // guarded by mutex; the mirrors' owners
+  // Mirror of registry id i, published once it exists: looking up an
+  // existing mirror is one acquire load.
+  std::array<std::atomic<void*>, kMaxMetrics> mirrors{};
+
+  /// The mirror of the registered metric `identity` in `map`, created by
+  /// `make` on first use.
+  template <class Metric, class Make>
+  Metric* mirror(const detail::Identity& identity,
+                 std::map<std::string, std::unique_ptr<Metric>, std::less<>>&
+                     map,
+                 Make make) {
+    std::atomic<void*>& slot = mirrors[identity.id];
+    if (void* found = slot.load(std::memory_order_acquire)) {
+      return static_cast<Metric*>(found);
+    }
+    const std::scoped_lock lock(mutex);
+    void* found = slot.load(std::memory_order_relaxed);
+    if (found == nullptr) {
+      found = map.try_emplace(*identity.name, make()).first->second.get();
+      slot.store(found, std::memory_order_release);
+    }
+    return static_cast<Metric*>(found);
+  }
+};
+
+Scope::Scope() : impl_(std::make_unique<Impl>()) {}
+
+Scope::~Scope() = default;
+
+Scope::Enter::Enter(Scope* scope) noexcept : previous_(t_current_scope) {
+  t_current_scope = scope;
+}
+
+Scope::Enter::~Enter() { t_current_scope = previous_; }
+
+Scope* Scope::current() noexcept { return t_current_scope; }
+
+RegistrySnapshot Scope::snapshot() const {
+  const std::scoped_lock lock(impl_->mutex);
+  return impl_->metrics.snapshot();
+}
+
+namespace detail {
+
+Counter* scoped_counter(const Identity& identity) {
+  Scope* scope = t_current_scope;
+  if (scope == nullptr || identity.name == nullptr) return nullptr;
+  Scope::Impl& impl = *scope->impl_;
+  return impl.mirror(identity, impl.metrics.counters,
+                     [] { return std::make_unique<Counter>(); });
+}
+
+Gauge* scoped_gauge(const Identity& identity) {
+  Scope* scope = t_current_scope;
+  if (scope == nullptr || identity.name == nullptr) return nullptr;
+  Scope::Impl& impl = *scope->impl_;
+  return impl.mirror(identity, impl.metrics.gauges,
+                     [] { return std::make_unique<Gauge>(); });
+}
+
+Histogram* scoped_histogram(const Identity& identity, double base) {
+  Scope* scope = t_current_scope;
+  if (scope == nullptr || identity.name == nullptr) return nullptr;
+  Scope::Impl& impl = *scope->impl_;
+  return impl.mirror(identity, impl.metrics.histograms,
+                     [base] { return std::make_unique<Histogram>(base); });
+}
+
+}  // namespace detail
 
 std::string to_text() {
   const RegistrySnapshot snap = snapshot();

@@ -160,8 +160,21 @@ inline void instant(const char* name) {
   record(name, start_s, 0.0);
 }
 
-/// RAII scoped span. With tracing disabled the constructor is a single
-/// relaxed load and the destructor a branch on a bool.
+/// Records a span that ran from `start` to `end` (steady clock). Dropped when
+/// tracing is off, so a span that straddles disable() is lost.
+inline void record_span(const char* name,
+                        std::chrono::steady_clock::time_point start,
+                        std::chrono::steady_clock::time_point end) {
+  if (!enabled()) return;
+  const auto& r = detail::registry();
+  record(name, std::chrono::duration<double>(start - r.epoch).count(),
+         std::chrono::duration<double>(end - start).count());
+}
+
+/// RAII scoped span for regions that are not scan stages (the stages use
+/// util/probe.h, which feeds the same ring). With tracing disabled the
+/// constructor is a single relaxed load and the destructor a branch on a
+/// bool.
 class Span {
  public:
   explicit Span(const char* name) noexcept {
@@ -172,15 +185,7 @@ class Span {
     }
   }
   ~Span() {
-    if (!active_) return;
-    const auto now = std::chrono::steady_clock::now();
-    auto& r = detail::registry();
-    // Re-check: disable() between construction and destruction drops the span.
-    if (!enabled()) return;
-    const double start_s =
-        std::chrono::duration<double>(start_ - r.epoch).count();
-    const double duration_s = std::chrono::duration<double>(now - start_).count();
-    record(name_, start_s, duration_s);
+    if (active_) record_span(name_, start_, std::chrono::steady_clock::now());
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -20,6 +20,7 @@
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/fault.h"
+#include "util/telemetry.h"
 #include "util/trace.h"
 
 namespace {
@@ -205,21 +206,45 @@ class ScriptedBackend final : public omega::core::OmegaBackend {
   int calls_ = 0;
 };
 
+/// recover_max_omega under a fresh telemetry scope, with the recovery
+/// counters read back from the scope the way the scan executor derives them.
+std::pair<omega::core::RecoveryOutcome, FaultRecoveryStats> recover(
+    ScriptedBackend& backend, const RecoveryPolicy& policy) {
+  omega::util::telemetry::Scope scope;
+  omega::core::RecoveryOutcome outcome;
+  {
+    const omega::util::telemetry::Scope::Enter enter(&scope);
+    // An invalid position is fine: the backend is scripted.
+    outcome = omega::core::recover_max_omega(
+        backend, omega::core::DpMatrix{}, omega::core::GridPosition{}, policy);
+  }
+  const auto telemetry = scope.snapshot();
+  FaultRecoveryStats stats;
+  if (const auto* attempts =
+          telemetry.find_histogram("scan.retry.attempt_seconds")) {
+    stats.errors_caught = attempts->count;
+  }
+  if (const auto* backoff =
+          telemetry.find_histogram("scan.retry.backoff_seconds")) {
+    stats.retries = backoff->count;
+    stats.backoff_virtual_seconds = backoff->sum;
+  }
+  stats.invalid_results =
+      telemetry.counter_value("scan.retry.invalid_results");
+  return {outcome, stats};
+}
+
 TEST(RecoverMaxOmega, RetriesTransientFailuresWithVirtualBackoff) {
   ScriptedBackend backend(2, BackendErrorKind::KernelLaunch);
   RecoveryPolicy policy;  // max_retries = 3, backoff 1e-3 doubling
-  FaultRecoveryStats stats;
-  omega::core::DpMatrix m;
-  omega::core::GridPosition position;  // invalid is fine: backend is scripted
-  const auto outcome =
-      omega::core::recover_max_omega(backend, m, position, policy, stats);
+  const auto [outcome, stats] = recover(backend, policy);
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.retries, 2u);
   EXPECT_EQ(outcome.result.max_omega, 2.5);
   EXPECT_EQ(outcome.result.evaluated, 42u);
   EXPECT_EQ(stats.errors_caught, 2u);
   EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.quarantined_positions, 0u);
+  EXPECT_EQ(outcome.faults, 2u);
   // Backoff accrues 1e-3 then 2e-3 on the virtual clock.
   EXPECT_NEAR(stats.backoff_virtual_seconds, 3e-3, 1e-12);
   EXPECT_EQ(backend.calls(), 3);
@@ -229,40 +254,28 @@ TEST(RecoverMaxOmega, ExhaustedRetriesQuarantine) {
   ScriptedBackend backend(100, BackendErrorKind::Timeout);
   RecoveryPolicy policy;
   policy.max_retries = 3;
-  FaultRecoveryStats stats;
-  omega::core::DpMatrix m;
-  omega::core::GridPosition position;
-  const auto outcome =
-      omega::core::recover_max_omega(backend, m, position, policy, stats);
-  EXPECT_FALSE(outcome.ok);
+  const auto [outcome, stats] = recover(backend, policy);
+  EXPECT_FALSE(outcome.ok);  // the caller quarantines
   EXPECT_EQ(stats.retries, 3u);
   EXPECT_EQ(stats.errors_caught, 4u);  // initial attempt + 3 retries
-  EXPECT_EQ(stats.quarantined_positions, 1u);
+  EXPECT_EQ(outcome.faults, 4u);
   EXPECT_EQ(backend.calls(), 4);
 }
 
 TEST(RecoverMaxOmega, DeviceLostQuarantinesWithoutRetrying) {
   ScriptedBackend backend(100, BackendErrorKind::DeviceLost);
   RecoveryPolicy policy;
-  FaultRecoveryStats stats;
-  omega::core::DpMatrix m;
-  omega::core::GridPosition position;
-  const auto outcome =
-      omega::core::recover_max_omega(backend, m, position, policy, stats);
-  EXPECT_FALSE(outcome.ok);
+  const auto [outcome, stats] = recover(backend, policy);
+  EXPECT_FALSE(outcome.ok);  // the caller quarantines
   EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.quarantined_positions, 1u);
+  EXPECT_EQ(stats.errors_caught, 1u);
   EXPECT_EQ(backend.calls(), 1);  // terminal error: no second attempt
 }
 
 TEST(RecoverMaxOmega, NanPoisonedResultsAreRetried) {
   ScriptedBackend backend(2, BackendErrorKind::KernelLaunch, /*poison=*/true);
   RecoveryPolicy policy;
-  FaultRecoveryStats stats;
-  omega::core::DpMatrix m;
-  omega::core::GridPosition position;
-  const auto outcome =
-      omega::core::recover_max_omega(backend, m, position, policy, stats);
+  const auto [outcome, stats] = recover(backend, policy);
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(stats.invalid_results, 2u);
   EXPECT_EQ(stats.errors_caught, 0u);
@@ -273,11 +286,7 @@ TEST(RecoverMaxOmega, ValidationCanBeDisabled) {
   ScriptedBackend backend(100, BackendErrorKind::KernelLaunch, /*poison=*/true);
   RecoveryPolicy policy;
   policy.validate_results = false;
-  FaultRecoveryStats stats;
-  omega::core::DpMatrix m;
-  omega::core::GridPosition position;
-  const auto outcome =
-      omega::core::recover_max_omega(backend, m, position, policy, stats);
+  const auto [outcome, stats] = recover(backend, policy);
   EXPECT_TRUE(outcome.ok);  // the poisoned result sails through unvalidated
   EXPECT_EQ(stats.invalid_results, 0u);
   EXPECT_TRUE(std::isnan(outcome.result.max_omega));

@@ -42,6 +42,7 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/progress.h"
+#include "util/telemetry.h"
 
 namespace {
 
@@ -760,35 +761,41 @@ GridPosition empty_pack_position() {
   return p;
 }
 
+/// The dispatch histogram `name` as a scope saw it after 5,000 empty
+/// positions on `backend` (the source of profile.stages.dispatch_seconds).
+omega::util::telemetry::HistogramSnapshot dispatch_after_empty_positions(
+    omega::core::OmegaBackend& backend, const char* name) {
+  omega::util::telemetry::Scope scope;
+  {
+    const omega::util::telemetry::Scope::Enter enter(&scope);
+    const DpMatrix m;
+    const GridPosition position = empty_pack_position();
+    for (int i = 0; i < 5'000; ++i) {
+      const auto result = backend.max_omega(m, position);
+      EXPECT_EQ(result.evaluated, 0u);
+    }
+  }
+  const auto telemetry = scope.snapshot();
+  const auto* dispatch = telemetry.find_histogram(name);
+  return dispatch != nullptr ? *dispatch
+                             : omega::util::telemetry::HistogramSnapshot{};
+}
+
 TEST(DispatchAccounting, GpuChargesDispatchForEmptyPositions) {
   omega::par::ThreadPool pool(1);
   omega::hw::gpu::GpuOmegaBackend backend(omega::hw::tesla_k80(), pool);
-  const DpMatrix m;
-  const GridPosition position = empty_pack_position();
-  for (int i = 0; i < 5'000; ++i) {
-    const auto result = backend.max_omega(m, position);
-    EXPECT_EQ(result.evaluated, 0u);
-  }
-  EXPECT_GT(backend.accounting().dispatch_seconds, 0.0);
-
-  omega::core::ScanProfile profile;
-  backend.contribute(profile);
-  EXPECT_GT(profile.stages.dispatch_seconds, 0.0);
+  const auto dispatch =
+      dispatch_after_empty_positions(backend, "gpu.dispatch_seconds");
+  EXPECT_EQ(dispatch.count, 5'000u);
+  EXPECT_GT(dispatch.sum, 0.0);
 }
 
 TEST(DispatchAccounting, FpgaChargesDispatchForEmptyPositions) {
   omega::hw::fpga::FpgaOmegaBackend backend(omega::hw::alveo_u200());
-  const DpMatrix m;
-  const GridPosition position = empty_pack_position();
-  for (int i = 0; i < 5'000; ++i) {
-    const auto result = backend.max_omega(m, position);
-    EXPECT_EQ(result.evaluated, 0u);
-  }
-  EXPECT_GT(backend.accounting().dispatch_seconds, 0.0);
-
-  omega::core::ScanProfile profile;
-  backend.contribute(profile);
-  EXPECT_GT(profile.stages.dispatch_seconds, 0.0);
+  const auto dispatch =
+      dispatch_after_empty_positions(backend, "fpga.dispatch_seconds");
+  EXPECT_EQ(dispatch.count, 5'000u);
+  EXPECT_GT(dispatch.sum, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -382,6 +382,30 @@ TEST(SchedStats, WorkerDetailAddsUpAndBusyTimeIsPositive) {
             sched.spans);
 }
 
+TEST(SchedStats, WorkerPositionsCountOnlyPositionsThatScored) {
+  // Half the launches fail and nothing retries or falls back, so many
+  // positions quarantine: they must not count as a worker's positions.
+  const auto dataset = parallel_dataset();
+  auto options = parallel_options();
+  options.threads = 4;
+  options.recovery.max_retries = 0;
+  options.recovery.fallback_to_cpu = false;
+  FaultPlan plan;
+  plan.mode = FaultMode::KernelLaunch;
+  plan.rate = 0.5;
+  plan.seed = 21;
+  const auto result = gpu_sim_scan(dataset, options, plan);
+
+  const auto& profile = result.profile;
+  ASSERT_GT(profile.faults.quarantined_positions, 0u);
+  ASSERT_GT(profile.positions_scanned, 0u);
+  std::uint64_t positions = 0;
+  for (const auto& worker : profile.sched.workers_detail) {
+    positions += worker.positions;
+  }
+  EXPECT_EQ(positions, profile.positions_scanned);
+}
+
 TEST(SchedStats, SerialScanReportsOneWorkerNoSpans) {
   const auto dataset = parallel_dataset();
   const auto options = parallel_options();

@@ -29,6 +29,7 @@
 #include "util/fault.h"
 #include "util/flight_recorder.h"
 #include "util/perf_counters.h"
+#include "util/probe.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
 
@@ -107,12 +108,14 @@ JsonValue parse_file(const std::string& path) {
 TEST(PerfCounters, DisabledScopeRecordsNothing) {
   ASSERT_FALSE(perf::enabled());
   EXPECT_STREQ(perf::source(), "off");
-  const auto before = omega::util::telemetry::snapshot();
+  omega::util::telemetry::Scope telemetry;
   {
-    static perf::StageCounters& counters = perf::stage("test.disabled_stage");
-    const perf::StageScope scope(counters);
+    const omega::util::telemetry::Scope::Enter enter(&telemetry);
+    static const omega::util::probe::Site site(nullptr, nullptr,
+                                               "test.disabled_stage");
+    const omega::util::probe::Stage stage(site);
   }
-  const auto delta = omega::util::telemetry::snapshot().delta_since(before);
+  const auto delta = telemetry.snapshot();
   for (const auto& [name, value] : delta.counters) {
     if (name.rfind("perf.test.disabled_stage", 0) == 0) {
       EXPECT_EQ(value, 0u) << name;
@@ -128,14 +131,16 @@ TEST_F(ForcedFallbackPerf, RefusedOpenDegradesToClockFallback) {
   // The stub refused the group: fallback, not an error.
   EXPECT_STREQ(perf::source(), "fallback");
 
-  const auto before = omega::util::telemetry::snapshot();
+  omega::util::telemetry::Scope telemetry;
   volatile double sink = 0.0;
   {
-    static perf::StageCounters& counters = perf::stage("test.fallback_stage");
-    const perf::StageScope scope(counters);
+    const omega::util::telemetry::Scope::Enter enter(&telemetry);
+    static const omega::util::probe::Site site(nullptr, nullptr,
+                                               "test.fallback_stage");
+    const omega::util::probe::Stage stage(site);
     for (int i = 0; i < 2'000'000; ++i) sink = sink + 1.0;
   }
-  const auto delta = omega::util::telemetry::snapshot().delta_since(before);
+  const auto delta = telemetry.snapshot();
 
   std::uint64_t scopes = 0, cycles = 0, clock_ns = 0;
   for (const auto& [name, value] : delta.counters) {
@@ -166,9 +171,9 @@ TEST_F(ForcedFallbackPerf, ScanStampsPerfBlockAndReconcilesWithStageTimers) {
   EXPECT_EQ(perf_stats.source, "fallback");
   ASSERT_FALSE(perf_stats.stages.empty());
 
-  // Every instrumented stage pairs a StageScope with the stage's existing
-  // seconds histogram inside the same block, so the scope count must equal
-  // the histogram count in the same scan-attributed telemetry delta.
+  // Every instrumented stage's probe feeds its perf stage and its seconds
+  // histogram from the same occurrence, so the scope count must equal the
+  // histogram count in the scan's telemetry.
   const std::vector<std::pair<std::string, std::string>> reconciled = {
       {"scan.reset", "scan.reset_seconds"},
       {"scan.relocate", "scan.relocate_seconds"},
@@ -186,9 +191,8 @@ TEST_F(ForcedFallbackPerf, ScanStampsPerfBlockAndReconcilesWithStageTimers) {
     EXPECT_GT(stage->task_clock_seconds, 0.0) << stage_name;
     EXPECT_EQ(stage->cycles, 0u) << stage_name;  // fallback: no hardware
   }
-  // The omega search has no seconds histogram (its time lands in
-  // stages.omega_search_seconds directly); its scope count is simply the
-  // number of searches — one per scanned position here.
+  // The omega search's scope count is simply the number of searches — one
+  // per scanned position here.
   const auto* search = perf_stats.find("scan.omega_search");
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->scopes, result.profile.positions_scanned);
@@ -216,9 +220,13 @@ TEST_F(ForcedFallbackPerf, MetricsDocumentCarriesPerfBlock) {
   for (const auto& stage : stages) {
     EXPECT_GT(stage.at("scopes").as_uint(), 0u);
     EXPECT_GE(stage.at("task_clock_seconds").as_double(), 0.0);
-    // Derived ratios are present (zero under the fallback's zero counts).
-    EXPECT_EQ(stage.at("ipc").as_double(), 0.0);
-    EXPECT_EQ(stage.at("cache_mpki").as_double(), 0.0);
+    // The fallback never measured hardware counts: they and their ratios
+    // are null, not zero.
+    for (const char* field : {"cycles", "instructions", "cache_misses",
+                              "branch_misses", "ipc", "cache_mpki",
+                              "branch_mpki"}) {
+      EXPECT_EQ(stage.at(field).kind(), JsonValue::Kind::Null) << field;
+    }
   }
 }
 

@@ -331,9 +331,16 @@ TEST(CheckpointJsonTest, RoundTripsScoresBitwiseIncludingNan) {
   invalid.position_bp = 34'567;
   ckpt.scores = {valid, quarantined, invalid};
 
-  ckpt.totals.ld_seconds = 1.25;
-  ckpt.totals.omega_evaluations = 777;
-  ckpt.totals.stream.io_seconds = 0.5;
+  ckpt.totals.total_seconds = 1.25;
+  ckpt.totals.r2_fetched = 777;
+  // v3: derived totals (here omega_evaluations and stream.io_seconds)
+  // travel in the telemetry they are derived from.
+  ckpt.totals.telemetry.counters = {{"scan.omega_evaluations", 777}};
+  omega::util::telemetry::Histogram fetch;
+  fetch.record(0.25);
+  fetch.record(0.25);
+  ckpt.totals.telemetry.histograms = {
+      {"stream.chunk_fetch_seconds", fetch.snapshot()}};
   ckpt.totals.sched.workers_detail.resize(2);
   ckpt.totals.sched.workers_detail[1].spans = 4;
 
@@ -352,11 +359,32 @@ TEST(CheckpointJsonTest, RoundTripsScoresBitwiseIncludingNan) {
   EXPECT_EQ(back.scores[0].best_b, 9u);
   EXPECT_TRUE(back.scores[1].quarantined);
   EXPECT_FALSE(back.scores[2].valid);
-  EXPECT_DOUBLE_EQ(back.totals.ld_seconds, 1.25);
-  EXPECT_EQ(back.totals.omega_evaluations, 777u);
-  EXPECT_DOUBLE_EQ(back.totals.stream.io_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(back.totals.total_seconds, 1.25);
+  EXPECT_EQ(back.totals.r2_fetched, 777u);
+  EXPECT_EQ(back.totals.telemetry.counter_value("scan.omega_evaluations"),
+            777u);
+  const auto* fetch_back =
+      back.totals.telemetry.find_histogram("stream.chunk_fetch_seconds");
+  ASSERT_NE(fetch_back, nullptr);
+  EXPECT_EQ(fetch_back->count, 2u);
+  EXPECT_DOUBLE_EQ(fetch_back->sum, 0.5);
   ASSERT_EQ(back.totals.sched.workers_detail.size(), 2u);
   EXPECT_EQ(back.totals.sched.workers_detail[1].spans, 4u);
+}
+
+TEST(CheckpointJsonTest, RefusesOtherLayoutVersions) {
+  // A v2 file stored derived totals that v3 no longer reads: refused with
+  // the version error rather than resumed with missing fields.
+  auto doc = omega::core::checkpoint_to_json(omega::core::ScanCheckpoint{});
+  EXPECT_EQ(doc.at("schema_version").as_int(), 3);
+  doc.set("schema_version", 2);
+  try {
+    (void)omega::core::checkpoint_from_json(doc);
+    FAIL() << "a v2 checkpoint must be refused";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("version 2"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(CheckpointFileTest, AtomicWriteLeavesNoTempAndLoadsBack) {
@@ -387,13 +415,17 @@ TEST(CheckpointFileTest, LoadRejectsMissingAndMalformed) {
 }
 
 TEST(TelemetryJsonTest, RoundTripsThroughFromJson) {
-  const auto begin = omega::util::telemetry::snapshot();
-  omega::util::telemetry::counter("test.ckpt.roundtrip.counter").add(5);
-  auto& hist = omega::util::telemetry::histogram("test.ckpt.roundtrip.hist");
-  hist.record(0.001);
-  hist.record(0.002);
-  hist.record(4.0);
-  const auto snap = omega::util::telemetry::snapshot().delta_since(begin);
+  omega::util::telemetry::Scope scope;
+  {
+    const omega::util::telemetry::Scope::Enter enter(&scope);
+    omega::util::telemetry::counter("test.ckpt.roundtrip.counter").add(5);
+    auto& hist =
+        omega::util::telemetry::histogram("test.ckpt.roundtrip.hist");
+    hist.record(0.001);
+    hist.record(0.002);
+    hist.record(4.0);
+  }
+  const auto snap = scope.snapshot();
 
   const auto doc = omega::core::metrics::telemetry_json(snap);
   const auto back = omega::core::metrics::telemetry_from_json(doc);
@@ -531,6 +563,62 @@ TEST(StreamKillResume, GpuSimFaultInjectionConverges) {
   plan.rate = 0.3;
   plan.seed = 2024;
   kill_and_resume_identity(gpu_setup(plan));
+}
+
+TEST(StreamKillResume, ResumedTotalsMatchUninterruptedRun) {
+  // The checkpoint carries the telemetry the totals derive from (v3), so the
+  // resumed run's position, evaluation and matrix-advance counts add up to
+  // the uninterrupted run's.
+  const auto d = runtime_dataset(76, 150);
+  ScannerOptions options;
+  options.config = runtime_config();
+  StreamScanOptions stream_options;
+  stream_options.chunk_sites = 40;
+  DatasetChunkReader reference_reader(d);
+  const ScanResult reference =
+      omega::core::stream_scan(reference_reader, options, stream_options);
+
+  const CheckpointPath ckpt("omega_runtime_resumed_totals.ckpt");
+  stream_options.checkpoint_path = ckpt.str();
+  CancelToken token;
+  omega::util::ProgressReporter progress(
+      [&](const omega::util::ProgressUpdate& update) {
+        if (update.chunks_done >= 1) token.request(CancelReason::Api);
+      },
+      0.0);
+  ScannerOptions interrupted_options = options;
+  interrupted_options.cancel = &token;
+  interrupted_options.progress = &progress;
+  DatasetChunkReader interrupted_reader(d);
+  (void)omega::core::stream_scan(interrupted_reader, interrupted_options,
+                                 stream_options);
+  ASSERT_TRUE(token.cancelled());
+
+  StreamScanOptions resume_options = stream_options;
+  resume_options.resume = true;
+  DatasetChunkReader resumed_reader(d);
+  const ScanResult resumed =
+      omega::core::stream_scan(resumed_reader, options, resume_options);
+  ASSERT_GT(resumed.profile.runtime.chunks_resumed, 0u);
+  expect_bitwise_equal(reference, resumed);
+
+  const auto& want = reference.profile;
+  const auto& got = resumed.profile;
+  EXPECT_EQ(got.positions_scanned, want.positions_scanned);
+  EXPECT_EQ(got.omega_evaluations, want.omega_evaluations);
+  EXPECT_EQ(got.relocation.resets + got.relocation.relocations,
+            want.relocation.resets + want.relocation.relocations);
+  EXPECT_EQ(got.kernel.positions, want.kernel.positions);
+  EXPECT_EQ(got.faults.errors_caught, want.faults.errors_caught);
+  EXPECT_EQ(got.faults.quarantined_positions,
+            want.faults.quarantined_positions);
+  EXPECT_EQ(got.stream.chunks, want.stream.chunks);
+  EXPECT_EQ(got.stream.failed_chunks, want.stream.failed_chunks);
+  const auto* search =
+      got.telemetry.find_histogram("scan.omega_search_seconds");
+  ASSERT_NE(search, nullptr);
+  EXPECT_EQ(search->count, want.positions_scanned);
+  EXPECT_DOUBLE_EQ(search->sum, got.stages.omega_search_seconds);
 }
 
 TEST(StreamKillResume, ResumeOfCompleteRunRescansNothing) {

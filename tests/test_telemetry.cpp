@@ -1,6 +1,8 @@
 // Telemetry subsystem tests: histogram bucket/quantile math against the
-// documented boundaries, registry reset/delta semantics, concurrent updates
-// from thread-pool workers, the Prometheus text and schema-v6 JSON
+// documented boundaries, registry reset semantics, per-scan scopes (pool
+// tasks record into their submitter's scope; concurrent scans keep their own
+// ledgers), concurrent updates from thread-pool workers, the Prometheus text
+// and schema-v6 JSON
 // exposition, Chrome-trace export well-formedness (re-parsed with the
 // repo's own JSON parser), progress rate limiting under a virtual clock,
 // count reconciliation between per-scan telemetry and ScanProfile counters
@@ -15,7 +17,9 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/metrics_diff.h"
@@ -29,6 +33,7 @@
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/fault.h"
+#include "util/probe.h"
 #include "util/progress.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
@@ -135,30 +140,6 @@ TEST(TelemetryHistogram, EmptyHistogramAndNonFiniteSamples) {
   EXPECT_DOUBLE_EQ(h.snapshot().sum, 1.0) << "sum must not be NaN-poisoned";
 }
 
-TEST(TelemetryHistogram, DeltaSinceSubtractsPerBucket) {
-  Histogram h(1.0);
-  h.record(1.0);
-  h.record(3.0);
-  const auto begin = h.snapshot();
-  h.record(5.0);
-  h.record(7.0);
-  const auto delta = h.snapshot().delta_since(begin);
-  EXPECT_EQ(delta.count, 2u);
-  EXPECT_DOUBLE_EQ(delta.sum, 12.0);
-  // Both new samples fall in bucket (4, 8].
-  EXPECT_EQ(delta.buckets[3], 2u);
-  EXPECT_EQ(delta.buckets[0], 0u);
-  // Extremes keep the later snapshot's values (not invertible)...
-  EXPECT_DOUBLE_EQ(delta.min, 1.0);
-  EXPECT_DOUBLE_EQ(delta.max, 7.0);
-  // ...except an empty delta, which zeroes them.
-  const auto none = h.snapshot().delta_since(h.snapshot());
-  EXPECT_EQ(none.count, 0u);
-  EXPECT_DOUBLE_EQ(none.sum, 0.0);
-  EXPECT_DOUBLE_EQ(none.min, 0.0);
-  EXPECT_DOUBLE_EQ(none.max, 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Registry semantics
 
@@ -185,25 +166,6 @@ TEST(TelemetryRegistry, HistogramBaseIsFixedByFirstRegistration) {
   auto& again = telemetry::histogram("test.registry.base", 123.0);
   EXPECT_EQ(&h, &again);
   EXPECT_DOUBLE_EQ(again.base(), 1.0);
-}
-
-TEST(TelemetryRegistry, SnapshotDeltaAttributesAnInterval) {
-  auto& c = telemetry::counter("test.registry.delta");
-  auto& h = telemetry::histogram("test.registry.delta_hist", 1.0);
-  c.add(3);
-  h.record(1.0);
-  const auto begin = telemetry::snapshot();
-  c.add(4);
-  h.record(2.0);
-  h.record(2.0);
-  const auto delta = telemetry::snapshot().delta_since(begin);
-  EXPECT_EQ(delta.counter_value("test.registry.delta"), 4u);
-  const auto* hist = delta.find_histogram("test.registry.delta_hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 2u);
-  EXPECT_DOUBLE_EQ(hist->sum, 4.0);
-  EXPECT_EQ(delta.counter_value("test.registry.absent"), 0u);
-  EXPECT_EQ(delta.find_histogram("test.registry.absent"), nullptr);
 }
 
 TEST(TelemetryRegistry, SnapshotIsNameSorted) {
@@ -241,14 +203,15 @@ TEST(TelemetryConcurrency, CountersAndHistogramsFromPoolWorkers) {
 }
 
 TEST(TelemetryConcurrency, ThreadPoolPopulatesItsOwnMetrics) {
-  const auto before = telemetry::snapshot();
+  telemetry::Scope scope;
   {
+    const telemetry::Scope::Enter enter(&scope);
     omega::par::ThreadPool pool(2);
     std::vector<std::function<void()>> tasks(32, [] {});
     pool.run_blocking(std::move(tasks));
     pool.submit([] {}).get();
   }
-  const auto delta = telemetry::snapshot().delta_since(before);
+  const auto delta = scope.snapshot();
   EXPECT_EQ(delta.counter_value("pool.tasks_total"), 33u);
   const auto* latency = delta.find_histogram("pool.task_seconds");
   ASSERT_NE(latency, nullptr);
@@ -256,6 +219,94 @@ TEST(TelemetryConcurrency, ThreadPoolPopulatesItsOwnMetrics) {
   const auto* depth = delta.find_histogram("pool.queue_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_EQ(depth->count, 33u) << "one queue-depth sample per enqueue";
+}
+
+// ---------------------------------------------------------------------------
+// Scopes
+
+TEST(TelemetryScope, RecordsLandInTheCurrentScopeOnly) {
+  auto& counter = telemetry::counter("test.scope.counter");
+  auto& hist = telemetry::histogram("test.scope.hist", 1.0);
+  auto& gauge = telemetry::gauge("test.scope.gauge");
+  const auto global_before = counter.value();
+  counter.add(1);  // outside any scope: the registry only
+  telemetry::Scope outer;
+  telemetry::Scope inner;
+  {
+    const telemetry::Scope::Enter enter_outer(&outer);
+    counter.add(2);
+    {
+      const telemetry::Scope::Enter enter_inner(&inner);
+      EXPECT_EQ(telemetry::Scope::current(), &inner);
+      counter.add(3);
+      hist.record(4.0);
+      gauge.set(0.5);
+    }
+    EXPECT_EQ(telemetry::Scope::current(), &outer);
+    counter.add(4);
+  }
+  EXPECT_EQ(telemetry::Scope::current(), nullptr);
+  EXPECT_EQ(counter.value() - global_before, 10u);
+  const auto outer_snap = outer.snapshot();
+  EXPECT_EQ(outer_snap.counter_value("test.scope.counter"), 6u);
+  EXPECT_EQ(outer_snap.find_histogram("test.scope.hist"), nullptr);
+  const auto inner_snap = inner.snapshot();
+  EXPECT_EQ(inner_snap.counter_value("test.scope.counter"), 3u);
+  const auto* inner_hist = inner_snap.find_histogram("test.scope.hist");
+  ASSERT_NE(inner_hist, nullptr);
+  EXPECT_EQ(inner_hist->count, 1u);
+  EXPECT_DOUBLE_EQ(inner_hist->base, 1.0);
+  ASSERT_EQ(inner_snap.gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(inner_snap.gauges[0].second, 0.5);
+}
+
+TEST(TelemetryScope, PoolTasksRecordIntoTheirSubmittersScope) {
+  auto& counter = telemetry::counter("test.scope.pool_counter");
+  telemetry::Scope mine;
+  telemetry::Scope theirs;
+  omega::par::ThreadPool pool(2);
+  std::thread other([&] {
+    const telemetry::Scope::Enter enter(&theirs);
+    std::vector<std::function<void()>> tasks(4, [&counter] { counter.add(5); });
+    pool.run_blocking(std::move(tasks));
+    pool.submit([&counter] { counter.add(50); }).get();
+  });
+  {
+    const telemetry::Scope::Enter enter(&mine);
+    std::vector<std::function<void()>> tasks(8, [&counter] { counter.add(1); });
+    pool.run_blocking(std::move(tasks));
+    pool.submit([&counter] { counter.add(100); }).get();
+  }
+  other.join();
+  const auto my_snap = mine.snapshot();
+  const auto their_snap = theirs.snapshot();
+  EXPECT_EQ(my_snap.counter_value("test.scope.pool_counter"), 108u);
+  EXPECT_EQ(their_snap.counter_value("test.scope.pool_counter"), 70u);
+  // The pool's own per-task metrics follow each task into its scope.
+  EXPECT_EQ(my_snap.counter_value("pool.tasks_total"), 9u);
+  EXPECT_EQ(their_snap.counter_value("pool.tasks_total"), 5u);
+}
+
+TEST(TelemetryProbe, RecordsCompletedStagesOnly) {
+  telemetry::Scope scope;
+  {
+    const telemetry::Scope::Enter enter(&scope);
+    static const omega::util::probe::Site site(nullptr, "test.probe_seconds");
+    { const omega::util::probe::Stage completed(site); }
+    {
+      omega::util::probe::Stage discarded(site);
+      discarded.discard();
+    }
+    try {
+      const omega::util::probe::Stage unwound(site);
+      throw std::runtime_error("stage failed");
+    } catch (const std::runtime_error&) {
+    }
+  }
+  const auto telemetry_snap = scope.snapshot();
+  const auto* stage = telemetry_snap.find_histogram("test.probe_seconds");
+  ASSERT_NE(stage, nullptr);
+  EXPECT_EQ(stage->count, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -628,6 +679,132 @@ TEST(TelemetryScan, MetricsDocumentCarriesTheTelemetryBlock) {
   const auto* hist = tel.at("histograms").find("scan.extend_seconds");
   ASSERT_NE(hist, nullptr);
   EXPECT_GT(hist->at("count").as_uint(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One ledger per scan: concurrent scans in one process
+
+omega::io::Dataset ledger_dataset(std::uint64_t seed) {
+  return omega::sim::make_dataset({.snps = 3'000,
+                                   .samples = 24,
+                                   .locus_length_bp = 3'000'000,
+                                   .rho = 25.0,
+                                   .seed = seed});
+}
+
+omega::core::ScannerOptions ledger_options() {
+  omega::core::ScannerOptions options;
+  options.config.grid_size = 400;
+  options.config.window_unit = omega::core::WindowUnit::Snps;
+  options.config.max_window = 300;
+  options.config.min_window = 40;
+  return options;
+}
+
+omega::core::ScanResult ledger_stream(const omega::io::Dataset& dataset) {
+  omega::io::DatasetChunkReader reader(dataset);
+  omega::core::StreamScanOptions stream_options;
+  stream_options.chunk_sites = 700;
+  return omega::core::stream_scan(reader, ledger_options(), stream_options);
+}
+
+/// A profile's telemetry reconciles with its own counters: one reset or
+/// relocate sample per matrix advance, and the extend stage's seconds are
+/// its histogram's sum.
+void expect_reconciled(const omega::core::ScanProfile& profile) {
+  const auto& tel = profile.telemetry;
+  const auto* reset = tel.find_histogram("scan.reset_seconds");
+  const auto* relocate = tel.find_histogram("scan.relocate_seconds");
+  const auto* extend = tel.find_histogram("scan.extend_seconds");
+  ASSERT_NE(extend, nullptr);
+  const std::uint64_t advances = (reset != nullptr ? reset->count : 0) +
+                                 (relocate != nullptr ? relocate->count : 0);
+  EXPECT_EQ(advances,
+            profile.relocation.resets + profile.relocation.relocations);
+  EXPECT_DOUBLE_EQ(extend->sum, profile.stages.ld_extend_seconds);
+}
+
+/// Every non-timing field of `profile` equals the same scan run alone:
+/// scores, counters, and every telemetry counter and histogram count.
+void expect_same_as_alone(const omega::core::ScanResult& result,
+                          const omega::core::ScanResult& alone) {
+  ASSERT_EQ(result.scores.size(), alone.scores.size());
+  for (std::size_t i = 0; i < result.scores.size(); ++i) {
+    EXPECT_EQ(result.scores[i].valid, alone.scores[i].valid) << i;
+    EXPECT_EQ(result.scores[i].max_omega, alone.scores[i].max_omega) << i;
+  }
+  const auto& p = result.profile;
+  const auto& q = alone.profile;
+  EXPECT_EQ(p.positions_scanned, q.positions_scanned);
+  EXPECT_EQ(p.omega_evaluations, q.omega_evaluations);
+  EXPECT_EQ(p.r2_fetched, q.r2_fetched);
+  EXPECT_EQ(p.relocation.resets, q.relocation.resets);
+  EXPECT_EQ(p.relocation.relocations, q.relocation.relocations);
+  EXPECT_EQ(p.relocation.cells_reused, q.relocation.cells_reused);
+  EXPECT_EQ(p.relocation.cells_recomputed, q.relocation.cells_recomputed);
+  EXPECT_EQ(p.faults.errors_caught, q.faults.errors_caught);
+  EXPECT_EQ(p.faults.quarantined_positions, q.faults.quarantined_positions);
+  EXPECT_EQ(p.kernel.positions, q.kernel.positions);
+  EXPECT_EQ(p.stream.chunks, q.stream.chunks);
+  EXPECT_EQ(p.ld.panel_packs, q.ld.panel_packs);
+  EXPECT_EQ(p.ld.panel_hits, q.ld.panel_hits);
+  EXPECT_EQ(p.telemetry.counters, q.telemetry.counters);
+  ASSERT_EQ(p.telemetry.histograms.size(), q.telemetry.histograms.size());
+  for (std::size_t i = 0; i < p.telemetry.histograms.size(); ++i) {
+    const auto& [name, hist] = p.telemetry.histograms[i];
+    EXPECT_EQ(name, q.telemetry.histograms[i].first);
+    EXPECT_EQ(hist.count, q.telemetry.histograms[i].second.count) << name;
+  }
+}
+
+/// Runs `first` and `second` at the same time on two threads.
+template <class First, class Second>
+std::pair<omega::core::ScanResult, omega::core::ScanResult> run_together(
+    First first, Second second) {
+  std::atomic<int> ready{0};
+  const auto start_together = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+  };
+  omega::core::ScanResult a;
+  omega::core::ScanResult b;
+  std::thread other([&] {
+    start_together();
+    b = second();
+  });
+  start_together();
+  a = first();
+  other.join();
+  return {std::move(a), std::move(b)};
+}
+
+TEST(TelemetryLedger, ConcurrentScansKeepTheirOwnTelemetry) {
+  const auto left = ledger_dataset(811);
+  const auto right = ledger_dataset(812);
+  const auto left_alone = omega::core::scan(left, ledger_options());
+  const auto right_alone = omega::core::scan(right, ledger_options());
+  const auto [a, b] = run_together(
+      [&] { return omega::core::scan(left, ledger_options()); },
+      [&] { return omega::core::scan(right, ledger_options()); });
+  expect_reconciled(a.profile);
+  expect_reconciled(b.profile);
+  expect_same_as_alone(a, left_alone);
+  expect_same_as_alone(b, right_alone);
+}
+
+TEST(TelemetryLedger, ScanBesideStreamKeepsItsOwnTelemetry) {
+  const auto left = ledger_dataset(813);
+  const auto right = ledger_dataset(814);
+  const auto scan_alone = omega::core::scan(left, ledger_options());
+  const auto stream_alone = ledger_stream(right);
+  ASSERT_GT(stream_alone.profile.stream.chunks, 1u);
+  const auto [a, b] = run_together(
+      [&] { return omega::core::scan(left, ledger_options()); },
+      [&] { return ledger_stream(right); });
+  expect_reconciled(a.profile);
+  expect_reconciled(b.profile);
+  expect_same_as_alone(a, scan_alone);
+  expect_same_as_alone(b, stream_alone);
 }
 
 // ---------------------------------------------------------------------------
