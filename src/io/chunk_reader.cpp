@@ -9,17 +9,9 @@
 namespace omega::io {
 namespace {
 
-/// The keep rule of Dataset::remove_monomorphic, applied record-at-a-time:
-/// a site carries LD information iff both alleles are observed among the
-/// valid (non-missing) calls.
-bool is_polymorphic(const std::vector<std::uint8_t>& alleles) {
-  std::size_t derived = 0, valid = 0;
-  for (const std::uint8_t a : alleles) {
-    if (a == Dataset::kMissing) continue;
-    ++valid;
-    derived += (a == 1) ? 1 : 0;
-  }
-  return derived > 0 && derived < valid;
+[[noreturn]] void throw_changed(const std::string& path) {
+  throw std::runtime_error("vcf-stream: " + path +
+                           " changed between indexing and streaming");
 }
 
 }  // namespace
@@ -84,30 +76,28 @@ VcfChunkReader::VcfChunkReader(std::string path) : path_(std::move(path)) {
   if (!in) throw std::runtime_error("vcf: cannot open " + path_);
   VcfStreamParser parser(in);
   VcfRecord record;
-  std::int64_t last_raw_position = 0;
   while (parser.next(record)) {
     // locus length follows read_vcf: the last loadable record's position,
     // whether or not the monomorphic filter keeps it.
-    last_raw_position = record.position_bp;
-    if (is_polymorphic(record.alleles)) {
-      index_.positions_bp.push_back(record.position_bp);
-      if (!index_.has_missing) {
-        index_.has_missing =
-            std::find(record.alleles.begin(), record.alleles.end(),
-                      Dataset::kMissing) != record.alleles.end();
-      }
-    }
+    index_.locus_length_bp = record.position_bp;
+    if (!record.polymorphic()) continue;
+    index_.positions_bp.push_back(record.position_bp);
+    index_.has_missing =
+        index_.has_missing || record.valid < record.alleles.size();
   }
   index_.num_samples = parser.haplotypes();
-  index_.locus_length_bp = last_raw_position;
   load_report_ = parser.report();
 }
 
 void VcfChunkReader::plan(std::vector<SiteRange> ranges) {
+  // Open before adopting the ranges: a failed reopen leaves the old plan
+  // whole, never new ranges over the old plan's parser.
+  auto file = std::make_unique<std::ifstream>(path_);
+  if (!*file) throw std::runtime_error("vcf: cannot reopen " + path_);
+  auto parser = std::make_unique<VcfStreamParser>(*file);
   adopt_plan(std::move(ranges), index_.num_sites());
-  file_ = std::make_unique<std::ifstream>(path_);
-  if (!*file_) throw std::runtime_error("vcf: cannot reopen " + path_);
-  parser_ = std::make_unique<VcfStreamParser>(*file_);
+  parser_ = std::move(parser);
+  file_ = std::move(file);
   buffer_.clear();
   buffer_first_ = 0;
   parsed_kept_ = 0;
@@ -116,17 +106,21 @@ void VcfChunkReader::plan(std::vector<SiteRange> ranges) {
 void VcfChunkReader::fill_to(std::size_t target) {
   VcfRecord record;
   while (parsed_kept_ <= target && parser_->next(record)) {
-    if (!is_polymorphic(record.alleles)) continue;
+    if (!record.polymorphic()) continue;
+    // Pass 2 must re-find exactly the sites pass 1 indexed.
+    if (record.position_bp != index_.positions_bp[parsed_kept_] ||
+        record.alleles.size() != index_.num_samples) {
+      throw_changed(path_);
+    }
     buffer_.push_back(std::move(record.alleles));
     ++parsed_kept_;
   }
+  // Fewer kept sites than pass 1 indexed: the file shrank.
+  if (parsed_kept_ <= target) throw_changed(path_);
 }
 
 std::optional<DatasetChunk> VcfChunkReader::next() {
   if (cursor_ >= ranges_.size()) return std::nullopt;
-  if (parser_ == nullptr) {
-    throw std::logic_error("vcf-stream: next() before plan()");
-  }
   const SiteRange range = ranges_[cursor_];
   // Release sites the remaining plan can no longer touch.
   while (buffer_first_ < range.begin) {
@@ -134,12 +128,6 @@ std::optional<DatasetChunk> VcfChunkReader::next() {
     ++buffer_first_;
   }
   fill_to(range.end - 1);
-  if (parsed_kept_ < range.end) {
-    // Pass 1 indexed more kept sites than pass 2 found: the file changed
-    // between passes.
-    throw std::runtime_error("vcf-stream: " + path_ +
-                             " shrank between indexing and streaming");
-  }
   std::vector<std::int64_t> positions(
       index_.positions_bp.begin() + static_cast<std::ptrdiff_t>(range.begin),
       index_.positions_bp.begin() + static_cast<std::ptrdiff_t>(range.end));

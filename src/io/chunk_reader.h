@@ -118,10 +118,12 @@ class DatasetChunkReader final : public ChunkReader {
 };
 
 /// Streams a VCF file in two passes. Construction runs pass 1: parse every
-/// record, apply the same keep rule as Dataset::remove_monomorphic
-/// (0 < derived < valid calls), and record only the kept positions — genotype
-/// bytes are discarded. plan() reopens the file; next() re-parses forward,
-/// keeping at most one chunk plus the overlap carried into the next one.
+/// record, apply read_vcf's keep rule (VcfRecord::polymorphic), and record
+/// only the kept positions — genotype bytes are discarded. plan() reopens the
+/// file; next() re-parses forward, keeping at most one chunk plus the overlap
+/// carried into the next one, and throws std::runtime_error when a kept
+/// record's position or haplotype count differs from pass 1 or the file ends
+/// early (the file changed between the passes).
 class VcfChunkReader final : public ChunkReader {
  public:
   explicit VcfChunkReader(std::string path);
@@ -139,8 +141,9 @@ class VcfChunkReader final : public ChunkReader {
   }
 
  private:
-  /// Parses forward until `parsed_kept_` > global site index `target` (or
-  /// input ends), appending kept sites' alleles to the buffer.
+  /// Parses forward until `parsed_kept_` > global site index `target`,
+  /// appending kept sites' alleles to the buffer and checking each against
+  /// the pass-1 index.
   void fill_to(std::size_t target);
 
   std::string path_;

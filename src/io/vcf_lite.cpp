@@ -1,8 +1,9 @@
 #include "io/vcf_lite.h"
 
+#include <array>
+#include <cstring>
 #include <fstream>
 #include <istream>
-#include <sstream>
 #include <stdexcept>
 
 #include "io/parse_error.h"
@@ -10,45 +11,124 @@
 namespace omega::io {
 namespace {
 
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, '\t')) fields.push_back(field);
-  return fields;
-}
+/// Read block size. Every open parser keeps its buffer resident (a stream
+/// scan holds pass 2's for the whole scan), so it stays small; it grows only
+/// to hold a longer line.
+constexpr std::size_t kBlockBytes = 64 * 1024;
 
-/// Parses one GT field ("0", "1", "0|1", "./1") into haplotype alleles;
-/// '.' becomes a missing call (pairwise-complete r2 downstream). Returns
-/// false for unparseable fields (multi-digit allele indices etc.).
-bool parse_gt(const std::string& gt, std::vector<std::uint8_t>& out) {
-  out.clear();
-  for (std::size_t i = 0; i < gt.size(); ++i) {
-    const char c = gt[i];
-    if (c == '0' || c == '1') {
-      out.push_back(static_cast<std::uint8_t>(c - '0'));
-    } else if (c == '.') {
-      out.push_back(Dataset::kMissing);
-    } else if (c == '|' || c == '/') {
-      continue;
-    } else {
-      return false;  // multi-digit allele index, malformed field
+/// What a byte means inside a GT: an allele code (0, 1, Dataset::kMissing),
+/// a separator, the end of the GT ('\t' or ':'), or a malformed GT. Random
+/// 0/1 calls then flow through data, not through branches.
+enum : std::uint8_t { kSeparator = 3, kGtEnd = 4, kBadGt = 5 };
+constexpr std::array<std::uint8_t, 256> kGtCodes = [] {
+  std::array<std::uint8_t, 256> codes{};
+  codes.fill(kBadGt);
+  codes['0'] = 0;
+  codes['1'] = 1;
+  codes['.'] = Dataset::kMissing;
+  codes['|'] = codes['/'] = kSeparator;
+  codes['\t'] = codes[':'] = kGtEnd;
+  return codes;
+}();
+
+/// Parses the sample columns of one record (tab-separated; a sample's GT is
+/// its field up to the first ':') into `record`'s alleles and derived/valid
+/// counts. False when a GT holds anything but 0 1 . | / or no allele.
+bool parse_genotypes(std::string_view samples, std::size_t haplotypes,
+                     VcfRecord& record) {
+  std::vector<std::uint8_t>& alleles = record.alleles;
+  alleles.clear();
+  alleles.reserve(haplotypes);
+  std::size_t derived = 0;
+  std::size_t valid = 0;
+  const char* p = samples.data();
+  const char* const end = p + samples.size();
+  for (;;) {
+    const std::size_t before = alleles.size();
+    for (; p != end; ++p) {
+      const std::uint8_t code = kGtCodes[static_cast<unsigned char>(*p)];
+      if (code <= Dataset::kMissing) {
+        alleles.push_back(code);
+        derived += code == 1;
+        valid += code != Dataset::kMissing;
+      } else if (code == kGtEnd) {
+        break;
+      } else if (code == kBadGt) {
+        return false;  // multi-digit allele index, malformed field
+      }
     }
+    if (alleles.size() == before) return false;
+    if (p != end && *p == ':') {
+      const void* tab = std::memchr(p, '\t', static_cast<std::size_t>(end - p));
+      p = tab == nullptr ? end : static_cast<const char*>(tab);
+    }
+    if (p == end) break;
+    ++p;  // the tab before the next sample
   }
-  return !out.empty();
+  record.derived = derived;
+  record.valid = valid;
+  return true;
 }
 
 }  // namespace
 
+VcfStreamParser::VcfStreamParser(std::istream& in)
+    : in_(in), buffer_(kBlockBytes) {}
+
+bool VcfStreamParser::refill() {
+  if (!in_) return false;  // a short read already hit the end
+  const std::size_t kept = end_ - begin_;
+  std::memmove(buffer_.data(), buffer_.data() + begin_, kept);
+  begin_ = 0;
+  end_ = kept;
+  if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+  in_.read(buffer_.data() + end_,
+           static_cast<std::streamsize>(buffer_.size() - end_));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  end_ += got;
+  return got > 0;
+}
+
+bool VcfStreamParser::next_line(std::string_view& line) {
+  for (;;) {
+    const char* first = buffer_.data() + begin_;
+    if (const void* newline = std::memchr(first, '\n', end_ - begin_)) {
+      const auto length = static_cast<std::size_t>(
+          static_cast<const char*>(newline) - first);
+      line = std::string_view(first, length);
+      begin_ += length + 1;
+      return true;
+    }
+    if (!refill()) break;
+  }
+  if (begin_ == end_) return false;
+  // The last line has no '\n'.
+  line = std::string_view(buffer_.data() + begin_, end_ - begin_);
+  begin_ = end_;
+  return true;
+}
+
 bool VcfStreamParser::next(VcfRecord& record) {
   if (done_) return false;
-  while (std::getline(in_, line_)) {
-    // CRLF input: getline keeps the \r, which would otherwise survive into
-    // the last GT field and make parse_gt reject every record.
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    if (line_.empty() || line_[0] == '#') continue;
-    auto fields = split_tabs(line_);
-    if (fields.size() < 10) {
+  std::string_view line;
+  while (next_line(line)) {
+    // CRLF input: the \r would otherwise survive into the last GT field and
+    // make every record fail the GT rule.
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty() || line.front() == '#') continue;
+    // One trailing tab ends the last field rather than starting another.
+    if (line.back() == '\t') line.remove_suffix(1);
+    // CHROM..FORMAT, each ended by a tab; the ninth tab means a tenth field.
+    std::array<std::string_view, 9> fixed;
+    std::size_t start = 0;
+    std::size_t found = 0;
+    for (; found < fixed.size(); ++found) {
+      const std::size_t tab = line.find('\t', start);
+      if (tab == std::string_view::npos) break;
+      fixed[found] = line.substr(start, tab - start);
+      start = tab + 1;
+    }
+    if (found < fixed.size()) {
       // Short data lines are records too: count them as total + skipped so
       // records_total always equals loaded + skipped.
       ++report_.records_total;
@@ -56,47 +136,21 @@ bool VcfStreamParser::next(VcfRecord& record) {
       continue;
     }
     if (contig_.empty()) {
-      contig_ = fields[0];
-    } else if (fields[0] != contig_) {
+      contig_ = fixed[0];
+    } else if (fixed[0] != contig_) {
       done_ = true;  // only the first contig; the foreign record is not counted
       return false;
     }
     ++report_.records_total;
 
     // POS must be a plain non-negative integer; garbage or out-of-range
-    // values (an int64 overflow used to escape as std::out_of_range from
-    // std::stoll) make this a skipped record, not a crashed load.
-    const auto pos = try_parse_int64(fields[1]);
-    if (!pos || *pos < 0) {
-      ++report_.records_skipped;
-      continue;
-    }
-    const std::string& ref = fields[3];
-    const std::string& alt = fields[4];
-    if (ref.size() != 1 || alt.size() != 1 || alt == "." || alt[0] == '<') {
-      ++report_.records_skipped;
-      continue;
-    }
-    // FORMAT must start with GT.
-    if (fields[8].rfind("GT", 0) != 0) {
-      ++report_.records_skipped;
-      continue;
-    }
-    record.alleles.clear();
-    std::vector<std::uint8_t> gt_alleles;
-    bool bad = false;
-    for (std::size_t f = 9; f < fields.size(); ++f) {
-      const auto colon = fields[f].find(':');
-      const std::string gt =
-          colon == std::string::npos ? fields[f] : fields[f].substr(0, colon);
-      if (!parse_gt(gt, gt_alleles)) {
-        bad = true;
-        break;
-      }
-      record.alleles.insert(record.alleles.end(), gt_alleles.begin(),
-                            gt_alleles.end());
-    }
-    if (bad) {
+    // values make this a skipped record, not a crashed load.
+    const auto pos = try_parse_int64(fixed[1]);
+    const std::string_view ref = fixed[3];
+    const std::string_view alt = fixed[4];
+    if (!pos || *pos < 0 || ref.size() != 1 || alt.size() != 1 ||
+        alt[0] == '.' || alt[0] == '<' || !fixed[8].starts_with("GT") ||
+        !parse_genotypes(line.substr(start), haplotypes_, record)) {
       ++report_.records_skipped;
       continue;
     }
@@ -122,16 +176,16 @@ Dataset read_vcf(std::istream& in, VcfLoadReport* report) {
   VcfStreamParser parser(in);
   std::vector<std::int64_t> positions;
   std::vector<std::vector<std::uint8_t>> sites;
+  std::int64_t length = 0;
   VcfRecord record;
   while (parser.next(record)) {
+    length = record.position_bp;
+    if (!record.polymorphic()) continue;
     positions.push_back(record.position_bp);
     sites.push_back(std::move(record.alleles));
   }
   if (report != nullptr) *report = parser.report();
-  const std::int64_t length = positions.empty() ? 0 : positions.back();
-  Dataset dataset(std::move(positions), std::move(sites), length);
-  dataset.remove_monomorphic();
-  return dataset;
+  return Dataset(std::move(positions), std::move(sites), length);
 }
 
 Dataset read_vcf_file(const std::string& path, VcfLoadReport* report) {

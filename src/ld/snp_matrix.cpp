@@ -1,8 +1,24 @@
 #include "ld/snp_matrix.h"
 
+#include <bit>
+#include <cstring>
+
 #include "util/bits.h"
 
 namespace omega::ld {
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "allele bytes are gathered from little-endian words");
+
+/// Bit 0 of each byte of `bytes`, gathered into the low byte (byte k to bit
+/// k): the multiply moves every byte's bit to its own lane of the top byte
+/// without carries.
+constexpr std::uint64_t gather_low_bits(std::uint64_t bytes) noexcept {
+  return ((bytes & 0x0101010101010101ull) * 0x0102040810204080ull) >> 56;
+}
+
+}  // namespace
 
 SnpMatrix::SnpMatrix(const io::Dataset& dataset)
     : sites_(dataset.num_sites()),
@@ -12,25 +28,34 @@ SnpMatrix::SnpMatrix(const io::Dataset& dataset)
   mask_.assign(sites_ * words_, 0);
   derived_.assign(sites_, 0);
   valid_.assign(sites_, 0);
+  // Alleles are 0, 1 or kMissing = 2 (Dataset::validate), so bit 0 of a byte
+  // is the derived call and bit 1 the missing call. Eight bytes per step:
+  // data takes the derived bits, mask first collects the missing bits.
+  static_assert(io::Dataset::kMissing == 2);
   for (std::size_t s = 0; s < sites_; ++s) {
     std::uint64_t* row_words = data_.data() + s * words_;
     std::uint64_t* mask_words = mask_.data() + s * words_;
-    const auto& alleles = dataset.site(s);
+    const std::uint8_t* alleles = dataset.site(s).data();
+    for (std::size_t h = 0; h < samples_; h += 8) {
+      std::uint64_t bytes = 0;
+      if (samples_ - h >= 8) {
+        std::memcpy(&bytes, alleles + h, 8);
+      } else {
+        std::memcpy(&bytes, alleles + h, samples_ - h);
+      }
+      row_words[h / 64] |= gather_low_bits(bytes) << (h % 64);
+      mask_words[h / 64] |= gather_low_bits(bytes >> 1) << (h % 64);
+    }
     std::int32_t derived = 0;
     std::int32_t valid = 0;
-    for (std::size_t h = 0; h < samples_; ++h) {
-      const std::uint8_t allele = alleles[h];
-      if (allele == io::Dataset::kMissing) {
-        has_missing_ = true;
-        continue;
-      }
-      mask_words[h / 64] |= (1ull << (h % 64));
-      ++valid;
-      if (allele != 0) {
-        row_words[h / 64] |= (1ull << (h % 64));
-        ++derived;
-      }
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t called =
+          w + 1 == words_ ? util::tail_mask(samples_) : ~0ull;
+      mask_words[w] = called & ~mask_words[w];
+      derived += util::popcount64(row_words[w]);
+      valid += util::popcount64(mask_words[w]);
     }
+    has_missing_ = has_missing_ || valid != static_cast<std::int32_t>(samples_);
     derived_[s] = derived;
     valid_[s] = valid;
   }

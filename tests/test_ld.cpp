@@ -104,6 +104,65 @@ TEST(SnpMatrix, PackingPreservesCounts) {
   }
 }
 
+// The eight-bytes-per-step packing against a per-allele loop, at every
+// sample count a word tail can end on (1..130) and at the deep-sample 2,000.
+TEST(SnpMatrix, PackingMatchesPerAlleleLoop) {
+  omega::util::Xoshiro256 rng(41);
+  std::vector<std::size_t> sample_counts;
+  for (std::size_t n = 1; n <= 130; ++n) sample_counts.push_back(n);
+  sample_counts.push_back(2'000);
+  for (const bool with_missing : {false, true}) {
+    for (const std::size_t samples : sample_counts) {
+      constexpr std::size_t kSites = 6;
+      std::vector<std::int64_t> positions(kSites);
+      std::vector<std::vector<std::uint8_t>> rows(kSites);
+      for (std::size_t s = 0; s < kSites; ++s) {
+        positions[s] = static_cast<std::int64_t>(s + 1) * 10;
+        const double derived_p = rng.uniform();
+        const double missing_p = with_missing ? 0.3 * rng.uniform() : 0.0;
+        for (std::size_t h = 0; h < samples; ++h) {
+          const double u = rng.uniform();
+          rows[s].push_back(u < missing_p ? Dataset::kMissing
+                            : rng.uniform() < derived_p ? 1
+                                                        : 0);
+        }
+      }
+      const Dataset d(positions, rows, 100);
+      const omega::ld::SnpMatrix snps(d);
+      ASSERT_EQ(snps.words_per_site(), (samples + 63) / 64);
+      bool any_missing = false;
+      for (std::size_t s = 0; s < kSites; ++s) {
+        std::vector<std::uint64_t> data(snps.words_per_site(), 0);
+        std::vector<std::uint64_t> mask(snps.words_per_site(), 0);
+        std::int32_t derived = 0;
+        std::int32_t valid = 0;
+        for (std::size_t h = 0; h < samples; ++h) {
+          const std::uint8_t allele = rows[s][h];
+          if (allele == Dataset::kMissing) {
+            any_missing = true;
+            continue;
+          }
+          mask[h / 64] |= 1ull << (h % 64);
+          ++valid;
+          if (allele == 1) {
+            data[h / 64] |= 1ull << (h % 64);
+            ++derived;
+          }
+        }
+        for (std::size_t w = 0; w < data.size(); ++w) {
+          ASSERT_EQ(snps.row(s)[w], data[w])
+              << samples << " samples, site " << s << " word " << w;
+          ASSERT_EQ(snps.mask(s)[w], mask[w])
+              << samples << " samples, site " << s << " word " << w;
+        }
+        ASSERT_EQ(snps.derived_count(s), derived) << samples << " samples";
+        ASSERT_EQ(snps.valid_count(s), valid) << samples << " samples";
+      }
+      ASSERT_EQ(snps.has_missing(), any_missing) << samples << " samples";
+    }
+  }
+}
+
 TEST(SnpMatrix, PairCountMatchesDirectCount) {
   const Dataset d = random_dataset(20, 70, 8);
   const omega::ld::SnpMatrix snps(d);

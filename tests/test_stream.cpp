@@ -155,11 +155,62 @@ TEST(VcfChunkReaderTest, NextBeforePlanThrows) {
   const std::string path = temp_path("omega_stream_noplan.vcf");
   omega::io::write_vcf_file(path, d);
   omega::io::VcfChunkReader reader(path);
-  // plan() was never called: the pass-2 parser does not exist yet, but the
-  // reader must not silently yield data either.
+  // plan() was never called: the pass-2 parser does not exist yet, and the
+  // reader must not silently yield data either (chunk_reader.h: nullopt).
+  EXPECT_FALSE(reader.next().has_value());
   reader.plan({{0, d.num_sites()}});
   ASSERT_TRUE(reader.next().has_value());
   std::filesystem::remove(path);
+}
+
+TEST(VcfChunkReaderTest, FileRewrittenBetweenPassesThrows) {
+  const omega::io::Dataset original({100, 200, 300},
+                                    {{0, 1, 0, 1}, {1, 1, 0, 0}, {0, 0, 1, 1}},
+                                    1'000);
+  // Each rewrite keeps three polymorphic sites: pass 2 can only tell by
+  // checking positions and haplotype counts against the pass-1 index.
+  const omega::io::Dataset moved({100, 250, 300},
+                                 {{0, 1, 0, 1}, {0, 1, 1, 1}, {0, 0, 1, 1}},
+                                 1'000);
+  const omega::io::Dataset wider({100, 200, 300},
+                                 {{0, 1, 0, 1, 1, 0},
+                                  {1, 1, 0, 0, 0, 1},
+                                  {0, 0, 1, 1, 0, 0}},
+                                 1'000);
+  const omega::io::Dataset shorter({100, 200}, {{0, 1, 0, 1}, {1, 1, 0, 0}},
+                                   1'000);
+  const std::string path = temp_path("omega_stream_rewritten.vcf");
+  for (const omega::io::Dataset* rewrite : {&moved, &wider, &shorter}) {
+    omega::io::write_vcf_file(path, original);
+    omega::io::VcfChunkReader reader(path);
+    ASSERT_EQ(reader.index().num_sites(), 3u);
+    omega::io::write_vcf_file(path, *rewrite);
+    reader.plan({{0, 3}});
+    EXPECT_THROW((void)reader.next(), std::runtime_error);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(VcfChunkReaderTest, FailedReplanKeepsThePlan) {
+  const auto d = stream_dataset(18, 30);
+  const std::string path = temp_path("omega_stream_replan.vcf");
+  omega::io::write_vcf_file(path, d);
+  omega::io::VcfChunkReader reader(path);
+  const std::size_t n = reader.index().num_sites();
+  reader.plan({{0, n / 2}, {n / 3, n}});
+  ASSERT_TRUE(reader.next().has_value());
+  std::filesystem::remove(path);
+  EXPECT_THROW(reader.plan({{0, 1}}), std::runtime_error);
+  // The reopen failed, so the first plan's second chunk is still next.
+  const auto chunk = reader.next();
+  ASSERT_TRUE(chunk.has_value());
+  EXPECT_EQ(chunk->first_site, n / 3);
+  ASSERT_EQ(chunk->dataset.num_sites(), n - n / 3);
+  for (std::size_t s = 0; s < chunk->dataset.num_sites(); ++s) {
+    EXPECT_EQ(chunk->dataset.position(s),
+              reader.index().positions_bp[n / 3 + s]);
+  }
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST(MsChunkReaderTest, IndexAndChunksMatchInMemoryLoad) {
