@@ -208,8 +208,8 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
   try {
     options.cpu_kernel =
         omega::core::cpu_kernel_from_name(cli.get("cpu-kernel", "auto"));
-    // Fail fast on a forced-but-unrunnable kernel (e.g. --cpu-kernel=avx2 on
-    // a host without AVX2+FMA) instead of deep inside scan().
+    // Fail fast on a forced-but-unrunnable kernel (e.g. --cpu-kernel=avx512
+    // on a host without AVX-512F) instead of deep inside scan().
     (void)omega::core::resolve_cpu_kernel(options.cpu_kernel);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
@@ -376,9 +376,10 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
               result.profile.total_seconds,
               result.profile.omega_throughput() / 1e6);
   const auto& kernel = result.profile.kernel;
-  std::printf("cpu-kernel: requested %s, selected %s (avx2 %s)\n",
+  std::printf("cpu-kernel: requested %s, selected %s (avx2 %s, avx512 %s)\n",
               kernel.requested.c_str(), kernel.selected.c_str(),
-              kernel.avx2_supported ? "available" : "unavailable");
+              kernel.avx2_supported ? "available" : "unavailable",
+              kernel.avx512_supported ? "available" : "unavailable");
   const auto& faults = result.profile.faults;
   if (faults.faults_injected > 0 || faults.errors_caught > 0 ||
       faults.quarantined_positions > 0 || faults.degradations > 0) {
@@ -476,8 +477,9 @@ int main(int argc, char** argv) try {
                 "hetero backend grid split: auto (modeled throughput) or "
                 "cpu:gpu:fpga weights, e.g. 2:1:1 (default auto)")
       .describe("cpu-kernel",
-                "cpu omega kernel: auto | scalar | portable | avx2 "
-                "(default auto)")
+                "cpu omega kernel: auto | scalar | portable | avx2 | avx512 "
+                "(default auto = the widest vector body this host runs: "
+                "avx512, then avx2, then portable)")
       .describe("reports-dir", "output directory (default .)")
       .describe("simulate-snps", "simulation: number of SNPs")
       .describe("simulate-samples", "simulation: number of haplotypes")

@@ -96,6 +96,7 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
   kernel.set("scalar_evaluations", p.kernel.scalar_evaluations);
   kernel.set("portable_evaluations", p.kernel.portable_evaluations);
   kernel.set("avx2_evaluations", p.kernel.avx2_evaluations);
+  kernel.set("avx512_evaluations", p.kernel.avx512_evaluations);
   totals.set("kernel", std::move(kernel));
 
   JsonValue stream = JsonValue::object();
@@ -194,6 +195,7 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
   p.kernel.portable_evaluations =
       kernel.at("portable_evaluations").as_uint();
   p.kernel.avx2_evaluations = kernel.at("avx2_evaluations").as_uint();
+  p.kernel.avx512_evaluations = kernel.at("avx512_evaluations").as_uint();
 
   const auto& stream = totals.at("stream");
   p.stream.seam_carryovers = stream.at("seam_carryovers").as_uint();

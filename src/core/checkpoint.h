@@ -46,7 +46,8 @@ struct ScanCheckpoint {
   /// v3: totals drop every field the telemetry derives (stages, ld/omega
   /// seconds, positions and evaluations, recovery counters, stream IO
   /// times); they travel in totals.telemetry.
-  static constexpr int kVersion = 3;
+  /// v4: totals.kernel carries avx512_evaluations.
+  static constexpr int kVersion = 4;
 
   io::StreamFingerprint fingerprint;
   /// scan_config_hash of the producing run; resume refuses a mismatch.

@@ -508,15 +508,17 @@ JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) 
   doc.set("faults", std::move(faults));
 
   // v4: CPU omega-kernel dispatch decision + per-body evaluation counts
-  // (docs/METRICS.md "kernel" block).
+  // (docs/METRICS.md "kernel" block); v13 adds the avx512 pair.
   JsonValue kernel = JsonValue::object();
   kernel.set("requested", profile.kernel.requested);
   kernel.set("selected", profile.kernel.selected);
   kernel.set("avx2_supported", profile.kernel.avx2_supported);
+  kernel.set("avx512_supported", profile.kernel.avx512_supported);
   kernel.set("positions", profile.kernel.positions);
   kernel.set("scalar_evaluations", profile.kernel.scalar_evaluations);
   kernel.set("portable_evaluations", profile.kernel.portable_evaluations);
   kernel.set("avx2_evaluations", profile.kernel.avx2_evaluations);
+  kernel.set("avx512_evaluations", profile.kernel.avx512_evaluations);
   doc.set("kernel", std::move(kernel));
 
   // v5: streaming chunk-pipeline accounting (docs/STREAMING.md); all-zero

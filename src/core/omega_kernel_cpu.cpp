@@ -13,51 +13,70 @@ const char* cpu_kernel_name(CpuKernelKind kind) noexcept {
     case CpuKernelKind::Scalar: return "scalar";
     case CpuKernelKind::Portable: return "portable";
     case CpuKernelKind::Avx2: return "avx2";
+    case CpuKernelKind::Avx512: return "avx512";
   }
   return "unknown";
 }
 
 CpuKernelKind cpu_kernel_from_name(const std::string& name) {
-  if (name == "auto") return CpuKernelKind::Auto;
-  if (name == "scalar") return CpuKernelKind::Scalar;
-  if (name == "portable") return CpuKernelKind::Portable;
-  if (name == "avx2") return CpuKernelKind::Avx2;
-  throw std::invalid_argument("unknown cpu kernel '" + name +
-                              "' (expected auto | scalar | portable | avx2)");
+  for (CpuKernelKind kind :
+       {CpuKernelKind::Auto, CpuKernelKind::Scalar, CpuKernelKind::Portable,
+        CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
+    if (name == cpu_kernel_name(kind)) return kind;
+  }
+  throw std::invalid_argument(
+      "unknown cpu kernel '" + name +
+      "' (expected auto | scalar | portable | avx2 | avx512)");
 }
 
-bool cpu_kernel_avx2_available() noexcept {
+namespace {
+
+/// Why `kind` cannot run here, or nullptr when it can.
+const char* unavailable_reason(CpuKernelKind kind) noexcept {
+  const util::CpuFeatures& cpu = util::cpu_features();
+  switch (kind) {
+    case CpuKernelKind::Avx2:
 #if defined(OMEGA_HAVE_AVX2_TU)
-  return util::cpu_has_avx2_fma();
+      return cpu.avx2 && cpu.fma ? nullptr : "host CPU lacks AVX2+FMA";
 #else
-  return false;
+      return "binary built without AVX2 support";
 #endif
+    case CpuKernelKind::Avx512:
+#if defined(OMEGA_HAVE_AVX512_TU)
+      return cpu.avx512f && cpu.avx2 && cpu.fma ? nullptr
+                                                : "host CPU lacks AVX-512F";
+#else
+      return "binary built without AVX-512 support";
+#endif
+    case CpuKernelKind::Auto:
+    case CpuKernelKind::Scalar:
+    case CpuKernelKind::Portable:
+      break;
+  }
+  (void)cpu;
+  return nullptr;
+}
+
+}  // namespace
+
+bool cpu_kernel_available(CpuKernelKind kind) noexcept {
+  return unavailable_reason(kind) == nullptr;
 }
 
 CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested) {
-  switch (requested) {
-    case CpuKernelKind::Auto:
-      return cpu_kernel_avx2_available() ? CpuKernelKind::Avx2
-                                         : CpuKernelKind::Portable;
-    case CpuKernelKind::Avx2:
-      if (!cpu_kernel_avx2_available()) {
-        throw std::runtime_error(
-            "cpu kernel 'avx2' requested but unavailable (" +
-            std::string(
-#if defined(OMEGA_HAVE_AVX2_TU)
-                "host CPU lacks AVX2+FMA"
-#else
-                "binary built without AVX2 support"
-#endif
-                ) +
-            "); use --cpu-kernel=auto");
-      }
-      return CpuKernelKind::Avx2;
-    case CpuKernelKind::Scalar:
-    case CpuKernelKind::Portable:
-      return requested;
+  if (requested == CpuKernelKind::Auto) {
+    for (CpuKernelKind kind : {CpuKernelKind::Avx512, CpuKernelKind::Avx2}) {
+      if (cpu_kernel_available(kind)) return kind;
+    }
+    return CpuKernelKind::Portable;
   }
-  throw std::logic_error("resolve_cpu_kernel: unknown kind");
+  if (const char* reason = unavailable_reason(requested)) {
+    throw std::runtime_error(std::string("cpu kernel '") +
+                             cpu_kernel_name(requested) +
+                             "' requested but unavailable (" + reason +
+                             "); use --cpu-kernel=auto");
+  }
+  return requested;
 }
 
 void CpuKernelCounters::add(CpuKernelKind kind,
@@ -66,112 +85,131 @@ void CpuKernelCounters::add(CpuKernelKind kind,
     case CpuKernelKind::Scalar: scalar_evaluations += evaluations; break;
     case CpuKernelKind::Portable: portable_evaluations += evaluations; break;
     case CpuKernelKind::Avx2: avx2_evaluations += evaluations; break;
+    case CpuKernelKind::Avx512: avx512_evaluations += evaluations; break;
     case CpuKernelKind::Auto: break;  // unresolved kinds never run
   }
 }
 
-void OmegaKernelScratch::prepare(const DpMatrix& m,
-                                 const GridPosition& position) {
-  const std::size_t n_left = position.a_max - position.lo + 1;
-  ls.resize(n_left);
-  kl.resize(n_left);
-  l_d.resize(n_left);
+OmegaPositionView OmegaKernelScratch::view(const DpMatrix& m,
+                                           const GridPosition& position,
+                                           std::size_t b_begin,
+                                           std::size_t b_end) {
   const std::size_t c = position.c;
+  const std::size_t n_left = position.a_max - position.lo + 1;
+  ls_.resize(n_left);
+  kl_.resize(n_left);
+  l_.resize(n_left);
   for (std::size_t ai = 0; ai < n_left; ++ai) {
     const std::size_t a = position.lo + ai;
     const std::size_t l = c - a + 1;
     // at_fast (not a raw row read): degenerate hand-built positions allow
     // a == c, where LS is the implicit zero diagonal entry.
-    ls[ai] = m.at_fast(c, a);
-    kl[ai] = choose2(l);
-    l_d[ai] = static_cast<double>(l);
+    ls_[ai] = m.at_fast(c, a);
+    kl_[ai] = choose2(l);
+    l_[ai] = static_cast<double>(l);
   }
+
+  const std::size_t n_right = b_end - b_begin + 1;
+  rows_.resize(n_right);
+  rs_.resize(n_right);
+  kr_.resize(n_right);
+  r_.resize(n_right);
+  for (std::size_t bi = 0; bi < n_right; ++bi) {
+    const std::size_t b = b_begin + bi;
+    // a < b always (a <= c < b), so the row-b slice never touches the
+    // implicit diagonal and a raw contiguous read is safe.
+    rows_[bi] = m.row_data(b) + (position.lo - m.base());
+    rs_[bi] = m.at_fast(b, c + 1);
+    kr_[bi] = choose2(b - c);
+    r_[bi] = static_cast<double>(b - c);
+  }
+  return OmegaPositionView{ls_.data(), kl_.data(), l_.data(), n_left,
+                           rows_.data(), rs_.data(), kr_.data(), r_.data(),
+                           n_right};
 }
 
 namespace {
 
 /// Portable fused-divide body: two passes per right border — a branch-free
-/// omega computation into the scratch row (autovectorizable: every operation
-/// is a lane-wise add/mul/div over the SoA tables and the contiguous row-b
+/// omega computation into `buf` (autovectorizable: every operation is a
+/// lane-wise add/mul/div over the SoA tables and the contiguous row-b
 /// slice), then a scalar argmax scan preserving the reference tie-break.
-OmegaResult portable_search_range(const DpMatrix& m,
-                                  const GridPosition& position,
-                                  std::size_t b_begin, std::size_t b_end,
-                                  OmegaKernelScratch& scratch) {
-  OmegaResult result;
-  const std::size_t c = position.c;
-  const std::size_t n_left = position.a_max - position.lo + 1;
+/// `cross + eps * lr` stays unfused: this TU builds with -ffp-contract=off,
+/// so the result does not depend on the target's FMA support.
+OmegaViewBest portable_search(const OmegaPositionView& view,
+                              std::vector<double>& buf) {
   const double eps = OmegaConfig::denominator_offset;
-  scratch.omega.resize(n_left);
-  double* buf = scratch.omega.data();
-  const double* ls = scratch.ls.data();
-  const double* kl = scratch.kl.data();
-  const double* l_d = scratch.l_d.data();
-
-  for (std::size_t b = b_begin; b <= b_end; ++b) {
-    const double rs = m.at_fast(b, c + 1);
-    const double r_d = static_cast<double>(b - c);
-    const double kr = choose2(b - c);
-    // a < b always (a <= c < b), so the row-b slice never touches the
-    // implicit diagonal and a raw contiguous read is safe.
-    const double* row_b = m.row_data(b) + (position.lo - m.base());
-    for (std::size_t ai = 0; ai < n_left; ++ai) {
-      const double lr = l_d[ai] * r_d;
-      const double sum = ls[ai] + rs;
+  buf.resize(view.n_left);
+  double* omega = buf.data();
+  OmegaViewBest best{0.0, 0, 0};
+  for (std::size_t bi = 0; bi < view.n_right; ++bi) {
+    const double rs = view.rs[bi];
+    const double r_d = view.r[bi];
+    const double kr = view.kr[bi];
+    const double* row_b = view.rows[bi];
+    for (std::size_t ai = 0; ai < view.n_left; ++ai) {
+      const double lr = view.l[ai] * r_d;
+      const double sum = view.ls[ai] + rs;
       const double cross = row_b[ai] - sum;
-      const double pairs = kl[ai] + kr;
+      const double pairs = view.kl[ai] + kr;
       // Fused form of Eq. (2): one divide per omega. pairs == 0 only for
       // degenerate l == r == 1 windows, where the reference scores 0.
-      buf[ai] = pairs > 0.0 ? (sum * lr) / (pairs * (cross + eps * lr)) : 0.0;
+      omega[ai] =
+          pairs > 0.0 ? (sum * lr) / (pairs * (cross + eps * lr)) : 0.0;
     }
-    result.evaluated += n_left;
-    for (std::size_t ai = 0; ai < n_left; ++ai) {
-      if (buf[ai] > result.max_omega) {
-        result.max_omega = buf[ai];
-        result.best_a = position.lo + ai;
-        result.best_b = b;
-      }
+    for (std::size_t ai = 0; ai < view.n_left; ++ai) {
+      if (omega[ai] > best.value) best = {omega[ai], ai, bi};
     }
   }
-  return result;
+  return best;
 }
 
 }  // namespace
 
-OmegaResult omega_kernel_search_range(const DpMatrix& m,
-                                      const GridPosition& position,
-                                      std::size_t b_begin, std::size_t b_end,
-                                      CpuKernelKind kind,
-                                      OmegaKernelScratch& scratch) {
-  if (!position.valid || b_begin > b_end) return {};
+OmegaViewBest omega_kernel_search_view(const OmegaPositionView& view,
+                                       CpuKernelKind kind,
+                                       std::vector<double>& buf) {
   switch (kind) {
-    case CpuKernelKind::Scalar:
-      return max_omega_search_range(m, position, b_begin, b_end);
     case CpuKernelKind::Portable:
-      scratch.prepare(m, position);
-      return portable_search_range(m, position, b_begin, b_end, scratch);
+      return portable_search(view, buf);
     case CpuKernelKind::Avx2:
 #if defined(OMEGA_HAVE_AVX2_TU)
-      scratch.prepare(m, position);
-      return detail::omega_search_avx2_f64(m, position, b_begin, b_end,
-                                           scratch);
+      return detail::omega_search_avx2(view);
 #else
-      throw std::logic_error(
-          "omega_kernel_search_range: avx2 kernel not compiled in");
+      break;
+#endif
+    case CpuKernelKind::Avx512:
+#if defined(OMEGA_HAVE_AVX512_TU)
+      return detail::omega_search_avx512(view);
+#else
+      break;
 #endif
     case CpuKernelKind::Auto:
+    case CpuKernelKind::Scalar:
       break;
   }
-  throw std::logic_error(
-      "omega_kernel_search_range: kind must be resolved before dispatch");
+  throw std::logic_error(std::string("omega_kernel_search_view: '") +
+                         cpu_kernel_name(kind) +
+                         "' is not a fused body compiled into this binary");
 }
 
 OmegaResult omega_kernel_search(const DpMatrix& m, const GridPosition& position,
                                 CpuKernelKind kind,
                                 OmegaKernelScratch& scratch) {
   if (!position.valid) return {};
-  return omega_kernel_search_range(m, position, position.b_min, position.hi,
-                                   kind, scratch);
+  if (kind == CpuKernelKind::Scalar) return max_omega_search(m, position);
+  const OmegaPositionView view =
+      scratch.view(m, position, position.b_min, position.hi);
+  const OmegaViewBest best =
+      omega_kernel_search_view(view, kind, scratch.omega);
+  OmegaResult result;
+  result.evaluated = static_cast<std::uint64_t>(view.n_right) * view.n_left;
+  result.max_omega = best.value;
+  if (best.value > 0.0) {
+    result.best_a = position.lo + best.ai;
+    result.best_b = position.b_min + best.bi;
+  }
+  return result;
 }
 
 }  // namespace omega::core

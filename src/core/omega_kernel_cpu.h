@@ -5,8 +5,9 @@
 // LS/C(l,2) from the matrix on every inner iteration; this module
 // restructures the search into a structure-of-arrays kernel:
 //
-//   * per-position coefficient tables (LS(a), C(l,2), l as double) are built
-//     once and reused across every right border b;
+//   * per-position coefficient tables (LS(a), C(l,2), l as double, and
+//     RS(b), C(r,2), r with the row pointers of M) are built once into a
+//     view (core/omega_kernel_view.h) and reused across every candidate;
 //   * the inner loop walks a contiguous slice of row b of the packed
 //     triangle (the Fig. 9 "two columns per iteration" layout observation)
 //     and evaluates the algebraically fused form
@@ -15,10 +16,12 @@
 //       sum = LS + RS, pairs = C(l,2) + C(r,2), cross = M(b,a) - sum
 //
 //     — one divide per omega instead of three;
-//   * three interchangeable bodies: Scalar (the untouched reference loop,
+//   * four interchangeable bodies: Scalar (the untouched reference loop,
 //     kept for bit-exact comparisons), Portable (autovectorizable fused
-//     loop), and Avx2 (explicit AVX2+FMA lanes in a separately compiled
-//     translation unit, selected only after runtime CPUID detection).
+//     loop), and Avx2 / Avx512, two instances of one width-generic body
+//     (core/omega_kernel_body.h) that scores four right borders per pass,
+//     each in a separately compiled translation unit selected only after
+//     runtime CPUID detection.
 //
 // All kernels reproduce the reference argmax semantics exactly: strict
 // greater-than in b-major / a-ascending scan order, so ties resolve to the
@@ -30,28 +33,30 @@
 
 #include "core/dp_matrix.h"
 #include "core/grid.h"
+#include "core/omega_kernel_view.h"
 #include "core/omega_search.h"
 
 namespace omega::core {
 
 /// Which omega-kernel body the CPU scan path runs. Auto resolves at scan
-/// setup: Avx2 when the binary carries the AVX2 TU and the host supports
-/// AVX2+FMA, Portable otherwise. Scalar is never auto-selected — it is the
-/// reference loop, reachable only by explicit request (--cpu-kernel=scalar).
-enum class CpuKernelKind { Auto, Scalar, Portable, Avx2 };
+/// setup to the widest body this binary and host can run: Avx512, then
+/// Avx2, then Portable. Scalar is never auto-selected — it is the reference
+/// loop, reachable only by explicit request (--cpu-kernel=scalar).
+enum class CpuKernelKind { Auto, Scalar, Portable, Avx2, Avx512 };
 
 [[nodiscard]] const char* cpu_kernel_name(CpuKernelKind kind) noexcept;
-/// Parses "auto" | "scalar" | "portable" | "avx2"; throws
+/// Parses "auto" | "scalar" | "portable" | "avx2" | "avx512"; throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] CpuKernelKind cpu_kernel_from_name(const std::string& name);
 
-/// True when the running binary can execute the Avx2 kernel (compiled in AND
-/// supported by this host's CPU).
-[[nodiscard]] bool cpu_kernel_avx2_available() noexcept;
+/// True when the running binary can execute `kind`: always for Auto,
+/// Scalar and Portable; for Avx2 / Avx512 when the TU is compiled in AND
+/// this host's CPU supports its ISA.
+[[nodiscard]] bool cpu_kernel_available(CpuKernelKind kind) noexcept;
 
-/// Resolves Auto to a concrete kernel for this binary/host. Forcing Avx2 on
-/// a host that cannot run it throws std::runtime_error (the CLI surfaces
-/// this as a configuration error instead of crashing on SIGILL).
+/// Resolves Auto to a concrete kernel for this binary/host. Forcing Avx2 or
+/// Avx512 on a host that cannot run it throws std::runtime_error (the CLI
+/// surfaces this as a configuration error instead of crashing on SIGILL).
 [[nodiscard]] CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested);
 
 /// Per-kernel evaluation accounting, merged into ScanProfile::kernel.
@@ -59,23 +64,28 @@ struct CpuKernelCounters {
   std::uint64_t scalar_evaluations = 0;
   std::uint64_t portable_evaluations = 0;
   std::uint64_t avx2_evaluations = 0;
+  std::uint64_t avx512_evaluations = 0;
 
   void add(CpuKernelKind kind, std::uint64_t evaluations) noexcept;
 };
 
-/// Reusable per-thread scratch: the SoA coefficient tables of one grid
-/// position plus the omega row buffer the portable two-pass body writes.
-/// Buffers grow monotonically, so a scan allocates once and reuses.
+/// Reusable per-thread scratch: the tables one position's view points into,
+/// plus the omega row buffer the portable two-pass body writes. Buffers grow
+/// monotonically, so a scan allocates once and reuses.
 class OmegaKernelScratch {
  public:
-  /// Rebuilds the per-left-border tables for `position` (indexed by
-  /// ai = a - position.lo).
-  void prepare(const DpMatrix& m, const GridPosition& position);
+  /// Fills the tables for `position` and right borders [b_begin, b_end]
+  /// (inside [position.b_min, position.hi]) and returns a view of them,
+  /// valid until the next call or until `m` changes.
+  OmegaPositionView view(const DpMatrix& m, const GridPosition& position,
+                         std::size_t b_begin, std::size_t b_end);
 
-  std::vector<double> ls;     // LS(a) = M(c, a)
-  std::vector<double> kl;     // C(l, 2)
-  std::vector<double> l_d;    // l as double
   std::vector<double> omega;  // per-b omega row (portable body)
+
+ private:
+  std::vector<double> ls_, kl_, l_;
+  std::vector<const double*> rows_;
+  std::vector<double> rs_, kr_, r_;
 };
 
 /// Evaluates one grid position with the selected kernel body. `kind` must be
@@ -83,23 +93,10 @@ class OmegaKernelScratch {
 OmegaResult omega_kernel_search(const DpMatrix& m, const GridPosition& position,
                                 CpuKernelKind kind, OmegaKernelScratch& scratch);
 
-/// Same, restricted to right borders [b_begin, b_end] (both clamped to the
-/// position's range by the caller).
-OmegaResult omega_kernel_search_range(const DpMatrix& m,
-                                      const GridPosition& position,
-                                      std::size_t b_begin, std::size_t b_end,
-                                      CpuKernelKind kind,
-                                      OmegaKernelScratch& scratch);
-
-namespace detail {
-// Entry point of the separately compiled AVX2+FMA translation unit
-// (omega_kernel_avx2.cpp, built with per-file -mavx2 -mfma). Defined only
-// when CMake detects compiler support (OMEGA_HAVE_AVX2_TU); callers in
-// omega_kernel_cpu.cpp additionally gate on runtime CPUID.
-OmegaResult omega_search_avx2_f64(const DpMatrix& m,
-                                  const GridPosition& position,
-                                  std::size_t b_begin, std::size_t b_end,
-                                  const OmegaKernelScratch& scratch);
-}  // namespace detail
+/// Runs a fused body (Portable, Avx2 or Avx512) over a view; `buf` is the
+/// portable body's row buffer. `kind` must be available on this host.
+OmegaViewBest omega_kernel_search_view(const OmegaPositionView& view,
+                                       CpuKernelKind kind,
+                                       std::vector<double>& buf);
 
 }  // namespace omega::core

@@ -12,15 +12,9 @@ OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position) {
   // paper's "two columns per iteration of i" layout observation (Fig. 9).
   // Results are order-independent (strict max).
   if (!position.valid) return {};
-  return max_omega_search_range(m, position, position.b_min, position.hi);
-}
-
-OmegaResult max_omega_search_range(const DpMatrix& m,
-                                   const GridPosition& position,
-                                   std::size_t b_begin, std::size_t b_end) {
   OmegaResult result;
   const std::size_t c = position.c;
-  for (std::size_t b = b_begin; b <= b_end; ++b) {
+  for (std::size_t b = position.b_min; b <= position.hi; ++b) {
     const double right_sum = m.at_fast(b, c + 1);
     const std::size_t r = b - c;
     for (std::size_t a = position.lo; a <= position.a_max; ++a) {

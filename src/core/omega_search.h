@@ -34,13 +34,6 @@ struct OmegaResult {
 /// core/omega_kernel_cpu.h.
 OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position);
 
-/// Scalar reference search restricted to right borders [b_begin, b_end]
-/// (caller keeps the range inside [position.b_min, position.hi]). Building
-/// block of the kernel dispatch layer.
-OmegaResult max_omega_search_range(const DpMatrix& m,
-                                   const GridPosition& position,
-                                   std::size_t b_begin, std::size_t b_end);
-
 /// Host-side buffer packing for the accelerator backends, mirroring
 /// OmegaPlus-GPU's per-position transfer set:
 ///   ls[ai]  = LS for a = lo + ai               (left part of buffer "LR")

@@ -245,7 +245,9 @@ void ScanExecutor::begin(const std::vector<GridPosition>& grid,
   ScanProfile& profile = result.profile;
   profile.kernel.requested = cpu_kernel_name(options_.cpu_kernel);
   profile.kernel.selected = cpu_kernel_name(kernel_);
-  profile.kernel.avx2_supported = cpu_kernel_avx2_available();
+  profile.kernel.avx2_supported = cpu_kernel_available(CpuKernelKind::Avx2);
+  profile.kernel.avx512_supported =
+      cpu_kernel_available(CpuKernelKind::Avx512);
   profile.sched.requested_threads = options_.threads;
   profile.sched.workers = hetero_ ? hetero_->total_workers() : threads_;
 }

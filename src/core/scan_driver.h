@@ -76,7 +76,7 @@ using BackendFactory = std::function<std::unique_ptr<OmegaBackend>()>;
 
 /// Executes one scan for either driver. Construction is the drivers' shared
 /// prologue: it validates the options, resolves the CPU kernel (a forced but
-/// unavailable Avx2 throws here, before any work) and the thread count once,
+/// unavailable Avx2 or Avx512 throws here, before any work) and the thread count once,
 /// starts the wall clock and cancellation, enters the scan's telemetry scope
 /// on the constructing thread, and builds the one execution mode the options
 /// select:

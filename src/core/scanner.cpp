@@ -78,6 +78,7 @@ void CpuOmegaBackend::contribute(ScanProfile& profile) const {
   profile.kernel.scalar_evaluations += counters_.scalar_evaluations;
   profile.kernel.portable_evaluations += counters_.portable_evaluations;
   profile.kernel.avx2_evaluations += counters_.avx2_evaluations;
+  profile.kernel.avx512_evaluations += counters_.avx512_evaluations;
 }
 
 const PositionScore& ScanResult::best() const {

@@ -52,14 +52,14 @@ class OmegaBackend {
 };
 
 /// The CPU omega loop, routed through the dispatched kernel layer
-/// (core/omega_kernel_cpu.h): Auto resolves to the AVX2 body when the binary
-/// and host support it, the portable fused loop otherwise, and the scalar
-/// reference only on explicit request. Evaluation counts per kernel body are
+/// (core/omega_kernel_cpu.h): Auto resolves to the widest vector body the
+/// binary and host support (AVX-512, then AVX2), the portable fused loop
+/// otherwise, and the scalar reference only on explicit request. Evaluation counts per kernel body are
 /// merged into ScanProfile::kernel via contribute().
 class CpuOmegaBackend final : public OmegaBackend {
  public:
   /// Resolves `kind` against this binary/host; throws std::runtime_error
-  /// when Avx2 is forced on a host that cannot run it.
+  /// when Avx2 or Avx512 is forced on a host that cannot run it.
   explicit CpuOmegaBackend(CpuKernelKind kind = CpuKernelKind::Auto);
 
   [[nodiscard]] std::string name() const override { return "cpu"; }
@@ -175,8 +175,8 @@ struct ScannerOptions {
   RecoveryPolicy recovery;
   /// Which CPU omega-kernel body evaluates grid positions (and serves as the
   /// degradation target of accelerator backends). Auto resolves at scan
-  /// setup; forcing Avx2 on an unsupported binary/host makes scan() throw
-  /// std::runtime_error before any position is evaluated.
+  /// setup; forcing Avx2 or Avx512 on an unsupported binary/host makes
+  /// scan() throw std::runtime_error before any position is evaluated.
   CpuKernelKind cpu_kernel = CpuKernelKind::Auto;
   /// Optional live progress reporter (util/progress.h). The scan drivers call
   /// begin()/advance()/finish() on it: one advance per scored position (with
@@ -290,19 +290,22 @@ struct FaultRecoveryStats {
   double backoff_virtual_seconds = 0.0;
 };
 
-/// CPU omega-kernel dispatch record (profile/metrics schema v4): which kernel
-/// was requested, what the dispatcher selected for this binary/host, and how
-/// many Eq. (2) evaluations each kernel body performed. Evaluation counters
+/// CPU omega-kernel dispatch record (profile/metrics schema v4; the avx512
+/// fields since v13): which kernel was requested, what the dispatcher
+/// selected for this binary/host, and how many Eq. (2) evaluations each
+/// kernel body performed. Evaluation counters
 /// stay zero when an accelerator backend handled every position (they count
 /// the CPU kernel layer only, including fault-degradation work).
 struct CpuKernelStats {
-  std::string requested;  // "auto" | "scalar" | "portable" | "avx2"
+  std::string requested;  // "auto" | "scalar" | "portable" | "avx2" | "avx512"
   std::string selected;   // concrete kernel Auto resolved to
-  bool avx2_supported = false;  // binary + host can run the AVX2 body
+  bool avx2_supported = false;    // binary + host can run the AVX2 body
+  bool avx512_supported = false;  // binary + host can run the AVX-512 body
   std::uint64_t positions = 0;  // grid positions evaluated by the CPU kernel
   std::uint64_t scalar_evaluations = 0;
   std::uint64_t portable_evaluations = 0;
   std::uint64_t avx2_evaluations = 0;
+  std::uint64_t avx512_evaluations = 0;
 };
 
 /// Streaming-scan accounting (profile/metrics schema v5): chunk geometry of

@@ -26,7 +26,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 
 namespace omega::ld::packed_detail {
@@ -38,6 +37,11 @@ constexpr std::size_t kVectorWords = 4;
 constexpr std::size_t kHarleySealWords = 64;
 /// B rows per register tile of the wide complete-row kernel.
 constexpr std::size_t kTileCols = 4;
+
+/// popcount of one word. The builtin rather than std::popcount: a template
+/// instantiated in this -mavx2 TU would be a weak symbol, and the linker may
+/// keep that popcnt-encoded copy for the baseline code as well.
+inline int popcount64(std::uint64_t w) { return __builtin_popcountll(w); }
 
 inline __m256i load_and_with(__m256i a, const std::uint64_t* b) {
   return _mm256_and_si256(
@@ -135,7 +139,7 @@ std::uint64_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
   }
   std::uint64_t sum = hsum_epi64(total);
   for (; w < words; ++w) {
-    sum += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
+    sum += static_cast<std::uint64_t>(popcount64(a[w] & b[w]));
   }
   return sum;
 }
@@ -163,7 +167,7 @@ void tile_counts_one_word(const std::uint64_t* a_panel,
                           _mm256_add_epi32(_mm256_loadu_si256(dst), counts));
     }
     for (; j < n; ++j) {
-      c_row[j] += static_cast<std::uint32_t>(std::popcount(a & b_panel[j]));
+      c_row[j] += static_cast<std::uint32_t>(popcount64(a & b_panel[j]));
     }
   }
 }
@@ -181,10 +185,10 @@ void tile_fused_one_word(const std::uint64_t* a_panel,
       const std::uint64_t bd = b_panel[j * stride_words];
       const std::uint64_t bm = b_panel[j * stride_words + mask_offset];
       std::uint32_t* cell = c + i * ldc + j;
-      cell[0] += static_cast<std::uint32_t>(std::popcount(ad & bd));
-      cell[plane] += static_cast<std::uint32_t>(std::popcount(ad & bm));
-      cell[2 * plane] += static_cast<std::uint32_t>(std::popcount(am & bd));
-      cell[3 * plane] += static_cast<std::uint32_t>(std::popcount(am & bm));
+      cell[0] += static_cast<std::uint32_t>(popcount64(ad & bd));
+      cell[plane] += static_cast<std::uint32_t>(popcount64(ad & bm));
+      cell[2 * plane] += static_cast<std::uint32_t>(popcount64(am & bd));
+      cell[3 * plane] += static_cast<std::uint32_t>(popcount64(am & bm));
     }
   }
 }
@@ -233,10 +237,10 @@ void tile_counts_wide(const std::uint64_t* a_panel,
       alignas(32) std::uint64_t count[kTileCols];
       _mm256_store_si256(reinterpret_cast<__m256i*>(count), sums);
       for (std::size_t w = vector_words; w < words; ++w) {
-        count[0] += static_cast<std::uint64_t>(std::popcount(a[w] & b0[w]));
-        count[1] += static_cast<std::uint64_t>(std::popcount(a[w] & b1[w]));
-        count[2] += static_cast<std::uint64_t>(std::popcount(a[w] & b2[w]));
-        count[3] += static_cast<std::uint64_t>(std::popcount(a[w] & b3[w]));
+        count[0] += static_cast<std::uint64_t>(popcount64(a[w] & b0[w]));
+        count[1] += static_cast<std::uint64_t>(popcount64(a[w] & b1[w]));
+        count[2] += static_cast<std::uint64_t>(popcount64(a[w] & b2[w]));
+        count[3] += static_cast<std::uint64_t>(popcount64(a[w] & b3[w]));
       }
       std::uint32_t* cell = c + i * ldc + jb;
       for (std::size_t k = 0; k < kTileCols; ++k) {
@@ -314,10 +318,10 @@ void tile_fused_avx2(const std::uint64_t* a_panel,
       std::uint64_t nj = hsum_epi64(tnj);
       std::uint64_t nn = hsum_epi64(tnn);
       for (; w < words; ++w) {
-        n11 += static_cast<std::uint64_t>(std::popcount(ad[w] & bd[w]));
-        ni += static_cast<std::uint64_t>(std::popcount(ad[w] & bm[w]));
-        nj += static_cast<std::uint64_t>(std::popcount(am[w] & bd[w]));
-        nn += static_cast<std::uint64_t>(std::popcount(am[w] & bm[w]));
+        n11 += static_cast<std::uint64_t>(popcount64(ad[w] & bd[w]));
+        ni += static_cast<std::uint64_t>(popcount64(ad[w] & bm[w]));
+        nj += static_cast<std::uint64_t>(popcount64(am[w] & bd[w]));
+        nn += static_cast<std::uint64_t>(popcount64(am[w] & bm[w]));
       }
       std::uint32_t* cell = c + i * ldc + j;
       cell[0] += static_cast<std::uint32_t>(n11);

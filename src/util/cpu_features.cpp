@@ -12,6 +12,7 @@ CpuFeatures detect() noexcept {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
   features.fma = __builtin_cpu_supports("fma") != 0;
+  features.avx512f = __builtin_cpu_supports("avx512f") != 0;
 #endif
   return features;
 }
@@ -23,13 +24,11 @@ const CpuFeatures& cpu_features() noexcept {
   return features;
 }
 
-bool cpu_has_avx2_fma() noexcept {
-  const CpuFeatures& features = cpu_features();
-  return features.avx2 && features.fma;
-}
-
 std::string cpu_isa_summary() {
   const CpuFeatures& features = cpu_features();
+  if (features.avx512f && features.avx2 && features.fma) {
+    return "avx512f+avx2+fma";
+  }
   if (features.avx2 && features.fma) return "avx2+fma";
   if (features.avx2) return "avx2";
   if (features.fma) return "fma";

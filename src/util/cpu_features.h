@@ -1,8 +1,9 @@
 #pragma once
-// Runtime CPU feature detection for kernel dispatch. The AVX2+FMA omega
-// kernel is compiled into its own translation unit with per-file -mavx2
-// -mfma flags; whether it is *called* is decided here at runtime, so the
-// same binary runs correctly on hosts without those extensions.
+// Runtime CPU feature detection for kernel dispatch. The AVX2+FMA and
+// AVX-512F+FMA omega-kernel instances are each compiled into their own
+// translation unit with per-file -m flags; whether one is *called* is
+// decided here at runtime, so the same binary runs correctly on hosts
+// without those extensions.
 
 #include <string>
 
@@ -11,17 +12,14 @@ namespace omega::util {
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
+  bool avx512f = false;  // CPU and OS support (libgcc checks the ZMM state)
 };
 
 /// Detected features of the executing CPU (cached after the first query).
 [[nodiscard]] const CpuFeatures& cpu_features() noexcept;
 
-/// True when both AVX2 and FMA are available — the requirement of the
-/// vectorized omega kernel's wide path.
-[[nodiscard]] bool cpu_has_avx2_fma() noexcept;
-
-/// Human-readable summary of the detected ISA level, e.g. "avx2+fma" or
-/// "baseline"; used by the CLI dispatch report and the bench harness.
+/// Human-readable summary of the detected ISA level, e.g.
+/// "avx512f+avx2+fma", "avx2+fma" or "baseline"; used by the CLI dispatch report and the bench harness.
 [[nodiscard]] std::string cpu_isa_summary();
 
 /// Marketing model string of the executing CPU (x86 CPUID brand string,

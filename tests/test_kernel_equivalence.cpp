@@ -1,8 +1,11 @@
 // Kernel-equivalence property tests for the dispatched CPU omega kernels
-// (core/omega_kernel_cpu.h): the portable and AVX2 fp64 bodies must reproduce
-// the scalar reference argmax exactly and its scores within ulp-scaled
-// tolerance. AVX2 cases skip cleanly on hosts (or builds) that cannot run the
-// AVX2 translation unit.
+// (core/omega_kernel_cpu.h): the portable body and the vector instances of
+// the width-generic body (avx2, avx512) must reproduce the scalar reference
+// argmax exactly and its scores within ulp-scaled tolerance, and every
+// vector instance must match one scalar model of its op order bit for bit.
+// The Avx2* tests predate the AVX-512 instance: each runs every vector
+// instance this binary and host can run, and skips cleanly when there is
+// none.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +37,22 @@ using omega::core::DpMatrix;
 using omega::core::GridPosition;
 using omega::core::OmegaConfig;
 using omega::core::OmegaKernelScratch;
+using omega::core::OmegaPositionView;
 using omega::core::OmegaResult;
+using omega::core::OmegaViewBest;
 using omega::io::Dataset;
+
+/// The vector instances of the width-generic body this binary and host run.
+std::vector<CpuKernelKind> vector_instances() {
+  std::vector<CpuKernelKind> kinds;
+  for (CpuKernelKind kind : {CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
+    if (omega::core::cpu_kernel_available(kind)) kinds.push_back(kind);
+  }
+  return kinds;
+}
+
+constexpr const char* kNoVectorInstance =
+    "no vector omega kernel runs on this binary/host";
 
 Dataset kernel_dataset(std::uint64_t seed, std::size_t sites = 120,
                        std::size_t samples = 40) {
@@ -122,11 +139,12 @@ TEST(KernelEquivalence, PortableMatchesScalarOnRandomGrids) {
 }
 
 TEST(KernelEquivalence, Avx2MatchesScalarOnRandomGrids) {
-  if (!omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
-  }
-  for (std::uint64_t seed : {1u, 7u, 23u}) {
-    check_kernel_on_dataset(kernel_dataset(seed), CpuKernelKind::Avx2);
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
+  for (CpuKernelKind kind : kinds) {
+    for (std::uint64_t seed : {1u, 7u, 23u}) {
+      check_kernel_on_dataset(kernel_dataset(seed), kind);
+    }
   }
 }
 
@@ -135,10 +153,11 @@ TEST(KernelEquivalence, PortableMatchesScalarWithMissingData) {
 }
 
 TEST(KernelEquivalence, Avx2MatchesScalarWithMissingData) {
-  if (!omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
+  for (CpuKernelKind kind : kinds) {
+    check_kernel_on_dataset(missing_dataset(11), kind);
   }
-  check_kernel_on_dataset(missing_dataset(11), CpuKernelKind::Avx2);
 }
 
 // Degenerate geometry: positions allowing l == 1 and r == 1 windows
@@ -166,11 +185,11 @@ TEST(KernelEquivalence, DegenerateWindowsAndTails) {
                       omega::core::omega_kernel_search(
                           fx.m, position, CpuKernelKind::Scalar, scratch),
                       "scalar-degenerate");
-    if (omega::core::cpu_kernel_avx2_available()) {
+    for (CpuKernelKind kind : vector_instances()) {
       expect_equivalent(ref,
-                        omega::core::omega_kernel_search(
-                            fx.m, position, CpuKernelKind::Avx2, scratch),
-                        "avx2-degenerate");
+                        omega::core::omega_kernel_search(fx.m, position, kind,
+                                                         scratch),
+                        omega::core::cpu_kernel_name(kind));
     }
   }
 }
@@ -229,50 +248,85 @@ TEST(KernelEquivalence, ZeroCrossSumRegion) {
   check_comaximal(omega::core::omega_kernel_search(
                       fx.m, position, CpuKernelKind::Portable, scratch),
                   "portable-zero-cross");
-  if (omega::core::cpu_kernel_avx2_available()) {
-    check_comaximal(omega::core::omega_kernel_search(
-                        fx.m, position, CpuKernelKind::Avx2, scratch),
-                    "avx2-zero-cross");
+  for (CpuKernelKind kind : vector_instances()) {
+    check_comaximal(
+        omega::core::omega_kernel_search(fx.m, position, kind, scratch),
+        omega::core::cpu_kernel_name(kind));
   }
 }
 
-// ------------------------------------------ AVX2 fp64 body, bit for bit --
+// ------------------------------- vector instances, bit for bit --
 
-/// Scalar model of the AVX2 fp64 body: every candidate in that body's op
-/// order — its vector fmadd is std::fma here, and the TU's scalar tail is
-/// contracted to the same FMA — keeping the first strict maximum in b-major,
-/// a-ascending order. The body skips the divide of vectors that cannot win;
-/// this model never skips, so agreement shows the skip changes nothing.
-OmegaResult avx2_order_oracle(const DpMatrix& m, const GridPosition& position,
-                              std::size_t b_begin, std::size_t b_end) {
-  OmegaKernelScratch scratch;
-  scratch.prepare(m, position);
-  const double eps = OmegaConfig::denominator_offset;
+/// Owns the tables of a view built straight from M (not through
+/// OmegaKernelScratch), or filled by hand.
+struct ViewTables {
+  std::vector<double> ls, kl, l, rs, kr, r;
+  std::vector<std::vector<double>> rows;
+  std::vector<const double*> row_ptrs;
+
+  [[nodiscard]] OmegaPositionView view() {
+    row_ptrs.clear();
+    for (const auto& row : rows) row_ptrs.push_back(row.data());
+    return OmegaPositionView{ls.data(), kl.data(), l.data(), ls.size(),
+                             row_ptrs.data(), rs.data(), kr.data(), r.data(),
+                             rs.size()};
+  }
+};
+
+ViewTables matrix_tables(const DpMatrix& m, const GridPosition& position,
+                         std::size_t b_begin, std::size_t b_end) {
+  ViewTables t;
   const std::size_t c = position.c;
-  const std::size_t n_left = position.a_max - position.lo + 1;
-  OmegaResult result;
+  for (std::size_t a = position.lo; a <= position.a_max; ++a) {
+    t.ls.push_back(m.at_fast(c, a));
+    t.kl.push_back(omega::core::choose2(c - a + 1));
+    t.l.push_back(static_cast<double>(c - a + 1));
+  }
   for (std::size_t b = b_begin; b <= b_end; ++b) {
-    const double rs = m.at_fast(b, c + 1);
-    const double r_d = static_cast<double>(b - c);
-    const double kr = omega::core::choose2(b - c);
-    const double* row_b = m.row_data(b) + (position.lo - m.base());
-    for (std::size_t ai = 0; ai < n_left; ++ai) {
-      const double lr = scratch.l_d[ai] * r_d;
-      const double sum = scratch.ls[ai] + rs;
-      const double cross = row_b[ai] - sum;
-      const double pairs = scratch.kl[ai] + kr;
-      const double num = sum * lr;
-      const double den = pairs * std::fma(eps, lr, cross);
-      const double w = pairs > 0.0 ? num / den : 0.0;
-      if (w > result.max_omega) {
-        result.max_omega = w;
-        result.best_a = position.lo + ai;
-        result.best_b = b;
-      }
+    t.rs.push_back(m.at_fast(b, c + 1));
+    t.kr.push_back(omega::core::choose2(b - c));
+    t.r.push_back(static_cast<double>(b - c));
+    std::vector<double> row;
+    for (std::size_t a = position.lo; a <= position.a_max; ++a) {
+      row.push_back(m.at_fast(b, a));
+    }
+    t.rows.push_back(std::move(row));
+  }
+  return t;
+}
+
+struct Candidate {
+  double num, den, omega;
+};
+
+/// One candidate in the vector bodies' op order (omega_kernel_body.h), with
+/// their fmadd written as std::fma.
+Candidate fused_candidate(const OmegaPositionView& v, std::size_t ai,
+                          std::size_t bi) {
+  const double eps = OmegaConfig::denominator_offset;
+  const double lr = v.l[ai] * v.r[bi];
+  const double sum = v.ls[ai] + v.rs[bi];
+  const double cross = v.rows[bi][ai] - sum;
+  const double pairs = v.kl[ai] + v.kr[bi];
+  const double num = sum * lr;
+  const double den = pairs * std::fma(eps, lr, cross);
+  return {num, den, pairs > 0.0 ? num / den : 0.0};
+}
+
+/// Scalar model of the vector bodies: every candidate in their op order,
+/// keeping the first strict maximum in b-major, a-ascending order. The
+/// bodies score four right borders per pass and skip the divide of vectors
+/// that cannot win; this model does neither, so agreement shows that
+/// neither changes a result.
+OmegaViewBest op_order_oracle(const OmegaPositionView& view) {
+  OmegaViewBest best{0.0, 0, 0};
+  for (std::size_t bi = 0; bi < view.n_right; ++bi) {
+    for (std::size_t ai = 0; ai < view.n_left; ++ai) {
+      const double w = fused_candidate(view, ai, bi).omega;
+      if (w > best.value) best = {w, ai, bi};
     }
   }
-  result.evaluated = static_cast<std::uint64_t>(b_end - b_begin + 1) * n_left;
-  return result;
+  return best;
 }
 
 void expect_bitwise(const OmegaResult& expected, const OmegaResult& got,
@@ -285,27 +339,64 @@ void expect_bitwise(const OmegaResult& expected, const OmegaResult& got,
   EXPECT_EQ(got.evaluated, expected.evaluated) << label;
 }
 
-/// Runs the AVX2 body over the whole right-border range of `position` and
-/// over a few sub-ranges (the parallel search's building block), each
-/// against the oracle.
-void check_avx2_against_oracle(const DpMatrix& m, const GridPosition& position,
-                               omega::util::Xoshiro256& rng,
-                               const std::string& label) {
+void expect_bitwise(const OmegaViewBest& expected, const OmegaViewBest& got,
+                    const std::string& label) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+            std::bit_cast<std::uint64_t>(expected.value))
+      << label << ": " << got.value << " vs " << expected.value;
+  EXPECT_EQ(got.ai, expected.ai) << label;
+  EXPECT_EQ(got.bi, expected.bi) << label;
+}
+
+/// Runs `kind` over right borders [b_begin, b_end] of `position`, through
+/// the view OmegaKernelScratch builds, against the oracle over a view built
+/// straight from M.
+void check_range_against_oracle(CpuKernelKind kind, const DpMatrix& m,
+                                const GridPosition& position,
+                                std::size_t b_begin, std::size_t b_end,
+                                const std::string& label) {
+  ViewTables tables = matrix_tables(m, position, b_begin, b_end);
   OmegaKernelScratch scratch;
-  expect_bitwise(avx2_order_oracle(m, position, position.b_min, position.hi),
-                 omega::core::omega_kernel_search(m, position,
-                                                  CpuKernelKind::Avx2, scratch),
-                 label);
+  expect_bitwise(op_order_oracle(tables.view()),
+                 omega::core::omega_kernel_search_view(
+                     scratch.view(m, position, b_begin, b_end), kind,
+                     scratch.omega),
+                 label + " " + omega::core::cpu_kernel_name(kind) +
+                     " range [" + std::to_string(b_begin) + ", " +
+                     std::to_string(b_end) + "]");
+}
+
+/// Runs every vector instance over the whole right-border range of
+/// `position` through omega_kernel_search, and over a few random sub-ranges
+/// through the view, each against the oracle.
+void check_against_oracle(const std::vector<CpuKernelKind>& kinds,
+                          const DpMatrix& m, const GridPosition& position,
+                          omega::util::Xoshiro256& rng,
+                          const std::string& label) {
+  ViewTables tables = matrix_tables(m, position, position.b_min, position.hi);
+  const OmegaViewBest want = op_order_oracle(tables.view());
+  OmegaResult expected;
+  expected.evaluated = tables.rs.size() * tables.ls.size();
+  expected.max_omega = want.value;
+  if (want.value > 0.0) {
+    expected.best_a = position.lo + want.ai;
+    expected.best_b = position.b_min + want.bi;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (int r = 0; r < 3; ++r) {
     const std::size_t span = position.hi - position.b_min + 1;
     const std::size_t b_begin = position.b_min + rng.bounded(span);
     const std::size_t b_end = b_begin + rng.bounded(position.hi - b_begin + 1);
-    expect_bitwise(avx2_order_oracle(m, position, b_begin, b_end),
-                   omega::core::omega_kernel_search_range(
-                       m, position, b_begin, b_end, CpuKernelKind::Avx2,
-                       scratch),
-                   label + " range [" + std::to_string(b_begin) + ", " +
-                       std::to_string(b_end) + "]");
+    ranges.emplace_back(b_begin, b_end);
+  }
+  for (CpuKernelKind kind : kinds) {
+    OmegaKernelScratch scratch;
+    expect_bitwise(expected,
+                   omega::core::omega_kernel_search(m, position, kind, scratch),
+                   label + " " + omega::core::cpu_kernel_name(kind));
+    for (const auto& [b_begin, b_end] : ranges) {
+      check_range_against_oracle(kind, m, position, b_begin, b_end, label);
+    }
   }
 }
 
@@ -328,9 +419,8 @@ std::vector<GridPosition> oracle_positions(std::size_t sites) {
 }
 
 TEST(KernelEquivalence, Avx2MatchesOpOrderOracleBitwise) {
-  if (!omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
-  }
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
   omega::util::Xoshiro256 rng(41);
   // Random matrices: coalescent data on a real grid, and hand-built
   // positions that cover the vector tails.
@@ -340,21 +430,20 @@ TEST(KernelEquivalence, Avx2MatchesOpOrderOracleBitwise) {
          omega::core::build_grid(fx.dataset, kernel_config())) {
       if (!position.valid) continue;
       fx.build(position);
-      check_avx2_against_oracle(fx.m, position, rng,
-                                "grid seed " + std::to_string(seed));
+      check_against_oracle(kinds, fx.m, position, rng,
+                           "grid seed " + std::to_string(seed));
     }
     for (const auto& position : oracle_positions(fx.dataset.num_sites())) {
       fx.build(position);
-      check_avx2_against_oracle(fx.m, position, rng,
-                                "tails c " + std::to_string(position.c));
+      check_against_oracle(kinds, fx.m, position, rng,
+                           "tails c " + std::to_string(position.c));
     }
   }
 }
 
 TEST(KernelEquivalence, Avx2OracleExactTiesAndZeroCrossSums) {
-  if (!omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
-  }
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
   // A left block of identical sites and a right block of identical sites
   // uncorrelated with it: every cross sum is exactly 0 and many windows tie
   // exactly, so the winner is decided by the first-in-b-major-order rule.
@@ -377,9 +466,9 @@ TEST(KernelEquivalence, Avx2OracleExactTiesAndZeroCrossSums) {
       position.b_min = c + 2;
       position.hi = 39;
       fx.build(position);
-      check_avx2_against_oracle(fx.m, position, rng,
-                                "ties lo " + std::to_string(lo) + " c " +
-                                    std::to_string(c));
+      check_against_oracle(kinds, fx.m, position, rng,
+                           "ties lo " + std::to_string(lo) + " c " +
+                               std::to_string(c));
     }
   }
 }
@@ -418,9 +507,8 @@ class SignedNanLd final : public omega::ld::LdEngine {
 };
 
 TEST(KernelEquivalence, Avx2OracleNegativeAndNanR2) {
-  if (!omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this binary/host";
-  }
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
   constexpr std::size_t kSites = 110;
   omega::util::Xoshiro256 rng(47);
   for (std::uint64_t seed : {5u, 6u, 7u}) {
@@ -431,9 +519,91 @@ TEST(KernelEquivalence, Avx2OracleNegativeAndNanR2) {
       DpMatrix m;
       m.reset(position.lo);
       m.extend(position.hi + 1, engine);
-      check_avx2_against_oracle(m, position, rng,
-                                "signed seed " + std::to_string(seed) +
-                                    " c " + std::to_string(position.c));
+      check_against_oracle(kinds, m, position, rng,
+                           "signed seed " + std::to_string(seed) + " c " +
+                               std::to_string(position.c));
+    }
+  }
+}
+
+// Every remainder of the four-row pass (1..9 right borders) against left
+// slices narrower than one vector, exactly one vector, and with a tail.
+TEST(KernelEquivalence, VectorOracleEveryRowRemainderAndNarrowSlices) {
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
+  KernelFixture fx(kernel_dataset(13, 60, 30));
+  constexpr std::size_t kCenter = 25;
+  for (std::size_t n_left : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 17u}) {
+    GridPosition position;
+    position.valid = true;
+    position.c = kCenter;
+    position.lo = kCenter + 1 - n_left;
+    position.a_max = kCenter;
+    position.b_min = kCenter + 1;
+    position.hi = kCenter + 20;
+    fx.build(position);
+    for (CpuKernelKind kind : kinds) {
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        for (std::size_t b_begin : {kCenter + 1, kCenter + 6}) {
+          check_range_against_oracle(kind, fx.m, position, b_begin,
+                                     b_begin + rows - 1,
+                                     "n_left " + std::to_string(n_left));
+        }
+      }
+    }
+  }
+}
+
+// Two rows of one pass tie at the maximum, and the later row reaches it at
+// a smaller a, one vector before the earlier row does. The earlier row
+// (smaller b) must win. Its candidate satisfies the skip test against the
+// tied value, num < fl(omega * den), so a body that let the later row's
+// record raise the earlier row's threshold would skip that vector and
+// report the later row instead.
+TEST(KernelEquivalence, VectorTieBetweenRowsOfOnePassGoesToTheEarlierRow) {
+  const auto kinds = vector_instances();
+  if (kinds.empty()) GTEST_SKIP() << kNoVectorInstance;
+  constexpr std::size_t kLeft = 16;
+  constexpr std::size_t kRight = 4;
+  constexpr std::size_t kLaterA = 1;    // in the first vector at any width
+  constexpr std::size_t kEarlierA = 9;  // in a later vector at any width
+  ViewTables t;
+  t.ls.assign(kLeft, 2.0);
+  t.kl.assign(kLeft, 10.0);
+  t.l.assign(kLeft, 5.0);
+  t.rs.assign(kRight, 3.0);
+  t.kr.assign(kRight, 6.0);
+  t.r.assign(kRight, 4.0);
+  // Every other cell has a large cross sum and scores about 0.066.
+  t.rows.assign(kRight, std::vector<double>(kLeft, 100.0));
+
+  // Find a cell value whose candidate scores omega with num < fl(omega·den).
+  const OmegaPositionView probe = t.view();
+  double cell = 5.5;
+  for (;; cell += 1e-3) {
+    ASSERT_LT(cell, 6.5) << "no cell value satisfies the skip test";
+    t.rows[0][kEarlierA] = cell;
+    const Candidate x = fused_candidate(probe, kEarlierA, 0);
+    if (x.den > 0.0 && x.num < x.omega * x.den) break;
+  }
+  t.rows[0][kEarlierA] = 100.0;
+
+  for (std::size_t earlier = 0; earlier + 1 < kRight; ++earlier) {
+    ViewTables tie = t;
+    tie.rows[earlier][kEarlierA] = cell;
+    tie.rows[earlier + 1][kLaterA] = cell;
+    const OmegaPositionView view = tie.view();
+    const OmegaViewBest want = op_order_oracle(view);
+    ASSERT_EQ(want.ai, kEarlierA);
+    ASSERT_EQ(want.bi, earlier);
+    ASSERT_EQ(fused_candidate(view, kLaterA, earlier + 1).omega, want.value);
+    std::vector<double> buf;
+    for (CpuKernelKind kind : kinds) {
+      expect_bitwise(want,
+                     omega::core::omega_kernel_search_view(view, kind, buf),
+                     std::string(omega::core::cpu_kernel_name(kind)) +
+                         " rows " + std::to_string(earlier) + "/" +
+                         std::to_string(earlier + 1));
     }
   }
 }
@@ -446,21 +616,28 @@ TEST(KernelDispatch, ResolveSemantics) {
   const CpuKernelKind autod = resolve_cpu_kernel(CpuKernelKind::Auto);
   EXPECT_NE(autod, CpuKernelKind::Auto);
   EXPECT_NE(autod, CpuKernelKind::Scalar);  // scalar is opt-in only
-  if (omega::core::cpu_kernel_avx2_available()) {
-    EXPECT_EQ(autod, CpuKernelKind::Avx2);
-    EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Avx2), CpuKernelKind::Avx2);
-  } else {
-    EXPECT_EQ(autod, CpuKernelKind::Portable);
-    EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx2),
-                 std::runtime_error);
+  // Auto takes the widest instance available: avx512, then avx2.
+  const auto kinds = vector_instances();
+  EXPECT_EQ(autod, kinds.empty() ? CpuKernelKind::Portable : kinds.back());
+  for (CpuKernelKind kind : {CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
+    if (omega::core::cpu_kernel_available(kind)) {
+      EXPECT_EQ(resolve_cpu_kernel(kind), kind);
+    } else {
+      EXPECT_THROW((void)resolve_cpu_kernel(kind), std::runtime_error);
+    }
+  }
+  for (CpuKernelKind kind : {CpuKernelKind::Auto, CpuKernelKind::Scalar,
+                             CpuKernelKind::Portable}) {
+    EXPECT_TRUE(omega::core::cpu_kernel_available(kind));
   }
 }
 
 TEST(KernelDispatch, NameRoundTrip) {
   using omega::core::cpu_kernel_from_name;
   using omega::core::cpu_kernel_name;
-  for (CpuKernelKind kind : {CpuKernelKind::Auto, CpuKernelKind::Scalar,
-                             CpuKernelKind::Portable, CpuKernelKind::Avx2}) {
+  for (CpuKernelKind kind :
+       {CpuKernelKind::Auto, CpuKernelKind::Scalar, CpuKernelKind::Portable,
+        CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
     EXPECT_EQ(cpu_kernel_from_name(cpu_kernel_name(kind)), kind);
   }
   EXPECT_THROW((void)cpu_kernel_from_name("sse9"), std::invalid_argument);
@@ -541,6 +718,7 @@ TEST(ScanKernelOptions, KernelsProduceEquivalentScansAndMetrics) {
             scalar.profile.omega_evaluations);
   EXPECT_EQ(scalar.profile.kernel.portable_evaluations, 0u);
   EXPECT_EQ(scalar.profile.kernel.avx2_evaluations, 0u);
+  EXPECT_EQ(scalar.profile.kernel.avx512_evaluations, 0u);
 
   omega::core::ScannerOptions auto_options = scalar_options;
   auto_options.cpu_kernel = CpuKernelKind::Auto;
@@ -549,7 +727,8 @@ TEST(ScanKernelOptions, KernelsProduceEquivalentScansAndMetrics) {
   EXPECT_NE(dispatched.profile.kernel.selected, "scalar");
   EXPECT_EQ(dispatched.profile.kernel.scalar_evaluations, 0u);
   EXPECT_EQ(dispatched.profile.kernel.portable_evaluations +
-                dispatched.profile.kernel.avx2_evaluations,
+                dispatched.profile.kernel.avx2_evaluations +
+                dispatched.profile.kernel.avx512_evaluations,
             dispatched.profile.omega_evaluations);
 
   ASSERT_EQ(scalar.scores.size(), dispatched.scores.size());
@@ -562,7 +741,7 @@ TEST(ScanKernelOptions, KernelsProduceEquivalentScansAndMetrics) {
                 1e-9 * (1.0 + scalar.scores[g].max_omega));
   }
 
-  // The metrics document carries the v4 kernel block.
+  // The metrics document carries the kernel block (v4; avx512 since v13).
   const auto doc =
       omega::core::metrics::scan_metrics("kernel-test", dispatched.profile);
   EXPECT_EQ(doc.at("schema_version").as_int(),
@@ -572,20 +751,31 @@ TEST(ScanKernelOptions, KernelsProduceEquivalentScansAndMetrics) {
   EXPECT_EQ(kernel.at("selected").as_string(),
             dispatched.profile.kernel.selected);
   EXPECT_EQ(kernel.at("avx2_supported").as_bool(),
-            omega::core::cpu_kernel_avx2_available());
+            omega::core::cpu_kernel_available(CpuKernelKind::Avx2));
+  EXPECT_EQ(kernel.at("avx512_supported").as_bool(),
+            omega::core::cpu_kernel_available(CpuKernelKind::Avx512));
   EXPECT_EQ(kernel.at("positions").as_uint(),
             dispatched.profile.kernel.positions);
 }
 
+// Covers avx512 as well as avx2; skips on hosts that run both.
 TEST(ScanKernelOptions, ForcedAvx2ThrowsCleanlyWhenUnavailable) {
-  if (omega::core::cpu_kernel_avx2_available()) {
-    GTEST_SKIP() << "AVX2 available; the forced path is exercised elsewhere";
+  std::vector<CpuKernelKind> unavailable;
+  for (CpuKernelKind kind : {CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
+    if (!omega::core::cpu_kernel_available(kind)) unavailable.push_back(kind);
+  }
+  if (unavailable.empty()) {
+    GTEST_SKIP() << "AVX2 and AVX-512 available; the forced paths are "
+                    "exercised elsewhere";
   }
   const Dataset d = kernel_dataset(43, 60, 20);
-  omega::core::ScannerOptions options;
-  options.config = kernel_config();
-  options.cpu_kernel = CpuKernelKind::Avx2;
-  EXPECT_THROW((void)omega::core::scan(d, options), std::runtime_error);
+  for (CpuKernelKind kind : unavailable) {
+    omega::core::ScannerOptions options;
+    options.config = kernel_config();
+    options.cpu_kernel = kind;
+    EXPECT_THROW((void)omega::core::scan(d, options), std::runtime_error)
+        << omega::core::cpu_kernel_name(kind);
+  }
 }
 
 }  // namespace

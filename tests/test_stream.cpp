@@ -364,6 +364,7 @@ TEST(StreamScanEquivalence, CpuBitwiseAcrossChunkSizes) {
       EXPECT_EQ(a.kernel.scalar_evaluations, b.kernel.scalar_evaluations);
       EXPECT_EQ(a.kernel.portable_evaluations, b.kernel.portable_evaluations);
       EXPECT_EQ(a.kernel.avx2_evaluations, b.kernel.avx2_evaluations);
+      EXPECT_EQ(a.kernel.avx512_evaluations, b.kernel.avx512_evaluations);
       EXPECT_EQ(a.sched.workers, b.sched.workers);
       EXPECT_EQ(a.ld.engine, b.ld.engine);
       if (threads > 1) continue;  // MT r2_fetched depends on steal order

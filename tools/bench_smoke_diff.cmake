@@ -1,7 +1,7 @@
 # CTest script: run bench_scan_hotpath twice in separate directories and
 # assert omega_metrics_diff finds no self-regression between the two
 # BENCH_SCAN.json files. The bench's own exit code is honored: its one gate
-# (dispatched omega kernel >= 2x scalar) disarms itself on hosts without
+# (dispatched omega kernel >= 6x scalar) disarms itself on hosts without
 # AVX2, so a red exit is a real kernel regression. Invoked as:
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_smoke_diff.cmake
 
