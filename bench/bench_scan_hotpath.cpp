@@ -9,7 +9,10 @@
 //      measurable win even on baseline hosts).
 //   2. DP-matrix extend throughput — Eq. (3) cells per second through the
 //      suffix-scan extend (r2 fetch from the CLI's default LD engine
-//      included), the second hot loop.
+//      included), the second hot loop: once right after a reset, and once
+//      through the relocate + extend walk of a default CLI stream scan,
+//      with the matrix's resident cells. Reported, not gated (the
+//      DpMatrixArena footprint test gates the walk's memory).
 //   3. End-to-end scans — identical scans with --cpu-kernel=scalar vs the
 //      dispatched kernel; positions/s and the whole ScanProfile embedded.
 //
@@ -93,6 +96,40 @@ double measure_extend_rate(const omega::io::Dataset& dataset,
   return static_cast<double>(cells) / timer.seconds();
 }
 
+struct WalkRate {
+  double cells_per_s;
+  std::size_t resident_cells;
+};
+
+/// Eq. (3) cells per second through relocate + extend along the walk of a
+/// default CLI stream scan: a `window`-row region stepping `step` rows per
+/// position and retiring at its split, as detail::advance_matrix drives it
+/// (r2 fetch included; each walk's first, reset extend is not timed).
+WalkRate measure_walk_rate(const omega::io::Dataset& dataset,
+                           std::size_t window, std::size_t step,
+                           double min_seconds = 0.4) {
+  const omega::ld::SnpMatrix snps(dataset);
+  const auto engine = omega::core::make_ld_engine(
+      omega::core::LdBackendKind::Auto, dataset, snps);
+  omega::core::DpMatrix m;
+  std::uint64_t cells = 0;
+  double seconds = 0.0;
+  while (seconds < min_seconds) {
+    m.reset(0);
+    m.extend(window, *engine);
+    const std::uint64_t before = m.stats().cells_recomputed;
+    const omega::util::Timer timer;
+    for (std::size_t lo = step; lo + window <= dataset.num_sites();
+         lo += step) {
+      m.relocate(lo, lo + window / 2);
+      m.extend(lo + window, *engine);
+    }
+    seconds += timer.seconds();
+    cells += m.stats().cells_recomputed - before;
+  }
+  return {static_cast<double>(cells) / seconds, m.capacity()};
+}
+
 std::string ns_str(double ns) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.2f", ns);
@@ -165,9 +202,20 @@ int main() {
   const double cells_per_s = measure_extend_rate(extend_dataset, 2'500);
   std::printf("dp-matrix extend (2500-row region, r2 fetch included): "
               "%.1f Mcells/s\n\n", cells_per_s / 1e6);
+  // The stream shape: 64 haplotypes, 2,000-row regions, 200-row grid step.
+  const auto walk_dataset = omega::bench::figure_dataset(10'000, 64);
+  const WalkRate walk = measure_walk_rate(walk_dataset, 2'000, 200);
+  std::printf("dp-matrix walk (2000-row window, 200-row step, retire at the "
+              "split, r2 fetch included): %.1f Mcells/s relocate+extend, "
+              "%zu resident cells\n\n",
+              walk.cells_per_s / 1e6, walk.resident_cells);
   auto extend = omega::core::metrics::JsonValue::object();
   extend.set("region_rows", 2'500);
   extend.set("cells_per_s", cells_per_s);
+  extend.set("walk_window_rows", 2'000);
+  extend.set("walk_step_rows", 200);
+  extend.set("walk_cells_per_s", walk.cells_per_s);
+  extend.set("walk_resident_cells", walk.resident_cells);
   json.set("extend", std::move(extend));
 
   // --- 3. end-to-end scans ------------------------------------------------

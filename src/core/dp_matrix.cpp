@@ -1,35 +1,70 @@
 #include "core/dp_matrix.h"
 
 #include <algorithm>
-#include <cstring>
-#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "par/thread_pool.h"
 
 namespace omega::core {
 
+// std::vector<SpanWorkerState>::resize relocates matrices; it moves them
+// only when the move cannot throw, and copying a matrix does not compile.
+static_assert(std::is_nothrow_move_constructible_v<DpMatrix>);
+
+namespace {
+
+// Under AddressSanitizer every cell no row may read is poisoned: slab tails
+// no row occupies yet, free-listed slabs, retired rows and the dead prefixes
+// relocation leaves in front of kept rows. A stale pointer into a retired
+// row then faults, until its slab is recycled for new rows.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kPoisoning = true;
+void poison(const double* cells, std::size_t n) {
+  ASAN_POISON_MEMORY_REGION(cells, n * sizeof(double));
+}
+void unpoison(const double* cells, std::size_t n) {
+  ASAN_UNPOISON_MEMORY_REGION(cells, n * sizeof(double));
+}
+#else
+constexpr bool kPoisoning = false;
+void poison(const double*, std::size_t) {}
+void unpoison(const double*, std::size_t) {}
+#endif
+
+/// Cells in local rows [0, i): row i stores entries j = 0 .. i-1.
+std::size_t row_offset(std::size_t i) noexcept { return i * (i - 1) / 2; }
+
+}  // namespace
+
 void DpMatrix::reset(std::size_t base) {
+  for (Slab& slab : slabs_) release(std::move(slab));
+  slabs_.clear();
+  rows_.clear();
+  head_ = 0;
   base_ = base;
   count_ = 0;
-  head_ = 0;
-  rows_.clear();
-  tail_ = 0;
+  first_row_ = base;
   ++stats_.resets;
 }
 
 double DpMatrix::at(std::size_t gi, std::size_t gj) const {
-  if (gi < base_ || gi >= end() || gj < base_ || gj > gi) {
+  if (gi < first_row_ || gi >= end() || gj < base_ || gj > gi) {
     throw std::out_of_range(
         "DpMatrix::at(" + std::to_string(gi) + ", " + std::to_string(gj) +
-        ") outside covered range [" + std::to_string(base_) + ", " +
-        std::to_string(end()) + ") with j <= i");
+        ") outside rows [" + std::to_string(first_row_) + ", " +
+        std::to_string(end()) + ") and columns [" + std::to_string(base_) +
+        ", i]");
   }
   return at_fast(gi, gj);
 }
 
-void DpMatrix::relocate(std::size_t new_base) {
+void DpMatrix::relocate(std::size_t new_base, std::size_t first_row) {
   if (new_base < base_) {
     throw std::invalid_argument("DpMatrix::relocate cannot move base backward");
   }
@@ -38,49 +73,82 @@ void DpMatrix::relocate(std::size_t new_base) {
     reset(new_base);  // no overlap survives; counts as a reset
     return;
   }
-  // Row gi keeps its slot; its first `delta` entries become dead cells that
-  // the next compaction drops.
+  // Kept rows stay where they are; their first `delta` entries become dead
+  // cells until the row retires.
+  const std::size_t old_base = base_;
   count_ -= delta;
-  head_ += delta;
   base_ = new_base;
   ++stats_.relocations;
   stats_.cells_reused += row_offset(count_);
-}
-
-void DpMatrix::Arena::resize(std::size_t capacity) {
-  void* cells = std::realloc(cells_, capacity * sizeof(double));
-  if (cells == nullptr) throw std::bad_alloc();
-  cells_ = static_cast<double*>(cells);
-  capacity_ = capacity;
-}
-
-void DpMatrix::make_room(std::size_t cells) {
-  const std::size_t capacity = arena_.capacity();
-  if (tail_ + cells <= capacity) return;
-  // Compact: slide each live slice [base, gi) to the front, oldest row
-  // first. Rows sit in the arena in row order, so every destination is at or
-  // below its source and front-to-back memmoves are safe.
-  std::size_t dst = 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    double* src = local_row(i);
-    if (src != arena_.data() + dst) {
-      std::memmove(arena_.data() + dst, src, i * sizeof(double));
-      stats_.cells_moved += i;
+  if (count_ == 0) return;  // an empty matrix relocated in place
+  retire_below(std::max(new_base, std::min(first_row, end() - 1)));
+  if constexpr (kPoisoning) {
+    for (std::size_t gi = first_row_; gi < end(); ++gi) {
+      const Row& row = row_of(gi);
+      poison(row.cells + (old_base - row.col0), delta);
     }
-    rows_[head_ + i] = dst - base_;
-    dst += i;
   }
-  rows_.erase(rows_.begin(),
-              rows_.begin() + static_cast<std::ptrdiff_t>(head_));
-  head_ = 0;
-  tail_ = dst;
+}
 
-  const std::size_t needed = tail_ + cells;
-  if (needed + capacity / 4 <= capacity) return;
-  // Grow so a quarter stays free. Reallocating rather than allocating and
-  // copying means the old and new arenas are never resident together.
-  arena_.resize(needed + needed / 3);
-  stats_.cells_moved += tail_;
+void DpMatrix::retire_below(std::size_t row) {
+  if (row <= first_row_) return;
+  if constexpr (kPoisoning) {
+    for (std::size_t gi = first_row_; gi < row; ++gi) {
+      const Row& retired = row_of(gi);
+      poison(retired.cells, gi - retired.col0);
+    }
+  }
+  head_ += row - first_row_;
+  first_row_ = row;
+  // The open slab holds row end() - 1, which is never retired, so only
+  // closed slabs leave here.
+  std::size_t done = 0;
+  while (done < slabs_.size() && slabs_[done].rows_end <= first_row_) {
+    release(std::move(slabs_[done]));
+    ++done;
+  }
+  slabs_.erase(slabs_.begin(),
+               slabs_.begin() + static_cast<std::ptrdiff_t>(done));
+  // Drop the retired descriptors once they outnumber the live ones, so each
+  // descriptor is shifted a constant number of times on average.
+  if (head_ >= rows_.size() - head_) {
+    rows_.erase(rows_.begin(),
+                rows_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void DpMatrix::release(Slab&& slab) {
+  if (slab.size != kSlabCells) {
+    capacity_ -= slab.size;
+    slab.cells.reset();
+    return;
+  }
+  poison(slab.cells.get(), slab.size);
+  free_.push_back(std::move(slab));
+}
+
+void DpMatrix::place_row(std::size_t gi, std::size_t cells) {
+  if (slabs_.empty() || slabs_.back().size - slabs_.back().used < cells) {
+    Slab slab;
+    if (cells <= kSlabCells && !free_.empty()) {
+      slab = std::move(free_.back());  // the most recently released slab
+      free_.pop_back();
+    } else {
+      slab.size = std::max(cells, kSlabCells);
+      slab.cells = std::make_unique_for_overwrite<double[]>(slab.size);
+      capacity_ += slab.size;
+      poison(slab.cells.get(), slab.size);
+    }
+    slab.used = 0;
+    slabs_.push_back(std::move(slab));
+  }
+  Slab& slab = slabs_.back();
+  double* row = slab.cells.get() + slab.used;
+  slab.used += cells;
+  slab.rows_end = gi + 1;
+  unpoison(row, cells);
+  rows_.push_back(Row{row, base_});
 }
 
 void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
@@ -94,14 +162,14 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   if (new_end <= end()) return;
   const std::size_t old_count = count_;
   const std::size_t new_count = new_end - base_;
-  const std::size_t new_cells = row_offset(new_count) - row_offset(old_count);
-  make_room(new_cells);
-  stats_.cells_recomputed += new_cells;
-  for (std::size_t i = old_count; i < new_count; ++i) {
-    rows_.push_back(tail_ - base_);
-    tail_ += i;
-  }
+  stats_.cells_recomputed += row_offset(new_count) - row_offset(old_count);
+  for (std::size_t i = old_count; i < new_count; ++i) place_row(base_ + i, i);
   count_ = new_count;
+  // Live slice of local row i (entry k is M(base + i, base + k)).
+  const auto slice = [this](std::size_t i) {
+    const Row& row = row_of(base_ + i);
+    return row.cells + (base_ - row.col0);
+  };
 
   // Eq. (3) in telescoped form. The recurrence
   //   M(i, j) = M(i, j+1) + M(i-1, j) - M(i-1, j+1) + r2(i, j)
@@ -135,7 +203,7 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
 
     const std::size_t lo = std::max(r0, first);
     const auto suffix_row = [&](std::size_t i) {
-      double* row = local_row(i);
+      double* row = slice(i);
       const float* r2_row = r2_scratch_.data() + (i - r0) * ld_r2;
       double acc = 0.0;
       for (std::size_t j = i; j-- > 0;) {
@@ -149,8 +217,8 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
       for (std::size_t i = lo; i < r1; ++i) suffix_row(i);
     }
     for (std::size_t i = lo; i < r1; ++i) {
-      double* row = local_row(i);
-      const double* prev = local_row(i - 1);
+      double* row = slice(i);
+      const double* prev = slice(i - 1);
       // Previous row holds columns 0 .. i-2; column i-1 adds the implicit
       // zero diagonal M(i-1, i-1), so the suffix value already stored is
       // final.

@@ -286,8 +286,8 @@ void ScanExecutor::run(const std::vector<GridPosition>& grid,
       // "did relocation survive the chunk seam" is well defined (a matrix is
       // live on a run's first position only when an earlier run left it so).
       // Multithreaded streams keep one matrix per worker and report 0.
-      if (first && state.live && options_.reuse &&
-          position.lo >= state.matrix.base()) {
+      if (first &&
+          can_relocate(state.matrix, state.live, options_.reuse, position)) {
         ++profile.stream.seam_carryovers;
       }
       first = false;
@@ -332,6 +332,12 @@ void ScanExecutor::end(const std::vector<GridPosition>& grid,
   if (options_.progress != nullptr) options_.progress->finish();
 }
 
+bool can_relocate(const DpMatrix& m, bool m_live, bool reuse,
+                  const GridPosition& position) noexcept {
+  return reuse && m_live && position.lo >= m.base() &&
+         position.c >= m.first_row();
+}
+
 void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position,
                     const ld::LdEngine& engine) {
@@ -341,12 +347,12 @@ void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
       "scan.ld.relocate", "scan.relocate_seconds", "scan.relocate");
   static const util::probe::Site kExtend(
       "scan.ld.extend", "scan.extend_seconds", "scan.extend");
-  if (!reuse || !m_live || position.lo < m.base()) {
+  if (!can_relocate(m, m_live, reuse, position)) {
     const util::probe::Stage stage(kReset);
     m.reset(position.lo);
   } else {
     const util::probe::Stage stage(kRelocate);
-    m.relocate(position.lo);
+    m.relocate(position.lo, position.c);
   }
   {
     const util::probe::Stage stage(kExtend);

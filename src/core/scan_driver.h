@@ -160,10 +160,19 @@ class ScanExecutor {
   std::optional<par::ThreadPool> pool_;
 };
 
+/// Whether `m` can relocate to `position` instead of resetting: reuse is
+/// on, the matrix is live, and it still holds the position's left border
+/// column (lo >= base()) and split row (c >= first_row()). Grid order never
+/// lowers either; a position scored out of order can.
+[[nodiscard]] bool can_relocate(const DpMatrix& m, bool m_live, bool reuse,
+                                const GridPosition& position) noexcept;
+
 /// Advances the DP matrix to `position`: the single home of the
 /// reset-vs-relocate policy, shared by every execution mode so the
-/// relocation behaviour cannot silently diverge between them. Each stage
-/// runs under its probe (scan.ld.reset / relocate / extend).
+/// relocation behaviour cannot silently diverge between them. Relocation
+/// retires the rows below the split c, which no reader of this or any later
+/// position in grid order reads. Each stage runs under its probe
+/// (scan.ld.reset / relocate / extend).
 void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position, const ld::LdEngine& engine);
 

@@ -14,9 +14,11 @@
 #include "core/dp_matrix.h"
 #include "core/grid.h"
 #include "core/integer_method.h"
+#include "core/omega_kernel_cpu.h"
 #include "core/omega_math.h"
 #include "core/omega_search.h"
 #include "core/reference.h"
+#include "core/scan_driver.h"
 #include "core/scanner.h"
 #include "core/workload.h"
 #include "io/dataset.h"
@@ -29,6 +31,7 @@
 
 namespace {
 
+using omega::core::CpuKernelKind;
 using omega::core::DpMatrix;
 using omega::core::DpMatrixStats;
 using omega::core::GridPosition;
@@ -184,11 +187,11 @@ std::uint64_t triangle(std::size_t rows) {
   return rows == 0 ? 0 : static_cast<std::uint64_t>(rows) * (rows - 1) / 2;
 }
 
-// Counts cells of `m` that differ bitwise from `fresh` over m's coverage,
+// Counts cells of `m` that differ bitwise from `fresh` over m's rows,
 // read both through at() and through row_data().
 std::size_t bitwise_mismatches(const DpMatrix& m, const DpMatrix& fresh) {
   std::size_t mismatches = 0;
-  for (std::size_t gi = m.base(); gi < m.end(); ++gi) {
+  for (std::size_t gi = m.first_row(); gi < m.end(); ++gi) {
     const double* row = m.row_data(gi);
     for (std::size_t gj = m.base(); gj <= gi; ++gj) {
       const double expected = fresh.at(gi, gj);
@@ -205,13 +208,23 @@ std::size_t bitwise_mismatches(const DpMatrix& m, const DpMatrix& fresh) {
   return mismatches;
 }
 
+// The slab bound of core/dp_matrix.h: a matrix whose live rows never held
+// more than `live` cells at once, with every count() at most `widest`,
+// holds at most kSlabCells * (2 + floor(live / (kSlabCells - widest + 1)))
+// cells.
+std::uint64_t slab_capacity_bound(std::uint64_t live, std::size_t widest) {
+  const std::uint64_t slab = DpMatrix::kSlabCells;
+  return slab * (2 + live / (slab - widest + 1));
+}
+
 // Drives one matrix through a seeded mix of the steps a scan produces —
-// relocations by 0, 1, a few rows and most of the window, jumps past end()
-// and back to the start (both reset), extends of 0, a few and more than
-// kFetchRows rows — while the window widens, so the arena compacts and grows
-// several times. After every step each cell must equal, bit for bit, the
-// cell of a matrix built from scratch over the same range, and the
-// accounting must follow the reuse formulas.
+// relocations by 0, 1, a few rows and most of the window, some retiring rows
+// up to a first row inside or past the window, jumps past end() and back to
+// the start (both reset), extends of 0, a few and more than kFetchRows rows
+// — while the window widens, so rows fill and recycle many slabs. After
+// every step each cell must equal, bit for bit, the cell of a matrix built
+// from scratch over the same range, and the accounting must follow the
+// reuse formulas.
 TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
   constexpr std::size_t kSites = 1200;
   const Dataset d = test_dataset(kSites, 16, 61);
@@ -225,7 +238,7 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
   expected.resets = 1;
   std::uint64_t expected_fetches = 0;
   std::size_t widest = 0;
-  std::size_t growths = 0;
+  std::size_t retirements = 0;
   std::size_t multi_block_extends = 0;
   std::size_t past_end_resets = 0;
   for (std::size_t step = 0; step < 400; ++step) {
@@ -239,21 +252,32 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
       case 6: delta = count + rng() % 4; break;              // past end()
       default: delta = 2 + rng() % 4; break;                 // a few rows
     }
-    const std::uint64_t moved_before = m.stats().cells_moved;
+    // Retire at a split inside the window, past its end, or not at all.
+    std::size_t first_row = 0;
+    switch (rng() % 4) {
+      case 0: first_row = m.base() + delta + rng() % (count / 2 + 1); break;
+      case 1: first_row = m.end() + rng() % 8; break;
+      default: break;
+    }
     if (m.base() + delta + max_width > kSites) {
       m.reset(rng() % 16);  // back to the start, as a new scan would
       ++expected.resets;
     } else {
-      m.relocate(m.base() + delta);
+      const std::size_t first_row_before = m.first_row();
+      m.relocate(m.base() + delta, first_row);
       if (delta > 0 && delta >= count) {
         ++expected.resets;
         ++past_end_resets;
+        ASSERT_EQ(m.first_row(), m.base()) << "step " << step;
       } else {
         ++expected.relocations;
         expected.cells_reused += triangle(count - delta);
+        const std::size_t keep = std::max(
+            {first_row_before, m.base(), std::min(first_row, m.end() - 1)});
+        ASSERT_EQ(m.first_row(), keep) << "step " << step;
+        if (m.first_row() > m.base()) ++retirements;
       }
     }
-    ASSERT_EQ(m.stats().cells_moved, moved_before) << "step " << step;
 
     std::size_t width = max_width;  // refill the window, as a scan does
     switch (rng() % 5) {
@@ -263,7 +287,6 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
     }
     width = std::max(width, m.count());
     const std::size_t old_count = m.count();
-    const std::size_t capacity_before = m.capacity();
     m.extend(m.base() + width, engine);
     if (width > old_count) {
       expected_fetches += static_cast<std::uint64_t>(width - old_count) *
@@ -271,7 +294,6 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
       expected.cells_recomputed += triangle(width) - triangle(old_count);
     }
     if (width - old_count > DpMatrix::kFetchRows) ++multi_block_extends;
-    if (m.capacity() > capacity_before) ++growths;
     widest = std::max(widest, width);
 
     ASSERT_EQ(m.count(), width);
@@ -281,7 +303,10 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
     ASSERT_EQ(m.stats().cells_reused, expected.cells_reused) << "step " << step;
     ASSERT_EQ(m.stats().cells_recomputed, expected.cells_recomputed)
         << "step " << step;
-    ASSERT_LE(3 * m.capacity(), 4 * triangle(widest)) << "step " << step;
+    // At most `widest` rows are live, each holding fewer than `widest` cells.
+    ASSERT_LE(m.capacity(),
+              slab_capacity_bound(std::uint64_t{widest} * (widest - 1), widest))
+        << "step " << step;
 
     DpMatrix fresh;
     fresh.reset(m.base());
@@ -289,60 +314,236 @@ TEST(DpMatrixArena, MatchesFreshMatrixBitwiseThroughLongSequence) {
     ASSERT_EQ(bitwise_mismatches(m, fresh), 0u)
         << "step " << step << " over [" << m.base() << ", " << m.end() << ")";
   }
-  // The sequence really exercised every arena path.
-  EXPECT_GT(m.stats().cells_moved, 0u);  // compactions
-  EXPECT_GE(growths, 3u);
+  // The sequence really exercised every storage path: it wrote many slabs'
+  // worth of cells through the few slabs it holds.
+  EXPECT_GT(m.stats().cells_recomputed, 4 * m.capacity());
+  EXPECT_GE(retirements, 50u);
   EXPECT_GE(multi_block_extends, 3u);
   EXPECT_GE(past_end_resets, 3u);
 }
 
-// Slides a window 1-5 rows per step for `steps` steps, widening it by
-// `widen` rows per step, and returns the matrix's accounting. Relocation
-// must copy no cells.
-DpMatrixStats slide_window(std::size_t width, std::size_t widen,
-                           std::size_t steps) {
-  const Dataset d = test_dataset(width + (5 + widen) * steps, 8, 62);
+// Rows never move: through a long seeded walk of relocations, retirements,
+// extends and resets, the last cell of every row, M(gi, gi - 1), stays at the
+// address and value extend() gave it until the row is retired, while the
+// slabs of retired rows are recycled for later ones.
+TEST(DpMatrixArena, RowsNeverMove) {
+  constexpr std::size_t kSites = 3000;
+  const Dataset d = test_dataset(kSites, 8, 63);
   const omega::ld::SnpMatrix snps(d);
   const omega::ld::PopcountLd engine(snps);
-  std::mt19937_64 rng(7);
+  std::mt19937_64 rng(23);
+
+  struct Written {
+    const double* cell;
+    double value;
+  };
+  std::vector<std::pair<std::size_t, Written>> held;  // by row, ascending
+  std::size_t retired_rows = 0;
   DpMatrix m;
   m.reset(0);
-  m.extend(width, engine);
-  for (std::size_t step = 0; step < steps; ++step) {
-    const std::uint64_t moved_before = m.stats().cells_moved;
-    m.relocate(m.base() + 1 + rng() % 5);
-    EXPECT_EQ(m.stats().cells_moved, moved_before) << "step " << step;
-    width += widen;
-    m.extend(m.base() + width, engine);
+  for (std::size_t step = 0; step < 1500; ++step) {
+    const std::size_t width = 100 + rng() % 200;
+    if (m.base() + width + 8 > kSites) {
+      m.reset(rng() % 32);
+    } else {
+      const std::size_t new_base = m.base() + rng() % 8;
+      const std::size_t split =
+          new_base + rng() % (std::max(m.end(), new_base) - new_base + 2);
+      m.relocate(new_base, rng() % 3 == 0 ? 0 : split);
+    }
+    // Forget what retired.
+    std::size_t kept = 0;
+    for (const auto& [gi, written] : held) {
+      if (gi >= m.first_row() && gi < m.end()) {
+        held[kept++] = {gi, written};
+      } else {
+        ++retired_rows;
+      }
+    }
+    held.resize(kept);
+
+    const std::size_t old_end = m.end();
+    m.extend(std::max(m.end(), m.base() + width), engine);
+    for (std::size_t gi = std::max(old_end, m.base() + 1); gi < m.end();
+         ++gi) {
+      const double* cell = m.row_data(gi) + (gi - 1 - m.base());
+      held.push_back({gi, {cell, *cell}});
+    }
+    for (const auto& [gi, written] : held) {
+      if (gi == m.base()) continue;  // its last cell is a dead column now
+      ASSERT_EQ(m.row_data(gi) + (gi - 1 - m.base()), written.cell)
+          << "row " << gi << " moved at step " << step;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(*written.cell),
+                std::bit_cast<std::uint64_t>(written.value))
+          << "row " << gi << " changed at step " << step;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.at(gi, gi - 1)),
+                std::bit_cast<std::uint64_t>(written.value));
+    }
   }
-  return m.stats();
+  EXPECT_GT(retired_rows, 4'000u);
+  EXPECT_GT(m.stats().cells_recomputed, 4 * m.capacity());
 }
 
-// The CI guard that relocation stays free: a 300-row window sliding 1-5 rows
-// per step for 1,000 steps. Copying the kept triangle on every relocation
-// would move about 45,000 cells per step against roughly 900 recomputed,
-// fifty times over this bound; the arena moves each cell a few times at most.
-TEST(DpMatrixArena, SlidingWindowMovesFewCells) {
-  const DpMatrixStats stats = slide_window(300, 0, 1000);
-  EXPECT_EQ(stats.relocations, 1000u);
-  EXPECT_GT(stats.cells_moved, 0u);
-  EXPECT_LE(stats.cells_moved, 4 * stats.cells_recomputed)
-      << "moved " << stats.cells_moved << " for " << stats.cells_recomputed
-      << " recomputed";
+TEST(DpMatrixArena, AtThrowsBelowFirstRow) {
+  const Dataset d = test_dataset(60, 16, 64);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  DpMatrix m;
+  m.reset(0);
+  m.extend(50, engine);
+  m.relocate(10, 30);
+  EXPECT_EQ(m.base(), 10u);
+  EXPECT_EQ(m.first_row(), 30u);
+  EXPECT_THROW((void)m.at(29, 10), std::out_of_range);
+  EXPECT_THROW((void)m.at(10, 10), std::out_of_range);
+  EXPECT_THROW((void)m.at(30, 9), std::out_of_range);  // column below base
+
+  DpMatrix fresh;
+  fresh.reset(10);
+  fresh.extend(50, engine);
+  EXPECT_EQ(bitwise_mismatches(m, fresh), 0u);
+  EXPECT_DOUBLE_EQ(m.at(30, 30), 0.0);
+
+  // A lower first row later does not bring retired rows back.
+  m.relocate(12);
+  EXPECT_EQ(m.first_row(), 30u);
+  EXPECT_THROW((void)m.at(29, 12), std::out_of_range);
 }
 
-// A window that widens at every step keeps the live triangle close to the
-// arena's capacity, so compactions grow the arena, and each growth preserves
-// the live cells once more: up to twice the steady slide's moves. Growing
-// only when compaction would leave less than a quarter free keeps
-// compactions from following each other; without that rule this sequence
-// moves more than ten cells per recomputed one.
-TEST(DpMatrixArena, WideningWindowMovesFewCells) {
-  const DpMatrixStats stats = slide_window(100, 1, 600);
-  EXPECT_GT(stats.cells_moved, 0u);
-  EXPECT_LE(stats.cells_moved, 8 * stats.cells_recomputed)
-      << "moved " << stats.cells_moved << " for " << stats.cells_recomputed
-      << " recomputed";
+// A first row past end() - 1 keeps the last row, which is all extend()
+// needs: the next extend matches a fresh matrix bit for bit.
+TEST(DpMatrixArena, RetiringPastTheEndKeepsTheLastRow) {
+  const Dataset d = test_dataset(80, 16, 65);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  DpMatrix m;
+  m.reset(0);
+  m.extend(40, engine);
+  m.relocate(5, 1'000);
+  EXPECT_EQ(m.first_row(), 39u);
+  EXPECT_EQ(m.count(), 35u);
+  EXPECT_THROW((void)m.at(38, 5), std::out_of_range);
+  m.extend(80, engine);
+
+  DpMatrix fresh;
+  fresh.reset(5);
+  fresh.extend(80, engine);
+  EXPECT_EQ(bitwise_mismatches(m, fresh), 0u);
+  EXPECT_EQ(m.r2_fetches(), 40u * 39u + 40u * 74u);
+}
+
+/// Serves r2 = 0 for every pair: replays a walk's storage without LD work.
+class ZeroLd final : public omega::ld::LdEngine {
+ public:
+  explicit ZeroLd(std::size_t sites) : sites_(sites) {}
+  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
+                std::size_t j1, float* out, std::size_t ld) const override {
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::fill_n(out + (i - i0) * ld, j1 - j0, 0.0f);
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "zero"; }
+  [[nodiscard]] std::size_t num_sites() const override { return sites_; }
+
+ private:
+  std::size_t sites_;
+};
+
+// The memory guard of the stream shape: a 2,000-row window stepping 200 rows
+// per position and retiring at the split, as a default CLI scan of a
+// 100-bp-spaced VCF walks it. The first extend holds one triangle, and after
+// that rows c .. hi (1,000 of them, each under 2,000 cells) are live, so the
+// live rows never hold more than 1,999,000 cells and the slab bound is 17
+// slabs, 2,228,224 cells. An arena that kept rows down to lo and compacted
+// them held 2,665,333 cells at this shape.
+TEST(DpMatrixArena, StreamShapeFootprintStaysInSlabBound) {
+  constexpr std::size_t kWindow = 2'000;
+  constexpr std::size_t kStep = 200;
+  constexpr std::size_t kPositions = 40;
+  const ZeroLd engine(kWindow + kStep * kPositions);
+  const std::uint64_t live =
+      std::max(triangle(kWindow), std::uint64_t{kWindow / 2} * (kWindow - 1));
+  const std::uint64_t bound = slab_capacity_bound(live, kWindow);
+  ASSERT_EQ(bound, 17u * DpMatrix::kSlabCells);
+
+  DpMatrix m;
+  m.reset(0);
+  for (std::size_t k = 0; k < kPositions; ++k) {
+    const std::size_t lo = k * kStep;
+    const std::size_t c = lo + kWindow / 2;  // the split: rows c .. hi live
+    m.relocate(lo, c);
+    m.extend(lo + kWindow, engine);
+    if (k > 0) ASSERT_EQ(m.end() - m.first_row(), kWindow / 2);
+    ASSERT_LE(m.capacity(), bound) << "position " << k;
+  }
+  EXPECT_EQ(m.stats().resets, 1u);
+  EXPECT_EQ(m.stats().relocations, kPositions);
+}
+
+// A position whose split falls below the rows the matrix still holds must
+// rebuild M although its left border is still covered: relocating to it
+// would read retired rows. Advanced through the scan's one policy, every
+// position of a hand-built walk scores exactly as on a matrix built from
+// scratch for it, with every kernel.
+TEST(AdvanceMatrix, SplitBelowFirstRowResets) {
+  const Dataset d = test_dataset(200, 16, 66);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  const auto position = [](std::size_t lo, std::size_t a_max, std::size_t c,
+                           std::size_t b_min, std::size_t hi) {
+    GridPosition p;
+    p.lo = lo;
+    p.a_max = a_max;
+    p.c = c;
+    p.b_min = b_min;
+    p.hi = hi;
+    p.valid = true;
+    return p;
+  };
+  const std::vector<GridPosition> walk = {
+      position(0, 40, 60, 65, 119),   // the matrix starts dead: reset
+      position(5, 45, 60, 66, 120),   // relocates, retiring rows below 60
+      position(10, 30, 40, 45, 100),  // lo >= base() but c < first_row()
+      position(20, 50, 70, 75, 150),  // in order again: relocates
+  };
+  const std::vector<bool> relocates = {false, true, false, true};
+  std::vector<CpuKernelKind> kinds = {CpuKernelKind::Scalar,
+                                      CpuKernelKind::Portable};
+  kinds.push_back(omega::core::resolve_cpu_kernel(CpuKernelKind::Auto));
+
+  DpMatrix m;
+  bool live = false;
+  for (std::size_t k = 0; k < walk.size(); ++k) {
+    const GridPosition& p = walk[k];
+    EXPECT_EQ(omega::core::detail::can_relocate(m, live, true, p),
+              relocates[k])
+        << "position " << k;
+    const std::uint64_t resets = m.stats().resets;
+    omega::core::detail::advance_matrix(m, live, true, p, engine);
+    EXPECT_EQ(m.stats().resets - resets, relocates[k] ? 0u : 1u)
+        << "position " << k;
+    EXPECT_LE(m.first_row(), p.c);
+
+    DpMatrix fresh;
+    fresh.reset(p.lo);
+    fresh.extend(p.hi + 1, engine);
+    for (const CpuKernelKind kind : kinds) {
+      omega::core::OmegaKernelScratch scratch;
+      const auto got = omega::core::omega_kernel_search(m, p, kind, scratch);
+      const auto want =
+          omega::core::omega_kernel_search(fresh, p, kind, scratch);
+      EXPECT_GT(got.evaluated, 0u);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_omega),
+                std::bit_cast<std::uint64_t>(want.max_omega))
+          << "position " << k << " kernel "
+          << omega::core::cpu_kernel_name(kind);
+      EXPECT_EQ(got.best_a, want.best_a);
+      EXPECT_EQ(got.best_b, want.best_b);
+      EXPECT_EQ(got.evaluated, want.evaluated);
+    }
+  }
+  EXPECT_EQ(m.stats().resets, 2u);
+  EXPECT_EQ(m.stats().relocations, 2u);
 }
 
 TEST(DpMatrix, BackwardRelocationThrows) {

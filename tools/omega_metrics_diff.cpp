@@ -3,9 +3,10 @@
 // Loads two or more metrics documents (omega.scan.metrics from --metrics-json
 // or omega.bench BENCH_*.json), compares each later file against the first,
 // prints a per-stage comparison table, and exits non-zero when a watched
-// metric regresses beyond the threshold. Intended for CI:
+// metric regresses beyond the threshold. Intended for CI, as one command
+// line (wrapped here):
 //
-//   omega_metrics_diff baseline/BENCH_SCAN.json current/BENCH_SCAN.json \
+//   omega_metrics_diff baseline/BENCH_SCAN.json current/BENCH_SCAN.json
 //       --threshold 0.2 --watch stages --watch counters
 //
 // Exit codes: 0 no regression; 1 regression detected; 2 usage or I/O error;
