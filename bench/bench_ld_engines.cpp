@@ -1,14 +1,17 @@
 // LD-engine shootout: r2 cell throughput (cells/second, one cell = one r2
 // value) of every LD engine across missing-rate x sample-count, on the same
-// random dataset. Writes BENCH_LD.json (consumed by the bench_ld_diff ctest
-// gate and docs/METRICS.md trajectory tooling).
+// random dataset, with the packed engine measured once per kernel instance
+// the host runs (scalar, avx2, avx512). Writes BENCH_LD.json (consumed by
+// the bench_ld_diff ctest gate and docs/METRICS.md trajectory tooling).
 //
-// Exit code: 1 when the AVX2 packed kernels are available and either gate
-// fails: packed below 5x the byte-panel GEMM engine on the deepest clean
-// config (2,048 samples, no missing data), or packed below PopcountLd in any
-// samples x missing row (the precondition for retiring PopcountLd). 0
-// otherwise; a host/binary without AVX2 cannot express the packed speedup,
-// so the gates only arm where the hardware can.
+// Exit code: 1 when a gate fails. With the AVX2 packed kernels available:
+// packed (the instance auto picks) below 5x the byte-panel GEMM engine on
+// the deepest clean config (2,048 samples, no missing data), or below
+// PopcountLd in any samples x missing row (the precondition for retiring
+// PopcountLd). With the AVX-512 VPOPCNTDQ kernels available: avx512 below
+// kAvx512Gate x avx2 at 2,048 samples, no missing data. 0 otherwise; a
+// host/binary without an instance cannot express its speedup, so each gate
+// only arms where the hardware can.
 
 #include <cstdio>
 #include <limits>
@@ -73,34 +76,47 @@ double measure_cells_per_second(const omega::ld::LdEngine& engine,
 }
 
 std::string rate_str(double cells_per_second) {
+  if (cells_per_second <= 0.0) return "-";
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.1f Mcells/s",
                 cells_per_second / 1e6);
   return buffer;
 }
 
+/// Floor of the avx512 / avx2 packed ratio at 2,048 samples, no missing
+/// data.
+constexpr double kAvx512Gate = 1.3;
+
 }  // namespace
 
 int main() {
-  constexpr std::size_t kSites = 384;
-  const std::vector<std::size_t> sample_counts = {64, 256, 2048};
+  using omega::ld::PackedIsa;
+  // 390 sites split into B blocks of 256 and 134 columns, so every body
+  // also runs its partial 4-column tile and partial count->r2 vector. 1,322
+  // samples (the 1000 Genomes phase-3 African haplotypes) are 21 words: full
+  // vectors plus a partial word vector at both widths.
+  constexpr std::size_t kSites = 390;
+  const std::vector<std::size_t> sample_counts = {64, 256, 1322, 2048};
   const std::vector<double> missing_rates = {0.0, 0.1};
+  const PackedIsa kIsas[] = {PackedIsa::Scalar, PackedIsa::Avx2,
+                             PackedIsa::Avx512};
 
-  const bool avx2 = omega::ld::packed_avx2_available();
+  const bool avx2 = omega::ld::packed_isa_available(PackedIsa::Avx2);
+  const bool avx512 = omega::ld::packed_isa_available(PackedIsa::Avx512);
+  const char* auto_isa = omega::ld::packed_isa_name(PackedIsa::Auto);
   std::printf("LD engine shootout (%zu x %zu r2 cells per pass)\n", kSites,
               kSites);
-  std::printf("packed ISA (auto): %s\n\n",
-              omega::ld::packed_isa_name(omega::ld::PackedIsa::Auto));
+  std::printf("packed ISA (auto): %s\n\n", auto_isa);
 
   omega::bench::BenchJson json("LD");
   json.results().set("sites", static_cast<std::int64_t>(kSites));
-  json.results().set("packed_isa",
-                     omega::ld::packed_isa_name(omega::ld::PackedIsa::Auto));
+  json.results().set("packed_isa", auto_isa);
 
   omega::util::Table table({"samples", "missing", "naive", "popcount", "gemm",
-                            "packed/scalar", "packed", "packed/gemm",
-                            "packed/popcount"});
+                            "packed/scalar", "packed/avx2", "packed/avx512",
+                            "packed/gemm", "packed/popcount"});
   double gate_ratio = 0.0;  // packed vs gemm at 2,048 samples, no missing
+  double avx512_ratio = 0.0;  // avx512 vs avx2, same row
   // Slowest packed vs popcount ratio over every row, and that row's key.
   double popcount_min_ratio = std::numeric_limits<double>::infinity();
   std::string popcount_worst_row;
@@ -112,18 +128,28 @@ int main() {
       const omega::ld::NaiveLd naive(dataset);
       const omega::ld::PopcountLd popcount(snps);
       const omega::ld::GemmLd gemm(snps);
-      const omega::ld::PackedLd packed_scalar(snps, {},
-                                              omega::ld::PackedIsa::Scalar);
-      const omega::ld::PackedLd packed(snps);
 
       const double naive_rate = measure_cells_per_second(naive, kSites);
       const double popcount_rate = measure_cells_per_second(popcount, kSites);
       const double gemm_rate = measure_cells_per_second(gemm, kSites);
-      const double packed_scalar_rate =
-          measure_cells_per_second(packed_scalar, kSites);
-      const double packed_rate = measure_cells_per_second(packed, kSites);
+      // Packed cells/s per instance; 0 where the host cannot run it.
+      double instance_rate[3] = {0.0, 0.0, 0.0};
+      double packed_rate = 0.0;  // the instance auto picks
+      for (std::size_t k = 0; k < 3; ++k) {
+        if (!omega::ld::packed_isa_available(kIsas[k])) continue;
+        const omega::ld::PackedLd packed(snps, {}, kIsas[k]);
+        instance_rate[k] = measure_cells_per_second(packed, kSites);
+        if (std::string(packed.isa()) == auto_isa) {
+          packed_rate = instance_rate[k];
+        }
+      }
       const double ratio = gemm_rate > 0.0 ? packed_rate / gemm_rate : 0.0;
-      if (samples == 2048 && missing == 0.0) gate_ratio = ratio;
+      if (samples == 2048 && missing == 0.0) {
+        gate_ratio = ratio;
+        if (instance_rate[1] > 0.0) {
+          avx512_ratio = instance_rate[2] / instance_rate[1];
+        }
+      }
       const double vs_popcount =
           popcount_rate > 0.0 ? packed_rate / popcount_rate : 0.0;
 
@@ -132,8 +158,8 @@ int main() {
                     missing * 100.0);
       table.add_row({std::to_string(samples), missing_str,
                      rate_str(naive_rate), rate_str(popcount_rate),
-                     rate_str(gemm_rate), rate_str(packed_scalar_rate),
-                     rate_str(packed_rate),
+                     rate_str(gemm_rate), rate_str(instance_rate[0]),
+                     rate_str(instance_rate[1]), rate_str(instance_rate[2]),
                      omega::util::Table::num(ratio, 1) + "x",
                      omega::util::Table::num(vs_popcount, 1) + "x"});
 
@@ -151,7 +177,13 @@ int main() {
       engines.set("naive", naive_rate);
       engines.set("popcount", popcount_rate);
       engines.set("gemm", gemm_rate);
-      engines.set("packed_scalar", packed_scalar_rate);
+      for (std::size_t k = 0; k < 3; ++k) {
+        if (instance_rate[k] > 0.0) {
+          engines.set(std::string("packed_") +
+                          omega::ld::packed_isa_name(kIsas[k]),
+                      instance_rate[k]);
+        }
+      }
       engines.set("packed", packed_rate);
       entry.set("cells_per_second", std::move(engines));
       entry.set("packed_vs_gemm_ratio", ratio);
@@ -168,19 +200,27 @@ int main() {
   gate.set("popcount_threshold_ratio", 1.0);
   gate.set("popcount_min_ratio", popcount_min_ratio);
   gate.set("popcount_worst_row", popcount_worst_row);
+  gate.set("avx512_armed", avx512);
+  gate.set("avx512_vs_avx2_threshold_ratio", kAvx512Gate);
+  gate.set("avx512_vs_avx2_ratio", avx512_ratio);
   json.results().set("gate", std::move(gate));
   json.write();
 
   bool failed = false;
   if (avx2 && gate_ratio < 5.0) {
-    std::printf("\nFAIL: packed AVX2 is %.1fx GEMM at 2,048 samples "
-                "(acceptance floor: 5x)\n", gate_ratio);
+    std::printf("\nFAIL: packed %s is %.1fx GEMM at 2,048 samples "
+                "(acceptance floor: 5x)\n", auto_isa, gate_ratio);
     failed = true;
   }
   if (avx2 && popcount_min_ratio < 1.0) {
-    std::printf("\nFAIL: packed AVX2 is %.2fx popcount in row %s "
+    std::printf("\nFAIL: packed %s is %.2fx popcount in row %s "
                 "(floor: 1x in every row)\n",
-                popcount_min_ratio, popcount_worst_row.c_str());
+                auto_isa, popcount_min_ratio, popcount_worst_row.c_str());
+    failed = true;
+  }
+  if (avx512 && avx512_ratio < kAvx512Gate) {
+    std::printf("\nFAIL: packed avx512 is %.2fx avx2 at 2,048 samples "
+                "(floor: %.1fx)\n", avx512_ratio, kAvx512Gate);
     failed = true;
   }
   if (failed) return 1;
@@ -189,5 +229,8 @@ int main() {
               disarmed);
   std::printf("packed vs popcount, slowest row (%s): %.1fx%s\n",
               popcount_worst_row.c_str(), popcount_min_ratio, disarmed);
+  std::printf("packed avx512 vs avx2 at 2,048 samples: %.2fx%s\n",
+              avx512_ratio,
+              avx512 ? "" : " (gate disarmed: no AVX-512 VPOPCNTDQ)");
   return 0;
 }

@@ -31,9 +31,9 @@ CpuKernelKind cpu_kernel_from_name(const std::string& name) {
 
 namespace {
 
-/// Why `kind` cannot run here, or nullptr when it can.
-const char* unavailable_reason(CpuKernelKind kind) noexcept {
-  const util::CpuFeatures& cpu = util::cpu_features();
+/// Why `kind` cannot run against `cpu`, or nullptr when it can.
+const char* unavailable_reason(CpuKernelKind kind,
+                               const util::CpuFeatures& cpu) noexcept {
   switch (kind) {
     case CpuKernelKind::Avx2:
 #if defined(OMEGA_HAVE_AVX2_TU)
@@ -60,23 +60,28 @@ const char* unavailable_reason(CpuKernelKind kind) noexcept {
 }  // namespace
 
 bool cpu_kernel_available(CpuKernelKind kind) noexcept {
-  return unavailable_reason(kind) == nullptr;
+  return unavailable_reason(kind, util::cpu_features()) == nullptr;
 }
 
-CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested) {
+CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested,
+                                 const util::CpuFeatures& cpu) {
   if (requested == CpuKernelKind::Auto) {
     for (CpuKernelKind kind : {CpuKernelKind::Avx512, CpuKernelKind::Avx2}) {
-      if (cpu_kernel_available(kind)) return kind;
+      if (unavailable_reason(kind, cpu) == nullptr) return kind;
     }
     return CpuKernelKind::Portable;
   }
-  if (const char* reason = unavailable_reason(requested)) {
+  if (const char* reason = unavailable_reason(requested, cpu)) {
     throw std::runtime_error(std::string("cpu kernel '") +
                              cpu_kernel_name(requested) +
                              "' requested but unavailable (" + reason +
                              "); use --cpu-kernel=auto");
   }
   return requested;
+}
+
+CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested) {
+  return resolve_cpu_kernel(requested, util::cpu_features());
 }
 
 void CpuKernelCounters::add(CpuKernelKind kind,

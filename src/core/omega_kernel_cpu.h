@@ -35,6 +35,7 @@
 #include "core/grid.h"
 #include "core/omega_kernel_view.h"
 #include "core/omega_search.h"
+#include "util/cpu_features.h"
 
 namespace omega::core {
 
@@ -54,9 +55,13 @@ enum class CpuKernelKind { Auto, Scalar, Portable, Avx2, Avx512 };
 /// this host's CPU supports its ISA.
 [[nodiscard]] bool cpu_kernel_available(CpuKernelKind kind) noexcept;
 
-/// Resolves Auto to a concrete kernel for this binary/host. Forcing Avx2 or
-/// Avx512 on a host that cannot run it throws std::runtime_error (the CLI
-/// surfaces this as a configuration error instead of crashing on SIGILL).
+/// Resolves Auto to a concrete kernel for this binary and the feature set
+/// `cpu`. Forcing Avx2 or Avx512 where it cannot run throws
+/// std::runtime_error (the CLI surfaces this as a configuration error
+/// instead of crashing on SIGILL).
+[[nodiscard]] CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested,
+                                               const util::CpuFeatures& cpu);
+/// resolve_cpu_kernel against this host's util::cpu_features().
 [[nodiscard]] CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested);
 
 /// Per-kernel evaluation accounting, merged into ScanProfile::kernel.

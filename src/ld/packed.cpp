@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cpu_features.h"
@@ -91,38 +92,58 @@ const PackedKernels& scalar_kernels() noexcept {
   return kernels;
 }
 
-#if !defined(OMEGA_LD_HAVE_AVX2_TU)
-// The compiler could not target AVX2, so the vector TU compiled to nothing;
-// resolve_kernels never hands these out (packed_avx2_available() is false),
-// but the symbol must exist for the link.
-const PackedKernels& avx2_kernels() noexcept { return scalar_kernels(); }
+namespace {
+
+/// The table of `isa` when the binary carries its TU and `cpu` runs it,
+/// nullptr otherwise; the scalar table for Auto and Scalar.
+const PackedKernels* runnable(PackedIsa isa,
+                              const util::CpuFeatures& cpu) noexcept {
+  switch (isa) {
+    case PackedIsa::Avx2:
+#if defined(OMEGA_LD_HAVE_AVX2_TU)
+      return cpu.avx2 ? &avx2_kernels() : nullptr;
+#else
+      return nullptr;
 #endif
+    case PackedIsa::Avx512:
+#if defined(OMEGA_LD_HAVE_AVX512_TU)
+      return cpu.avx512f && cpu.avx512vpopcntdq ? &avx512_kernels() : nullptr;
+#else
+      return nullptr;
+#endif
+    case PackedIsa::Auto:
+    case PackedIsa::Scalar:
+      break;
+  }
+  (void)cpu;
+  return &scalar_kernels();
+}
+
+}  // namespace
+
+const PackedKernels& resolve_kernels(PackedIsa isa,
+                                     const util::CpuFeatures& cpu) {
+  if (isa == PackedIsa::Auto) {
+    for (PackedIsa widest : {PackedIsa::Avx512, PackedIsa::Avx2}) {
+      if (const PackedKernels* kernels = runnable(widest, cpu)) return *kernels;
+    }
+    return scalar_kernels();
+  }
+  if (const PackedKernels* kernels = runnable(isa, cpu)) return *kernels;
+  throw std::runtime_error(
+      std::string("packed LD engine: ") +
+      (isa == PackedIsa::Avx2 ? "avx2" : "avx512") +
+      " requested but this binary/host cannot run it");
+}
 
 const PackedKernels& resolve_kernels(PackedIsa isa) {
-  switch (isa) {
-    case PackedIsa::Scalar:
-      return scalar_kernels();
-    case PackedIsa::Avx2:
-      if (!packed_avx2_available()) {
-        throw std::runtime_error(
-            "packed LD engine: AVX2 requested but this binary/host cannot "
-            "run it");
-      }
-      return avx2_kernels();
-    case PackedIsa::Auto:
-      return packed_avx2_available() ? avx2_kernels() : scalar_kernels();
-  }
-  throw std::logic_error("unknown PackedIsa");
+  return resolve_kernels(isa, util::cpu_features());
 }
 
 }  // namespace packed_detail
 
-bool packed_avx2_available() noexcept {
-#if defined(OMEGA_LD_HAVE_AVX2_TU)
-  return util::cpu_features().avx2;
-#else
-  return false;
-#endif
+bool packed_isa_available(PackedIsa isa) noexcept {
+  return packed_detail::runnable(isa, util::cpu_features()) != nullptr;
 }
 
 const char* packed_isa_name(PackedIsa isa) {

@@ -3,24 +3,23 @@
 // scan path builds for LdBackendKind::Auto and ::Packed. It is the
 // PLINK-style answer to the GEMM cast's byte panels (the paper's GPU LD
 // path; a CPU copy of it is a test reference in support/ld_reference).
-// Operands stay 1 bit per genotype end-to-end — 256 genotypes per AVX2
+// Operands stay 1 bit per genotype end-to-end — 512 genotypes per AVX-512
 // vector — and every row is stored and counted at its real width
 // (words_per_site() words, no padding), so a 64-haplotype site is one u64
 // word and a B block of 256 sites is 2 KiB of contiguous words.
 //
 // Counting runs in two steps per (A block x B block) of the BLIS-shaped loop
 // nest. The count kernel ANDs and popcounts each pair, its body picked by the
-// row width: one-word complete rows broadcast an A word against contiguous B
-// words and one-word fused rows run popcntq; other rows a vectorized popcount
-// (vpshufb nibble-LUT + vpsadbw, popcntq for the last words % 4 words) in a
-// 1 x 4 register tile, or per pair with a Harley-Seal carry-save reduction
-// once the sample dimension is deep enough to amortize it. The count->r2
-// kernel then evaluates Eq. (1) eight cells at a time in r2_from_counts_f's
-// exact operation order, so every r2 float is bitwise what the reference
-// popcount and GEMM engines produce. Scalar bodies (std::popcount,
-// r2_from_counts_f) back the same loop nest on hosts/binaries without AVX2;
-// selection happens once at engine construction through util/cpu_features,
-// mirroring the omega_kernel_avx2.cpp per-TU dispatch pattern.
+// row width (one-word broadcast, 1 x 4 register tile, fused four-stream
+// pass); the count->r2 kernel then evaluates Eq. (1) a vector of cells at a
+// time in r2_from_counts_f's exact operation order, so every r2 float is
+// bitwise what the reference popcount and GEMM engines produce. The vector
+// bodies are written once (packed_body.h) and built per ISA: AVX2 (nibble
+// lookup + vpsadbw popcount) and AVX-512F+VPOPCNTDQ (vpopcntq). Scalar
+// bodies (std::popcount, r2_from_counts_f) back the same loop nest on
+// hosts/binaries without either; selection happens once at engine
+// construction through util/cpu_features, the same per-TU dispatch as the
+// omega kernel's.
 //
 // Missing data: rows are packed as fused [data | mask] rows and the fused
 // count kernel produces all four pairwise-complete count streams
@@ -41,6 +40,7 @@
 
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "util/cpu_features.h"
 
 namespace omega::ld {
 
@@ -55,15 +55,19 @@ struct PackedBlocking {
   std::size_t sites_per_panel = 256;
 };
 
-/// Which kernel bodies the packed engine runs. Auto resolves to Avx2 when
-/// the binary carries the AVX2 TU and the host supports it.
-enum class PackedIsa { Auto, Scalar, Avx2 };
+/// Which kernel bodies the packed engine runs. Auto resolves to the widest
+/// instance the binary carries and the host runs: Avx512, then Avx2, then
+/// Scalar.
+enum class PackedIsa { Auto, Scalar, Avx2, Avx512 };
 
-/// True when the AVX2 kernels are compiled in and the host can run them.
-[[nodiscard]] bool packed_avx2_available() noexcept;
+/// True when the binary can run `isa` on this host: always for Auto and
+/// Scalar; for Avx2 / Avx512 when the TU is compiled in AND the host CPU
+/// supports AVX2 / AVX-512F+VPOPCNTDQ.
+[[nodiscard]] bool packed_isa_available(PackedIsa isa) noexcept;
 
-/// The body PackedIsa::Auto resolves to on this binary/host ("avx2" or
-/// "scalar"); stamped into the metrics "ld" block and BENCH_LD.json.
+/// The body `isa` resolves to on this binary/host ("avx512", "avx2" or
+/// "scalar"); for Auto it is stamped into the metrics "ld" block and
+/// BENCH_LD.json.
 [[nodiscard]] const char* packed_isa_name(PackedIsa isa);
 
 namespace packed_detail {
@@ -110,12 +114,19 @@ struct PackedKernels {
   const char* isa = "scalar";
 };
 
-/// Scalar bodies (always available; the test oracle for the AVX2 TU).
+/// Scalar bodies (always available; the test oracle for the vector TUs).
 [[nodiscard]] const PackedKernels& scalar_kernels() noexcept;
-/// AVX2 bodies; only valid to call when packed_avx2_available().
+/// The entry points of the vector TUs (packed_avx2.cpp, packed_avx512.cpp),
+/// defined only when the compiler can target them; reach them through
+/// resolve_kernels.
 [[nodiscard]] const PackedKernels& avx2_kernels() noexcept;
-/// Resolves `isa` (Auto -> best available). Throws std::runtime_error when
-/// Avx2 is forced on a binary/host that cannot run it.
+[[nodiscard]] const PackedKernels& avx512_kernels() noexcept;
+/// Resolves `isa` against the feature set `cpu` (Auto -> widest runnable).
+/// Throws std::runtime_error when Avx2 or Avx512 is forced on a binary or
+/// feature set that cannot run it.
+[[nodiscard]] const PackedKernels& resolve_kernels(
+    PackedIsa isa, const util::CpuFeatures& cpu);
+/// resolve_kernels against this host's util::cpu_features().
 [[nodiscard]] const PackedKernels& resolve_kernels(PackedIsa isa);
 
 }  // namespace packed_detail
@@ -133,7 +144,8 @@ class PackedLd final : public LdEngine {
     return snps_.num_sites();
   }
 
-  /// The kernel bodies this instance resolved to ("avx2" | "scalar").
+  /// The kernel bodies this instance resolved to ("avx512" | "avx2" |
+  /// "scalar").
   [[nodiscard]] const char* isa() const noexcept { return kernels_.isa; }
 
   /// Panel-cache accounting over this engine's lifetime (also mirrored into

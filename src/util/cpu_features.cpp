@@ -13,6 +13,7 @@ CpuFeatures detect() noexcept {
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
   features.fma = __builtin_cpu_supports("fma") != 0;
   features.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  features.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #endif
   return features;
 }
@@ -27,7 +28,8 @@ const CpuFeatures& cpu_features() noexcept {
 std::string cpu_isa_summary() {
   const CpuFeatures& features = cpu_features();
   if (features.avx512f && features.avx2 && features.fma) {
-    return "avx512f+avx2+fma";
+    return features.avx512vpopcntdq ? "avx512f+vpopcntdq+avx2+fma"
+                                    : "avx512f+avx2+fma";
   }
   if (features.avx2 && features.fma) return "avx2+fma";
   if (features.avx2) return "avx2";

@@ -1,9 +1,9 @@
 #pragma once
-// Runtime CPU feature detection for kernel dispatch. The AVX2+FMA and
-// AVX-512F+FMA omega-kernel instances are each compiled into their own
-// translation unit with per-file -m flags; whether one is *called* is
-// decided here at runtime, so the same binary runs correctly on hosts
-// without those extensions.
+// Runtime CPU feature detection for kernel dispatch. The AVX2 and AVX-512
+// instances of the omega kernel and of the packed LD kernels are each
+// compiled into their own translation unit with per-file -m flags; whether
+// one is *called* is decided here at runtime, so the same binary runs
+// correctly on hosts without those extensions.
 
 #include <string>
 
@@ -13,13 +13,15 @@ struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
   bool avx512f = false;  // CPU and OS support (libgcc checks the ZMM state)
+  bool avx512vpopcntdq = false;  // vpopcntq / vpopcntd on 512-bit vectors
 };
 
 /// Detected features of the executing CPU (cached after the first query).
 [[nodiscard]] const CpuFeatures& cpu_features() noexcept;
 
 /// Human-readable summary of the detected ISA level, e.g.
-/// "avx512f+avx2+fma", "avx2+fma" or "baseline"; used by the CLI dispatch report and the bench harness.
+/// "avx512f+vpopcntdq+avx2+fma", "avx512f+avx2+fma", "avx2+fma" or
+/// "baseline"; used by the CLI dispatch report and the bench harness.
 [[nodiscard]] std::string cpu_isa_summary();
 
 /// Marketing model string of the executing CPU (x86 CPUID brand string,

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "ld_reference/engines.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
+#include "util/cpu_features.h"
 #include "util/prng.h"
 
 namespace {
@@ -630,6 +632,57 @@ TEST(KernelDispatch, ResolveSemantics) {
                              CpuKernelKind::Portable}) {
     EXPECT_TRUE(omega::core::cpu_kernel_available(kind));
   }
+}
+
+TEST(KernelDispatch, MaskedFeatureSetsFallBackOrThrow) {
+  using omega::core::resolve_cpu_kernel;
+  using omega::util::CpuFeatures;
+  const CpuFeatures all{true, true, true, true};
+  // Whether the binary carries the TU of `kind`: only then does forcing it
+  // resolve against a feature set that has every ISA.
+  const auto builds = [&all](CpuKernelKind kind) {
+    try {
+      return resolve_cpu_kernel(kind, all) == kind;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  const bool avx2_tu = builds(CpuKernelKind::Avx2);
+  const bool avx512_tu = builds(CpuKernelKind::Avx512);
+
+  // No vector feature: Auto falls back to the portable body and forcing
+  // either vector instance throws.
+  const CpuFeatures none{};
+  EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Auto, none),
+            CpuKernelKind::Portable);
+  EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Scalar, none),
+            CpuKernelKind::Scalar);
+  EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx2, none),
+               std::runtime_error);
+  EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx512, none),
+               std::runtime_error);
+
+  // AVX2 without FMA runs neither instance.
+  const CpuFeatures no_fma{true, false, true, true};
+  EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Auto, no_fma),
+            CpuKernelKind::Portable);
+  EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx2, no_fma),
+               std::runtime_error);
+  EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx512, no_fma),
+               std::runtime_error);
+
+  // AVX2+FMA without AVX-512F: Auto falls back to avx2, forcing avx512
+  // throws.
+  const CpuFeatures avx2_fma{true, true, false, false};
+  const CpuKernelKind narrower =
+      avx2_tu ? CpuKernelKind::Avx2 : CpuKernelKind::Portable;
+  EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Auto, avx2_fma), narrower);
+  EXPECT_THROW((void)resolve_cpu_kernel(CpuKernelKind::Avx512, avx2_fma),
+               std::runtime_error);
+
+  // Every feature: Auto takes the widest TU the binary carries.
+  EXPECT_EQ(resolve_cpu_kernel(CpuKernelKind::Auto, all),
+            avx512_tu ? CpuKernelKind::Avx512 : narrower);
 }
 
 TEST(KernelDispatch, NameRoundTrip) {

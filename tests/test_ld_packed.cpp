@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "ld/snp_matrix.h"
 #include "ld_reference/engines.h"
 #include "sim/dataset_factory.h"
+#include "util/cpu_features.h"
 #include "util/prng.h"
 
 namespace {
@@ -114,6 +116,26 @@ std::unique_ptr<omega::ld::LdEngine> popcount_factory(const SnpMatrix& snps) {
 
 // ------------------------------------------------------------ ISA dispatch --
 
+/// Every vector instance this binary/host can run, narrowest first.
+std::vector<PackedIsa> vector_isas() {
+  std::vector<PackedIsa> isas;
+  for (const PackedIsa isa : {PackedIsa::Avx2, PackedIsa::Avx512}) {
+    if (omega::ld::packed_isa_available(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+/// Every kernel table this binary/host can run: the scalar bodies always,
+/// then each vector instance.
+std::vector<const packed_detail::PackedKernels*> runnable_kernels() {
+  std::vector<const packed_detail::PackedKernels*> kernels{
+      &packed_detail::scalar_kernels()};
+  for (const PackedIsa isa : vector_isas()) {
+    kernels.push_back(&packed_detail::resolve_kernels(isa));
+  }
+  return kernels;
+}
+
 TEST(PackedIsaDispatch, ScalarMatchesAutoBitwise) {
   for (const double missing : {0.0, 0.15}) {
     const Dataset d = random_dataset(48, 300, 71, missing);
@@ -128,58 +150,119 @@ TEST(PackedIsaDispatch, ScalarMatchesAutoBitwise) {
   }
 }
 
+// Covers avx512 as well as avx2.
 TEST(PackedIsaDispatch, ForcedAvx2OrThrows) {
   const Dataset d = random_dataset(20, 500, 73, 0.1);
   const SnpMatrix snps(d);
-  if (omega::ld::packed_avx2_available()) {
-    const PackedLd avx2_engine(snps, PackedBlocking{}, PackedIsa::Avx2);
-    EXPECT_STREQ(avx2_engine.isa(), "avx2");
-    const PackedLd scalar_engine(snps, PackedBlocking{}, PackedIsa::Scalar);
-    std::vector<float> a(20 * 20), s(20 * 20);
-    avx2_engine.r2_block(0, 20, 0, 20, a.data(), 20);
-    scalar_engine.r2_block(0, 20, 0, 20, s.data(), 20);
-    EXPECT_EQ(a, s);
-  } else {
-    EXPECT_THROW(PackedLd(snps, PackedBlocking{}, PackedIsa::Avx2),
-                 std::runtime_error);
+  const PackedLd scalar_engine(snps, PackedBlocking{}, PackedIsa::Scalar);
+  std::vector<float> s(20 * 20);
+  scalar_engine.r2_block(0, 20, 0, 20, s.data(), 20);
+  for (const PackedIsa isa : {PackedIsa::Avx2, PackedIsa::Avx512}) {
+    if (omega::ld::packed_isa_available(isa)) {
+      const PackedLd engine(snps, PackedBlocking{}, isa);
+      EXPECT_STREQ(engine.isa(), omega::ld::packed_isa_name(isa));
+      std::vector<float> a(20 * 20);
+      engine.r2_block(0, 20, 0, 20, a.data(), 20);
+      EXPECT_EQ(a, s) << engine.isa();
+    } else {
+      EXPECT_THROW(PackedLd(snps, PackedBlocking{}, isa), std::runtime_error);
+    }
   }
 }
 
 TEST(PackedIsaDispatch, AutoNameMatchesAvailability) {
-  const char* resolved = omega::ld::packed_isa_name(PackedIsa::Auto);
-  if (omega::ld::packed_avx2_available()) {
-    EXPECT_STREQ(resolved, "avx2");
-  } else {
-    EXPECT_STREQ(resolved, "scalar");
-  }
+  // Auto takes the widest instance available: avx512, then avx2.
+  const std::vector<PackedIsa> isas = vector_isas();
+  EXPECT_STREQ(omega::ld::packed_isa_name(PackedIsa::Auto),
+               isas.empty() ? "scalar"
+                            : omega::ld::packed_isa_name(isas.back()));
   EXPECT_STREQ(omega::ld::packed_isa_name(PackedIsa::Scalar), "scalar");
+  if (omega::ld::packed_isa_available(PackedIsa::Avx2)) {
+    EXPECT_STREQ(omega::ld::packed_isa_name(PackedIsa::Avx2), "avx2");
+  }
+  if (omega::ld::packed_isa_available(PackedIsa::Avx512)) {
+    EXPECT_STREQ(omega::ld::packed_isa_name(PackedIsa::Avx512), "avx512");
+  }
 }
 
-TEST(PackedIsaDispatch, DeepSampleDimensionHitsHarleySeal) {
-  // > 64 * 64 = 4096 sample bits per row pushes the AVX2 popcount into the
-  // Harley-Seal carry-save loop; the scalar oracle must still match bitwise.
-  const Dataset d = random_dataset(10, 4500, 79, 0.05);
-  const SnpMatrix snps(d);
-  const PackedLd auto_engine(snps);
-  const PackedLd scalar_engine(snps, PackedBlocking{}, PackedIsa::Scalar);
-  std::vector<float> a(10 * 10), s(10 * 10);
-  auto_engine.r2_block(0, 10, 0, 10, a.data(), 10);
-  scalar_engine.r2_block(0, 10, 0, 10, s.data(), 10);
-  EXPECT_EQ(a, s);
+TEST(PackedIsaDispatch, MaskedFeatureSetsFallBackOrThrow) {
+  using omega::util::CpuFeatures;
+  using packed_detail::resolve_kernels;
+  const CpuFeatures all{true, true, true, true};
+  // Whether the binary carries the TU of `isa`: only then does forcing it
+  // resolve against a feature set that has every ISA.
+  const auto builds = [&all](PackedIsa isa) {
+    try {
+      (void)resolve_kernels(isa, all);
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  const bool avx2_tu = builds(PackedIsa::Avx2);
+  const bool avx512_tu = builds(PackedIsa::Avx512);
+
+  // No vector feature: only the scalar bodies resolve.
+  const CpuFeatures none{};
+  EXPECT_STREQ(resolve_kernels(PackedIsa::Auto, none).isa, "scalar");
+  EXPECT_STREQ(resolve_kernels(PackedIsa::Scalar, none).isa, "scalar");
+  EXPECT_THROW((void)resolve_kernels(PackedIsa::Avx2, none),
+               std::runtime_error);
+  EXPECT_THROW((void)resolve_kernels(PackedIsa::Avx512, none),
+               std::runtime_error);
+
+  // AVX-512F without VPOPCNTDQ cannot run the AVX-512 instance; Auto falls
+  // back to AVX2.
+  const CpuFeatures no_vpopcntdq{true, true, true, false};
+  EXPECT_STREQ(resolve_kernels(PackedIsa::Auto, no_vpopcntdq).isa,
+               avx2_tu ? "avx2" : "scalar");
+  EXPECT_THROW((void)resolve_kernels(PackedIsa::Avx512, no_vpopcntdq),
+               std::runtime_error);
+
+  // VPOPCNTDQ without AVX-512F is not an AVX-512 host either.
+  const CpuFeatures no_avx512f{true, true, false, true};
+  EXPECT_THROW((void)resolve_kernels(PackedIsa::Avx512, no_avx512f),
+               std::runtime_error);
+
+  // AVX2 alone: Avx2 resolves when the TU is built, Avx512 throws.
+  const CpuFeatures avx2_only{true, false, false, false};
+  EXPECT_STREQ(resolve_kernels(PackedIsa::Auto, avx2_only).isa,
+               avx2_tu ? "avx2" : "scalar");
+  if (avx2_tu) {
+    EXPECT_STREQ(resolve_kernels(PackedIsa::Avx2, avx2_only).isa, "avx2");
+  }
+  EXPECT_THROW((void)resolve_kernels(PackedIsa::Avx512, avx2_only),
+               std::runtime_error);
+
+  // Every feature: Auto takes the widest TU the binary carries.
+  EXPECT_STREQ(resolve_kernels(PackedIsa::Auto, all).isa,
+               avx512_tu ? "avx512" : (avx2_tu ? "avx2" : "scalar"));
+}
+
+TEST(PackedIsaDispatch, DeepSampleDimensionMatchesScalar) {
+  // 4,500 samples are 71 words per row: full vectors plus a 3-word (AVX2)
+  // or 7-word (AVX-512) partial vector. 8,200 samples (129 words) run past
+  // the AVX2 byte-count fold (124 words). Complete and fused rows, every
+  // instance, bitwise against the scalar oracle.
+  for (const std::size_t samples : {4500u, 8200u}) {
+    for (const double missing : {0.0, 0.05}) {
+      const Dataset d = random_dataset(10, samples, 79, missing);
+      const SnpMatrix snps(d);
+      const PackedLd scalar_engine(snps, PackedBlocking{}, PackedIsa::Scalar);
+      std::vector<float> s(10 * 10);
+      scalar_engine.r2_block(0, 10, 0, 10, s.data(), 10);
+      for (const PackedIsa isa : vector_isas()) {
+        const PackedLd engine(snps, PackedBlocking{}, isa);
+        std::vector<float> a(10 * 10);
+        engine.r2_block(0, 10, 0, 10, a.data(), 10);
+        EXPECT_EQ(a, s) << engine.isa() << " samples " << samples
+                        << " missing " << missing;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- count->r2 kernels --
-
-/// Every kernel table this binary/host can run: the scalar bodies always,
-/// the AVX2 bodies when available.
-std::vector<const packed_detail::PackedKernels*> runnable_kernels() {
-  std::vector<const packed_detail::PackedKernels*> kernels{
-      &packed_detail::scalar_kernels()};
-  if (omega::ld::packed_avx2_available()) {
-    kernels.push_back(&packed_detail::avx2_kernels());
-  }
-  return kernels;
-}
 
 std::uint32_t float_bits(float value) {
   return std::bit_cast<std::uint32_t>(value);
@@ -291,44 +374,97 @@ TEST(PackedCountToR2, PairwiseMatchesScalarOverEveryFeasibleCount) {
 
 TEST(PackedRowWidths, MatchPopcountBitwiseAtEveryWidth) {
   // 1..257 haplotypes cover one-word rows, rows narrower than one vector
-  // (2-3 words) and vector rows with and without a scalar word tail; 101
-  // sites with blocks of 37 x 71 and 101 x 99 cells straddle a 64-site panel
-  // boundary, the 32-site B blocks and the 8/4-cell vector steps.
+  // (2-7 words) and vector rows with and without a partial word vector; 512,
+  // 576 and 1,025 haplotypes (8, 9 and 17 words) do the same at AVX-512
+  // width. 101 sites with blocks of 37 x 71 and 101 x 99 cells straddle a
+  // 64-site panel boundary, the 32-site B blocks, the 4-column count tile
+  // and the 8/16-cell vector steps. Every instance runs with the default
+  // blocking, the small blocks, and 3-word depth slices.
   PackedBlocking blocking;
   blocking.sites_per_panel = 64;
   blocking.mc = 24;
   blocking.nc = 32;
+  PackedBlocking sliced = blocking;
+  sliced.kc_words = 3;
+  std::vector<PackedIsa> isas{PackedIsa::Scalar};
+  for (const PackedIsa isa : vector_isas()) isas.push_back(isa);
   struct Block {
     std::size_t i0, i1, j0, j1;
   };
   const Block blocks[] = {{17, 54, 30, 101}, {0, 101, 1, 100}};
-  for (const std::size_t haplotypes :
-       {1u, 63u, 64u, 65u, 128u, 129u, 192u, 256u, 257u}) {
+  for (const std::size_t haplotypes : {1u, 63u, 64u, 65u, 128u, 129u, 192u,
+                                       256u, 257u, 512u, 576u, 1025u}) {
     for (const double missing : {0.0, 0.1}) {
       const Dataset d = random_dataset(101, haplotypes, 300 + haplotypes,
                                        missing);
       const SnpMatrix snps(d);
       const PopcountLd popcount(snps);
-      const PackedLd packed_default(snps);
-      const PackedLd packed_blocked(snps, blocking);
-      const PackedLd packed_scalar(snps, blocking, PackedIsa::Scalar);
+      std::vector<std::unique_ptr<PackedLd>> engines;
+      for (const PackedIsa isa : isas) {
+        for (const PackedBlocking& b : {PackedBlocking{}, blocking, sliced}) {
+          engines.push_back(std::make_unique<PackedLd>(snps, b, isa));
+        }
+      }
       for (const Block& b : blocks) {
         const std::size_t m = b.i1 - b.i0;
         const std::size_t n = b.j1 - b.j0;
         const std::size_t ld = n + 3;  // a row stride wider than the block
         std::vector<float> expected(m * ld, -1.0f);
         popcount.r2_block(b.i0, b.i1, b.j0, b.j1, expected.data(), ld);
-        for (const PackedLd* engine :
-             {&packed_default, &packed_blocked, &packed_scalar}) {
+        for (std::size_t e = 0; e < engines.size(); ++e) {
           std::vector<float> actual(m * ld, -1.0f);
-          engine->r2_block(b.i0, b.i1, b.j0, b.j1, actual.data(), ld);
+          engines[e]->r2_block(b.i0, b.i1, b.j0, b.j1, actual.data(), ld);
           for (std::size_t k = 0; k < actual.size(); ++k) {
             ASSERT_EQ(float_bits(actual[k]), float_bits(expected[k]))
-                << engine->isa() << " haplotypes " << haplotypes
-                << " missing " << missing << " cell " << k / ld << ","
-                << k % ld;
+                << engines[e]->isa() << " blocking " << e % 3
+                << " haplotypes " << haplotypes << " missing " << missing
+                << " cell " << k / ld << "," << k % ld;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(PackedRowWidths, CountKernelsMatchScalarAtTailWidths) {
+  // Fused [data | mask] and complete rows at widths that are not multiples
+  // of the vector (4 or 8 words), so the partial word vector runs, and past
+  // the AVX2 byte-count fold (120 words plus the partial vector). All-ones
+  // rows put 8 in every byte count, the most a fold must hold. Counts
+  // accumulate into c, so c starts at random values; ldc and the plane
+  // stride are wider than the block. 21 columns leave a partial 4-column
+  // tile and a one-word tail.
+  constexpr std::size_t kM = 3, kN = 21, kLdc = 23, kPlane = kM * kLdc + 5;
+  omega::util::Xoshiro256 rng(4242);
+  const auto& scalar = packed_detail::scalar_kernels();
+  for (const bool ones : {false, true}) {
+    for (const std::size_t words : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 12u, 13u, 15u,
+                                    17u, 23u, 31u, 33u, 63u, 123u, 124u, 125u,
+                                    130u, 257u}) {
+      const std::size_t stride = 2 * words;  // fused rows: data, then mask
+      std::vector<std::uint64_t> a(kM * stride), b(kN * stride);
+      for (auto& w : a) w = ones ? ~std::uint64_t{0} : rng();
+      for (auto& w : b) w = ones ? ~std::uint64_t{0} : rng();
+      std::vector<std::uint32_t> init(4 * kPlane);
+      for (auto& c : init) c = static_cast<std::uint32_t>(rng.bounded(1000));
+
+      std::vector<std::uint32_t> fused_want = init, tile_want = init;
+      scalar.tile_fused(a.data(), b.data(), stride, words, words, kM, kN,
+                        fused_want.data(), kLdc, kPlane);
+      // Complete rows at their real width (stride == words), so one-word
+      // rows take the broadcast body.
+      scalar.tile(a.data(), b.data(), words, words, kM, kN, tile_want.data(),
+                  kLdc);
+      for (const auto* kernels : runnable_kernels()) {
+        std::vector<std::uint32_t> fused = init, tile = init;
+        kernels->tile_fused(a.data(), b.data(), stride, words, words, kM, kN,
+                            fused.data(), kLdc, kPlane);
+        kernels->tile(a.data(), b.data(), words, words, kM, kN, tile.data(),
+                      kLdc);
+        EXPECT_EQ(fused, fused_want) << kernels->isa << " fused, " << words
+                                     << " words, ones " << ones;
+        EXPECT_EQ(tile, tile_want) << kernels->isa << " complete, " << words
+                                   << " words, ones " << ones;
       }
     }
   }

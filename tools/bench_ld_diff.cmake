@@ -5,7 +5,9 @@
 # Unlike bench_mt_diff, the bench's own exit code IS honored: it carries the
 # packed-vs-gemm >= 5x acceptance gate and the packed >= popcount gate in
 # every samples x missing row, which self-disarm on hosts/binaries without
-# AVX2, so a red exit is a real kernel regression. Invoked as:
+# AVX2, and the avx512 >= 1.3x avx2 gate at 2,048 samples, which
+# self-disarms without AVX-512 VPOPCNTDQ, so a red exit is a real kernel
+# regression. Invoked as:
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_ld_diff.cmake
 
 foreach(var BENCH_BIN DIFF_BIN WORK_DIR)
