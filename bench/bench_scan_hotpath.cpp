@@ -1,12 +1,15 @@
 // Perf-regression harness for the vectorized scan hot path (docs/PERF.md):
 //
-//   1. omega-kernel microbenchmark — ns per Eq. (2) evaluation for every
-//      kernel body the host runs (scalar reference, portable fused loop,
-//      and the avx2 / avx512 instances of the width-generic body) on the
-//      largest grid position of a figure-style dataset. The headline
-//      regression gate is dispatched-vs-scalar speedup (>= 6x whenever a
-//      vector instance is dispatched; the fused form alone gives a
-//      measurable win even on baseline hosts).
+//   1. omega-kernel microbenchmark — ns per Eq. (2) window combination for
+//      every kernel body the host runs (scalar reference, portable fused
+//      loop, and the avx2 / avx512 instances of the width-generic body) on
+//      the largest grid position of a figure-style dataset, each fused body
+//      both exhaustive (the view's prune flag cleared) and pruned (as scans
+//      run it). The headline regression gate is dispatched-vs-scalar
+//      speedup of the exhaustive bodies (>= 6x whenever a vector instance is
+//      dispatched; the fused form alone gives a measurable win even on
+//      baseline hosts); a second gate holds the dispatched instance's
+//      pruned-vs-exhaustive speedup.
 //   2. DP-matrix extend throughput — Eq. (3) cells per second through the
 //      suffix-scan extend (r2 fetch from the CLI's default LD engine
 //      included), the second hot loop: once right after a reset, and once
@@ -40,12 +43,18 @@ using omega::core::CpuKernelKind;
 /// Dispatched-vs-scalar ω speedup the bench requires when the dispatched
 /// kernel is a vector instance (docs/PERF.md § Perf-regression harness).
 constexpr double kSpeedupGate = 6.0;
+/// Pruned-vs-exhaustive speedup of the dispatched vector instance on the
+/// micro position (docs/PERF.md § Perf-regression harness).
+constexpr double kPrunedGate = 12.0;
 
-/// ns per omega evaluation for one kernel body on the largest valid grid
-/// position (the measure_omega_rate protocol, kernel-parametrized).
+/// ns per window combination for one kernel body on the largest valid grid
+/// position (the measure_omega_rate protocol, kernel-parametrized). A fused
+/// body runs through the view omega_kernel_search builds, with its prune
+/// flag cleared unless `prune`; the scalar reference is always exhaustive.
 double measure_kernel_ns(const omega::io::Dataset& dataset,
                          const omega::core::OmegaConfig& config,
-                         CpuKernelKind kind, double min_seconds = 0.4) {
+                         CpuKernelKind kind, bool prune,
+                         double min_seconds = 0.4) {
   const auto grid = omega::core::build_grid(dataset, config);
   const omega::core::GridPosition* position = nullptr;
   for (const auto& candidate : grid) {
@@ -68,10 +77,19 @@ double measure_kernel_ns(const omega::io::Dataset& dataset,
   double best = 0.0;
   omega::util::Timer timer;
   do {
-    const auto result =
-        omega::core::omega_kernel_search(m, *position, kind, scratch);
-    evaluated += result.evaluated;
-    best = result.max_omega;  // defeat dead-code elimination
+    if (kind == CpuKernelKind::Scalar) {
+      const auto result =
+          omega::core::omega_kernel_search(m, *position, kind, scratch);
+      evaluated += result.evaluated;
+      best = result.max_omega;  // defeat dead-code elimination
+      continue;
+    }
+    omega::core::OmegaPositionView view =
+        scratch.view(m, *position, position->b_min, position->hi, kind);
+    view.prune = view.prune && prune;
+    best = omega::core::omega_kernel_search_view(view, kind, scratch.omega)
+               .value;
+    evaluated += static_cast<std::uint64_t>(view.n_left) * view.n_right;
   } while (timer.seconds() < min_seconds);
   (void)best;
   return timer.seconds() * 1e9 / static_cast<double>(evaluated);
@@ -165,36 +183,66 @@ int main() {
   micro_config.max_window = 3'000;
   micro_config.min_window = 4;
 
-  omega::util::Table micro_table({"kernel", "ns/omega", "speedup vs scalar"});
+  omega::util::Table micro_table({"kernel", "ns/comb exhaustive",
+                                   "speedup vs scalar", "ns/comb pruned",
+                                   "pruned speedup"});
   auto micro = omega::core::metrics::JsonValue::object();
   double scalar_ns = 0.0;
   double dispatched_ns = 0.0;
+  double dispatched_pruned_ns = 0.0;
   for (CpuKernelKind kind : {CpuKernelKind::Scalar, CpuKernelKind::Portable,
                              CpuKernelKind::Avx2, CpuKernelKind::Avx512}) {
     if (!omega::core::cpu_kernel_available(kind)) continue;
-    const double ns = measure_kernel_ns(micro_dataset, micro_config, kind);
+    const double ns =
+        measure_kernel_ns(micro_dataset, micro_config, kind, false);
+    const double pruned_ns =
+        kind == CpuKernelKind::Scalar
+            ? ns
+            : measure_kernel_ns(micro_dataset, micro_config, kind, true);
     if (kind == CpuKernelKind::Scalar) scalar_ns = ns;
-    if (kind == dispatched) dispatched_ns = ns;
+    if (kind == dispatched) {
+      dispatched_ns = ns;
+      dispatched_pruned_ns = pruned_ns;
+    }
     const std::string name = omega::core::cpu_kernel_name(kind);
-    micro_table.add_row({name, ns_str(ns), ns_str(scalar_ns / ns)});
+    micro_table.add_row({name, ns_str(ns), ns_str(scalar_ns / ns),
+                         ns_str(pruned_ns), ns_str(ns / pruned_ns)});
     micro.set(name + "_ns_per_eval", ns);
+    if (kind != CpuKernelKind::Scalar) {
+      micro.set(name + "_pruned_ns_per_eval", pruned_ns);
+    }
   }
   const double speedup = scalar_ns / dispatched_ns;
-  const bool gate_ok = !gate_armed || speedup >= kSpeedupGate;
-  std::printf("omega kernel (4000 SNPs x 50 samples, largest position):\n");
+  const double pruned_speedup = dispatched_ns / dispatched_pruned_ns;
+  const bool speedup_ok = !gate_armed || speedup >= kSpeedupGate;
+  const bool pruned_ok = !gate_armed || pruned_speedup >= kPrunedGate;
+  const bool gate_ok = speedup_ok && pruned_ok;
+  std::printf("omega kernel (4000 SNPs x 50 samples, largest position; ns "
+              "per window combination):\n");
   micro_table.print();
-  std::printf("dispatched (%s) speedup vs scalar: %.2fx ",
+  std::printf("dispatched (%s) speedup vs scalar, exhaustive: %.2fx ",
               omega::core::cpu_kernel_name(dispatched), speedup);
+  if (!gate_armed) {
+    std::printf("[gate disarmed: no vector kernel]\n");
+  } else {
+    std::printf(speedup_ok ? "[OK >= %.0fx]\n" : "[BELOW %.0fx GATE]\n",
+                kSpeedupGate);
+  }
+  std::printf("dispatched (%s) pruned vs exhaustive: %.2fx ",
+              omega::core::cpu_kernel_name(dispatched), pruned_speedup);
   if (!gate_armed) {
     std::printf("[gate disarmed: no vector kernel]\n\n");
   } else {
-    std::printf(gate_ok ? "[OK >= %.0fx]\n\n" : "[BELOW %.0fx GATE]\n\n",
-                kSpeedupGate);
+    std::printf(pruned_ok ? "[OK >= %.1fx]\n\n" : "[BELOW %.1fx GATE]\n\n",
+                kPrunedGate);
   }
 
   micro.set("dispatched_ns_per_eval", dispatched_ns);
+  micro.set("dispatched_pruned_ns_per_eval", dispatched_pruned_ns);
   micro.set("speedup_dispatched_vs_scalar", speedup);
   micro.set("gate", kSpeedupGate);
+  micro.set("speedup_pruned_vs_exhaustive", pruned_speedup);
+  micro.set("pruned_gate", kPrunedGate);
   json.set("omega_kernel", std::move(micro));
 
   // --- 2. DP-matrix extend throughput ------------------------------------

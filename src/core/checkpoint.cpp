@@ -97,6 +97,7 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
   kernel.set("portable_evaluations", p.kernel.portable_evaluations);
   kernel.set("avx2_evaluations", p.kernel.avx2_evaluations);
   kernel.set("avx512_evaluations", p.kernel.avx512_evaluations);
+  kernel.set("candidates_scored", p.kernel.candidates_scored);
   totals.set("kernel", std::move(kernel));
 
   JsonValue stream = JsonValue::object();
@@ -196,6 +197,7 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
       kernel.at("portable_evaluations").as_uint();
   p.kernel.avx2_evaluations = kernel.at("avx2_evaluations").as_uint();
   p.kernel.avx512_evaluations = kernel.at("avx512_evaluations").as_uint();
+  p.kernel.candidates_scored = kernel.at("candidates_scored").as_uint();
 
   const auto& stream = totals.at("stream");
   p.stream.seam_carryovers = stream.at("seam_carryovers").as_uint();

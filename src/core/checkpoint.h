@@ -47,7 +47,8 @@ struct ScanCheckpoint {
   /// seconds, positions and evaluations, recovery counters, stream IO
   /// times); they travel in totals.telemetry.
   /// v4: totals.kernel carries avx512_evaluations.
-  static constexpr int kVersion = 4;
+  /// v5: totals.kernel carries candidates_scored.
+  static constexpr int kVersion = 5;
 
   io::StreamFingerprint fingerprint;
   /// scan_config_hash of the producing run; resume refuses a mismatch.

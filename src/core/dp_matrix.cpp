@@ -1,6 +1,8 @@
 #include "core/dp_matrix.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -40,6 +42,19 @@ void unpoison(const double*, std::size_t) {}
 /// Cells in local rows [0, i): row i stores entries j = 0 .. i-1.
 std::size_t row_offset(std::size_t i) noexcept { return i * (i - 1) / 2; }
 
+/// True when every value is a finite float with its sign bit clear (-0.0
+/// fails). One OR-reduction that vectorizes on any x86-64: the sign bit
+/// shows directly, and adding 2^23 to the bits of an infinity or NaN (an
+/// all-ones exponent) carries into it.
+bool finite_nonnegative(const float* values, std::size_t n) noexcept {
+  std::uint32_t bits = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto v = std::bit_cast<std::uint32_t>(values[k]);
+    bits |= v | (v + 0x00800000u);
+  }
+  return (bits & 0x80000000u) == 0;
+}
+
 }  // namespace
 
 void DpMatrix::reset(std::size_t base) {
@@ -50,6 +65,7 @@ void DpMatrix::reset(std::size_t base) {
   base_ = base;
   count_ = 0;
   first_row_ = base;
+  r2_nonnegative_ = true;
   ++stats_.resets;
 }
 
@@ -191,6 +207,7 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   const std::size_t ld_r2 = new_count - 1;
   if (ld_r2 == 0) return;  // a lone row has no columns below its diagonal
   const std::size_t first = old_count == 0 ? 1 : old_count;
+  const bool vouched = engine.r2_nonnegative();
   constexpr std::size_t kMinRowsForPool = 64;
   const bool use_pool = pool != nullptr && pool->size() > 0 &&
                         new_count - first >= kMinRowsForPool;
@@ -202,6 +219,11 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
     r2_fetches_ += static_cast<std::uint64_t>(r1 - r0) * ld_r2;
 
     const std::size_t lo = std::max(r0, first);
+    // Row i folds in its cells j < i only.
+    for (std::size_t i = lo; r2_nonnegative_ && !vouched && i < r1; ++i) {
+      r2_nonnegative_ =
+          finite_nonnegative(r2_scratch_.data() + (i - r0) * ld_r2, i);
+    }
     const auto suffix_row = [&](std::size_t i) {
       double* row = slice(i);
       const float* r2_row = r2_scratch_.data() + (i - r0) * ld_r2;

@@ -56,6 +56,13 @@
 // kept its rows down to base() would hold about W rows of about W cells,
 // twice as many.
 //
+// Sign record. Pruned ω search (core/omega_kernel_body.h) needs M monotone
+// in both indices, which holds when every r2 folded in is >= 0 and not NaN.
+// r2_nonnegative() says whether that held for every r2 extend() folded in
+// since the last reset: an engine that vouches for its range
+// (LdEngine::r2_nonnegative) is trusted, and the used cells of any other
+// engine's blocks are checked as they arrive. relocate() keeps the record.
+//
 // Entries are double: the CPU side is the precision reference; accelerator
 // backends consume float casts of these sums exactly as OmegaPlus's host
 // code feeds its accelerators.
@@ -87,7 +94,8 @@ class DpMatrix {
   DpMatrix() = default;
 
   /// Empties the matrix and anchors it at `base` (global index of local 0).
-  /// Every slab goes back to the free list.
+  /// Every slab goes back to the free list, and r2_nonnegative() is true
+  /// again.
   void reset(std::size_t base);
 
   [[nodiscard]] std::size_t base() const noexcept { return base_; }
@@ -149,6 +157,10 @@ class DpMatrix {
   void extend(std::size_t new_end, const ld::LdEngine& engine,
               par::ThreadPool* pool = nullptr);
 
+  /// True when every r2 extend() folded in since the last reset was a
+  /// finite float with its sign bit clear (see "Sign record" above).
+  [[nodiscard]] bool r2_nonnegative() const noexcept { return r2_nonnegative_; }
+
   /// Number of r2 values fetched over the object's lifetime (reuse metric).
   [[nodiscard]] std::uint64_t r2_fetches() const noexcept { return r2_fetches_; }
 
@@ -206,6 +218,7 @@ class DpMatrix {
   std::vector<Slab> free_;         // standard-size slabs with no rows
   std::size_t capacity_ = 0;       // cells of slabs_ and free_
   std::vector<float> r2_scratch_;  // one fetch block, <= kFetchRows rows
+  bool r2_nonnegative_ = true;     // see r2_nonnegative()
   std::uint64_t r2_fetches_ = 0;
   DpMatrixStats stats_;
 };

@@ -508,7 +508,8 @@ JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) 
   doc.set("faults", std::move(faults));
 
   // v4: CPU omega-kernel dispatch decision + per-body evaluation counts
-  // (docs/METRICS.md "kernel" block); v13 adds the avx512 pair.
+  // (docs/METRICS.md "kernel" block); v13 adds the avx512 pair, v14
+  // candidates_scored.
   JsonValue kernel = JsonValue::object();
   kernel.set("requested", profile.kernel.requested);
   kernel.set("selected", profile.kernel.selected);
@@ -519,6 +520,7 @@ JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) 
   kernel.set("portable_evaluations", profile.kernel.portable_evaluations);
   kernel.set("avx2_evaluations", profile.kernel.avx2_evaluations);
   kernel.set("avx512_evaluations", profile.kernel.avx512_evaluations);
+  kernel.set("candidates_scored", profile.kernel.candidates_scored);
   doc.set("kernel", std::move(kernel));
 
   // v5: streaming chunk-pipeline accounting (docs/STREAMING.md); all-zero

@@ -27,9 +27,13 @@ struct Avx2Lanes {
   static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   static Mask gt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
   static Mask lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static Mask ge(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
   static Mask both(Mask a, Mask b) { return _mm256_and_pd(a, b); }
   static bool all(Mask m) { return _mm256_movemask_pd(m) == 0xF; }
   static bool any(Mask m) { return _mm256_movemask_pd(m) != 0; }
+  static unsigned bits(Mask m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
+  }
   static V blend(V a, V b, Mask m) { return _mm256_blendv_pd(a, b, m); }
   static V keep(V v, Mask m) { return _mm256_and_pd(v, m); }
   static double max_lane(V v) {
@@ -38,6 +42,13 @@ struct Avx2Lanes {
     return _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
   }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V gather(const double* p) {
+    // The masked form: the unmasked one merges into _mm256_undefined_pd(),
+    // which GCC 12 reports as maybe-uninitialized (GCC bug 105593).
+    return _mm256_mask_i32gather_pd(
+        zero(), p, _mm_set_epi32(12, 8, 4, 0),
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+  }
 };
 
 }  // namespace

@@ -41,11 +41,15 @@ struct Avx512Lanes {
   static Mask lt(V a, V b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
   }
+  static Mask ge(V a, V b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
   static Mask both(Mask a, Mask b) {
     return static_cast<Mask>(a & b);
   }
   static bool all(Mask m) { return m == 0xFF; }
   static bool any(Mask m) { return m != 0; }
+  static unsigned bits(Mask m) { return m; }
   static V blend(V a, V b, Mask m) {
     return _mm512_mask_blend_pd(m, a, b);
   }
@@ -58,6 +62,10 @@ struct Avx512Lanes {
     return _mm_cvtsd_f64(_mm512_castpd512_pd128(m));
   }
   static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  static V gather(const double* p) {
+    return _mm512_i32gather_pd(
+        _mm256_set_epi32(56, 48, 40, 32, 24, 16, 8, 0), p, 8);
+  }
 };
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "core/omega_kernel_cpu.h"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "core/omega_kernel_body.h"
 #include "core/omega_math.h"
 #include "util/cpu_features.h"
 
@@ -85,7 +87,8 @@ CpuKernelKind resolve_cpu_kernel(CpuKernelKind requested) {
 }
 
 void CpuKernelCounters::add(CpuKernelKind kind,
-                            std::uint64_t evaluations) noexcept {
+                            const OmegaResult& result) noexcept {
+  const std::uint64_t evaluations = result.evaluated;
   switch (kind) {
     case CpuKernelKind::Scalar: scalar_evaluations += evaluations; break;
     case CpuKernelKind::Portable: portable_evaluations += evaluations; break;
@@ -93,12 +96,14 @@ void CpuKernelCounters::add(CpuKernelKind kind,
     case CpuKernelKind::Avx512: avx512_evaluations += evaluations; break;
     case CpuKernelKind::Auto: break;  // unresolved kinds never run
   }
+  candidates_scored += result.scored;
 }
 
 OmegaPositionView OmegaKernelScratch::view(const DpMatrix& m,
                                            const GridPosition& position,
                                            std::size_t b_begin,
-                                           std::size_t b_end) {
+                                           std::size_t b_end,
+                                           CpuKernelKind kind) {
   const std::size_t c = position.c;
   const std::size_t n_left = position.a_max - position.lo + 1;
   ls_.resize(n_left);
@@ -128,19 +133,54 @@ OmegaPositionView OmegaKernelScratch::view(const DpMatrix& m,
     kr_[bi] = choose2(b - c);
     r_[bi] = static_cast<double>(b - c);
   }
-  return OmegaPositionView{ls_.data(), kl_.data(), l_.data(), n_left,
-                           rows_.data(), rs_.data(), kr_.data(), r_.data(),
-                           n_right};
+  OmegaPositionView v{ls_.data(), kl_.data(), l_.data(), n_left,
+                      rows_.data(), rs_.data(), kr_.data(), r_.data(),
+                      n_right};
+
+  // The cells read are M(b, a) with lo <= a and b <= b_end, so each spans
+  // at most `width` sites, and M(b_end, lo) is the largest of them; the
+  // margin is the body header's δ = width·2^-49 times that cell.
+  const std::size_t width = b_end - position.lo + 1;
+  if (!m.r2_nonnegative() || width > kMaxPruneWidth) return v;
+  v.prune = true;
+  v.cross_margin =
+      static_cast<double>(width) * 0x1p-49 * rows_[n_right - 1][0];
+  const std::size_t lanes = kind == CpuKernelKind::Avx512 ? 8
+                            : kind == CpuKernelKind::Avx2 ? 4
+                                                          : 0;
+  if (lanes == 0) return v;
+  const std::size_t blocks = n_left / lanes;
+  corners_.resize(4 * blocks);
+  double* ls0 = corners_.data();
+  double* l0 = ls0 + blocks;
+  double* kl1 = l0 + blocks;
+  double* ls1 = kl1 + blocks;
+  for (std::size_t k = 0; k < blocks; ++k) {
+    const std::size_t first = k * lanes;
+    const std::size_t last = first + lanes - 1;
+    ls0[k] = ls_[first];
+    l0[k] = l_[first];
+    kl1[k] = kl_[last];
+    ls1[k] = ls_[last];
+  }
+  v.block = lanes;
+  v.block_ls0 = ls0;
+  v.block_l0 = l0;
+  v.block_kl1 = kl1;
+  v.block_ls1 = ls1;
+  return v;
 }
 
 namespace {
 
-/// Portable fused-divide body: two passes per right border — a branch-free
-/// omega computation into `buf` (autovectorizable: every operation is a
-/// lane-wise add/mul/div over the SoA tables and the contiguous row-b
-/// slice), then a scalar argmax scan preserving the reference tie-break.
-/// `cross + eps * lr` stays unfused: this TU builds with -ffp-contract=off,
-/// so the result does not depend on the target's FMA support.
+/// Portable fused-divide body: two passes per kChunk left borders of each
+/// right border — a branch-free omega computation into `buf`
+/// (autovectorizable: every operation is a lane-wise add/mul/div over the
+/// SoA tables and the contiguous row-b slice), then a scalar argmax scan
+/// preserving the reference tie-break. A chunk whose block bound is below
+/// the best so far is skipped (detail::block_below). `cross + eps * lr`
+/// stays unfused: this TU builds with -ffp-contract=off, so the result does
+/// not depend on the target's FMA support.
 OmegaViewBest portable_search(const OmegaPositionView& view,
                               std::vector<double>& buf) {
   const double eps = OmegaConfig::denominator_offset;
@@ -152,18 +192,30 @@ OmegaViewBest portable_search(const OmegaPositionView& view,
     const double r_d = view.r[bi];
     const double kr = view.kr[bi];
     const double* row_b = view.rows[bi];
-    for (std::size_t ai = 0; ai < view.n_left; ++ai) {
-      const double lr = view.l[ai] * r_d;
-      const double sum = view.ls[ai] + rs;
-      const double cross = row_b[ai] - sum;
-      const double pairs = view.kl[ai] + kr;
-      // Fused form of Eq. (2): one divide per omega. pairs == 0 only for
-      // degenerate l == r == 1 windows, where the reference scores 0.
-      omega[ai] =
-          pairs > 0.0 ? (sum * lr) / (pairs * (cross + eps * lr)) : 0.0;
-    }
-    for (std::size_t ai = 0; ai < view.n_left; ++ai) {
-      if (omega[ai] > best.value) best = {omega[ai], ai, bi};
+    for (std::size_t a0 = 0; a0 < view.n_left; a0 += detail::kChunk) {
+      const std::size_t a1 = std::min(a0 + detail::kChunk, view.n_left);
+      if (view.prune &&
+          detail::block_below(view, a0, a1 - 1, bi, bi, best.value)) {
+        continue;
+      }
+      best.scored += a1 - a0;
+      for (std::size_t ai = a0; ai < a1; ++ai) {
+        const double lr = view.l[ai] * r_d;
+        const double sum = view.ls[ai] + rs;
+        const double cross = row_b[ai] - sum;
+        const double pairs = view.kl[ai] + kr;
+        // Fused form of Eq. (2): one divide per omega. pairs == 0 only for
+        // degenerate l == r == 1 windows, where the reference scores 0.
+        omega[ai] =
+            pairs > 0.0 ? (sum * lr) / (pairs * (cross + eps * lr)) : 0.0;
+      }
+      for (std::size_t ai = a0; ai < a1; ++ai) {
+        if (omega[ai] > best.value) {
+          best.value = omega[ai];
+          best.ai = ai;
+          best.bi = bi;
+        }
+      }
     }
   }
   return best;
@@ -204,11 +256,12 @@ OmegaResult omega_kernel_search(const DpMatrix& m, const GridPosition& position,
   if (!position.valid) return {};
   if (kind == CpuKernelKind::Scalar) return max_omega_search(m, position);
   const OmegaPositionView view =
-      scratch.view(m, position, position.b_min, position.hi);
+      scratch.view(m, position, position.b_min, position.hi, kind);
   const OmegaViewBest best =
       omega_kernel_search_view(view, kind, scratch.omega);
   OmegaResult result;
   result.evaluated = static_cast<std::uint64_t>(view.n_right) * view.n_left;
+  result.scored = best.scored;
   result.max_omega = best.value;
   if (best.value > 0.0) {
     result.best_a = position.lo + best.ai;

@@ -21,7 +21,10 @@
 //     loop), and Avx2 / Avx512, two instances of one width-generic body
 //     (core/omega_kernel_body.h) that scores four right borders per pass,
 //     each in a separately compiled translation unit selected only after
-//     runtime CPUID detection.
+//     runtime CPUID detection;
+//   * the three fused bodies skip whole blocks of candidates whose bound
+//     from a few corner reads is below a value already recorded, when M is
+//     monotone (core/omega_kernel_body.h); Scalar stays exhaustive.
 //
 // All kernels reproduce the reference argmax semantics exactly: strict
 // greater-than in b-major / a-ascending scan order, so ties resolve to the
@@ -70,8 +73,10 @@ struct CpuKernelCounters {
   std::uint64_t portable_evaluations = 0;
   std::uint64_t avx2_evaluations = 0;
   std::uint64_t avx512_evaluations = 0;
+  std::uint64_t candidates_scored = 0;
 
-  void add(CpuKernelKind kind, std::uint64_t evaluations) noexcept;
+  /// Counts result.evaluated for `kind` and result.scored.
+  void add(CpuKernelKind kind, const OmegaResult& result) noexcept;
 };
 
 /// Reusable per-thread scratch: the tables one position's view points into,
@@ -80,10 +85,18 @@ struct CpuKernelCounters {
 class OmegaKernelScratch {
  public:
   /// Fills the tables for `position` and right borders [b_begin, b_end]
-  /// (inside [position.b_min, position.hi]) and returns a view of them,
-  /// valid until the next call or until `m` changes.
+  /// (inside [position.b_min, position.hi]) and returns a view of them for
+  /// the body `kind`, valid until the next call or until `m` changes. The
+  /// view prunes when m.r2_nonnegative() and its cells span at most
+  /// kMaxPruneWidth sites; for Avx2 and Avx512 it then carries the corner
+  /// tables of that body's vector blocks.
   OmegaPositionView view(const DpMatrix& m, const GridPosition& position,
-                         std::size_t b_begin, std::size_t b_end);
+                         std::size_t b_begin, std::size_t b_end,
+                         CpuKernelKind kind);
+
+  /// Widest span of sites a pruning view covers: the bound's rounding
+  /// margin δ holds up to here (core/omega_kernel_body.h).
+  static constexpr std::size_t kMaxPruneWidth = std::size_t{1} << 32;
 
   std::vector<double> omega;  // per-b omega row (portable body)
 
@@ -91,6 +104,7 @@ class OmegaKernelScratch {
   std::vector<double> ls_, kl_, l_;
   std::vector<const double*> rows_;
   std::vector<double> rs_, kr_, r_;
+  std::vector<double> corners_;  // the view's four block tables
 };
 
 /// Evaluates one grid position with the selected kernel body. `kind` must be
@@ -99,7 +113,8 @@ OmegaResult omega_kernel_search(const DpMatrix& m, const GridPosition& position,
                                 CpuKernelKind kind, OmegaKernelScratch& scratch);
 
 /// Runs a fused body (Portable, Avx2 or Avx512) over a view; `buf` is the
-/// portable body's row buffer. `kind` must be available on this host.
+/// portable body's row buffer. `kind` must be available on this host. A
+/// view with prune cleared is searched exhaustively.
 OmegaViewBest omega_kernel_search_view(const OmegaPositionView& view,
                                        CpuKernelKind kind,
                                        std::vector<double>& buf);

@@ -7,6 +7,7 @@
 // and exports nothing but its entry point.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace omega::core {
 
@@ -22,6 +23,22 @@ struct OmegaPositionView {
   const double* kr = nullptr;           // C(r, 2)
   const double* r = nullptr;            // r as double
   std::size_t n_right = 0;
+
+  // Block pruning (omega_kernel_body.h). OmegaKernelScratch::view sets
+  // prune when M is monotone (DpMatrix::r2_nonnegative); a view built by
+  // hand leaves it clear and is searched exhaustively.
+  bool prune = false;
+  /// Subtracted from each block's corner cross sum: δ·M(b_end, lo), with
+  /// δ = W·2^-49 for cells spanning W sites.
+  double cross_margin = 0.0;
+  /// Borders per corner-table block (the lane count of the body the view
+  /// was built for; 0 when there are no tables). Block k covers borders
+  /// [k·block, k·block + block - 1].
+  std::size_t block = 0;
+  const double* block_ls0 = nullptr;  // LS at each block's first border
+  const double* block_l0 = nullptr;   // l at its first border
+  const double* block_kl1 = nullptr;  // C(l, 2) at its last border
+  const double* block_ls1 = nullptr;  // LS at its last border
 };
 
 /// The winning candidate of a view in view coordinates: the greatest ω,
@@ -31,6 +48,9 @@ struct OmegaViewBest {
   double value;
   std::size_t ai;
   std::size_t bi;
+  /// Candidates whose M cells the body loaded: n_left·n_right unless it
+  /// skipped blocks.
+  std::uint64_t scored = 0;
 };
 
 namespace detail {

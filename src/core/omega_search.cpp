@@ -30,6 +30,7 @@ OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position) {
       }
     }
   }
+  result.scored = result.evaluated;
   return result;
 }
 

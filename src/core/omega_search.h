@@ -26,6 +26,10 @@ struct OmegaResult {
   std::size_t best_a = 0;
   std::size_t best_b = 0;
   std::uint64_t evaluated = 0;
+  /// Candidates whose M cells the CPU search loaded. max_omega_search loads
+  /// all `evaluated`; the fused bodies skip blocks that cannot win
+  /// (core/omega_kernel_body.h). Other backends leave it 0.
+  std::uint64_t scored = 0;
 };
 
 /// Double-precision CPU evaluation of one grid position. This is the scalar

@@ -68,7 +68,7 @@ CpuOmegaBackend::CpuOmegaBackend(CpuKernelKind kind)
 OmegaResult CpuOmegaBackend::max_omega(const DpMatrix& m,
                                        const GridPosition& position) {
   OmegaResult result = omega_kernel_search(m, position, kind_, scratch_);
-  counters_.add(kind_, result.evaluated);
+  counters_.add(kind_, result);
   ++positions_;
   return result;
 }
@@ -79,6 +79,7 @@ void CpuOmegaBackend::contribute(ScanProfile& profile) const {
   profile.kernel.portable_evaluations += counters_.portable_evaluations;
   profile.kernel.avx2_evaluations += counters_.avx2_evaluations;
   profile.kernel.avx512_evaluations += counters_.avx512_evaluations;
+  profile.kernel.candidates_scored += counters_.candidates_scored;
 }
 
 const PositionScore& ScanResult::best() const {

@@ -306,6 +306,10 @@ struct CpuKernelStats {
   std::uint64_t portable_evaluations = 0;
   std::uint64_t avx2_evaluations = 0;
   std::uint64_t avx512_evaluations = 0;
+  /// Candidates whose M cells the CPU kernel loaded (v14): the
+  /// *_evaluations count window combinations, and the fused bodies skip
+  /// blocks that cannot win (core/omega_kernel_body.h).
+  std::uint64_t candidates_scored = 0;
 };
 
 /// Streaming-scan accounting (profile/metrics schema v5): chunk geometry of

@@ -33,6 +33,11 @@ class LdEngine {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual std::size_t num_sites() const = 0;
 
+  /// True when the engine guarantees that every r2 it serves is a finite
+  /// float with its sign bit clear, as Eq. (1) from integer counts gives.
+  /// core::DpMatrix::extend checks the blocks of engines that do not.
+  [[nodiscard]] virtual bool r2_nonnegative() const noexcept { return false; }
+
   /// r2 values this engine instance has served over its lifetime (per-backend
   /// fetch counter for the observability layer). Thread-safe: multithreaded
   /// scans share one engine across workers.
@@ -81,6 +86,9 @@ class OffsetLd final : public LdEngine {
   [[nodiscard]] std::size_t num_sites() const override {
     return offset_ + inner_.num_sites();
   }
+  [[nodiscard]] bool r2_nonnegative() const noexcept override {
+    return inner_.r2_nonnegative();
+  }
 
  private:
   const LdEngine& inner_;
@@ -98,6 +106,8 @@ class NaiveLd final : public LdEngine {
   [[nodiscard]] std::size_t num_sites() const override {
     return dataset_.num_sites();
   }
+  /// r2_from_counts is 0 or d²/denom with denom > 0.
+  [[nodiscard]] bool r2_nonnegative() const noexcept override { return true; }
 
  private:
   const io::Dataset& dataset_;

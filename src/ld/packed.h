@@ -143,6 +143,9 @@ class PackedLd final : public LdEngine {
   [[nodiscard]] std::size_t num_sites() const override {
     return snps_.num_sites();
   }
+  /// Every kernel computes r2_from_counts_f (0, or d²/denom with denom > 0)
+  /// from popcounts.
+  [[nodiscard]] bool r2_nonnegative() const noexcept override { return true; }
 
   /// The kernel bodies this instance resolved to ("avx512" | "avx2" |
   /// "scalar").

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -19,12 +20,14 @@
 #include "core/dp_matrix.h"
 #include "core/grid.h"
 #include "core/metrics_json.h"
+#include "core/omega_kernel_body.h"
 #include "core/omega_kernel_cpu.h"
 #include "core/omega_math.h"
 #include "core/omega_search.h"
 #include "core/scanner.h"
 #include "io/dataset.h"
 #include "ld/ld_engine.h"
+#include "ld/packed.h"
 #include "ld/snp_matrix.h"
 #include "ld_reference/engines.h"
 #include "par/thread_pool.h"
@@ -361,7 +364,7 @@ void check_range_against_oracle(CpuKernelKind kind, const DpMatrix& m,
   OmegaKernelScratch scratch;
   expect_bitwise(op_order_oracle(tables.view()),
                  omega::core::omega_kernel_search_view(
-                     scratch.view(m, position, b_begin, b_end), kind,
+                     scratch.view(m, position, b_begin, b_end, kind), kind,
                      scratch.omega),
                  label + " " + omega::core::cpu_kernel_name(kind) +
                      " range [" + std::to_string(b_begin) + ", " +
@@ -608,6 +611,458 @@ TEST(KernelEquivalence, VectorTieBetweenRowsOfOnePassGoesToTheEarlierRow) {
                          std::to_string(earlier + 1));
     }
   }
+}
+
+// ------------------------------------------- pruned against exhaustive --
+
+/// The fused bodies this binary and host run: portable and every vector
+/// instance.
+std::vector<CpuKernelKind> fused_kinds() {
+  std::vector<CpuKernelKind> kinds{CpuKernelKind::Portable};
+  for (CpuKernelKind kind : vector_instances()) kinds.push_back(kind);
+  return kinds;
+}
+
+/// Runs `kind` over right borders [b_begin, b_end] of `position` twice
+/// through one view: as OmegaKernelScratch builds it (pruning, M being
+/// monotone) and with its prune flag cleared (exhaustive). Value and (a, b)
+/// must agree bitwise. Returns the candidates the pruned run scored.
+std::uint64_t expect_pruned_matches_exhaustive(CpuKernelKind kind,
+                                               const DpMatrix& m,
+                                               const GridPosition& position,
+                                               std::size_t b_begin,
+                                               std::size_t b_end,
+                                               const std::string& label) {
+  OmegaKernelScratch scratch;
+  OmegaPositionView view = scratch.view(m, position, b_begin, b_end, kind);
+  const std::string where = label + " " +
+                            omega::core::cpu_kernel_name(kind) + " [" +
+                            std::to_string(b_begin) + ", " +
+                            std::to_string(b_end) + "]";
+  EXPECT_TRUE(view.prune) << where;
+  const OmegaViewBest pruned =
+      omega::core::omega_kernel_search_view(view, kind, scratch.omega);
+  view.prune = false;
+  const OmegaViewBest exhaustive =
+      omega::core::omega_kernel_search_view(view, kind, scratch.omega);
+  expect_bitwise(exhaustive, pruned, where);
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(view.n_left) * view.n_right;
+  EXPECT_EQ(exhaustive.scored, total) << where;
+  EXPECT_LE(pruned.scored, total) << where;
+  return pruned.scored;
+}
+
+/// Non-negative r2 that decays with distance, hashed from (i, j): a random
+/// matrix with LD-like structure, so blocks far from the best can prune.
+class DecayingR2Ld final : public omega::ld::LdEngine {
+ public:
+  DecayingR2Ld(std::size_t sites, std::uint64_t seed)
+      : sites_(sites), seed_(seed) {}
+
+  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                float* out, std::size_t ld) const override {
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        omega::util::Xoshiro256 rng(seed_ ^ (i * 1'000'003u + j));
+        const double gap = i > j ? static_cast<double>(i - j) : 0.0;
+        out[(i - i0) * ld + (j - j0)] =
+            static_cast<float>(rng.uniform() * std::exp(-gap / 6.0));
+      }
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "decaying"; }
+  [[nodiscard]] std::size_t num_sites() const override { return sites_; }
+
+ private:
+  std::size_t sites_;
+  std::uint64_t seed_;
+};
+
+// Random non-negative matrices built through DpMatrix: every remainder of
+// the four-row pass (1..9 right borders) and the whole range, over left
+// slices narrower than one vector block, exactly one, one coarse chunk
+// (64 borders) and either side of it, and with a tail.
+TEST(KernelEquivalence, PrunedMatchesExhaustiveOnRandomMatrices) {
+  constexpr std::size_t kSites = 320;
+  constexpr std::size_t kCenter = 200;
+  for (std::uint64_t seed : {3u, 4u}) {
+    const DecayingR2Ld engine(kSites, seed);
+    for (std::size_t n_left :
+         {1u, 3u, 4u, 8u, 9u, 63u, 64u, 65u, 130u, 199u}) {
+      GridPosition position;
+      position.valid = true;
+      position.c = kCenter;
+      position.lo = kCenter + 1 - n_left;
+      position.a_max = kCenter;      // l == 1 windows
+      position.b_min = kCenter + 1;  // r == 1 windows
+      position.hi = kCenter + 100;
+      DpMatrix m;
+      m.reset(position.lo);
+      m.extend(position.hi + 1, engine);
+      ASSERT_TRUE(m.r2_nonnegative());
+      const std::string label = "seed " + std::to_string(seed) +
+                                " n_left " + std::to_string(n_left);
+      for (CpuKernelKind kind : fused_kinds()) {
+        for (std::size_t rows = 1; rows <= 9; ++rows) {
+          for (std::size_t b_begin : {kCenter + 1, kCenter + 30}) {
+            expect_pruned_matches_exhaustive(kind, m, position, b_begin,
+                                             b_begin + rows - 1, label);
+          }
+        }
+        expect_pruned_matches_exhaustive(kind, m, position, position.b_min,
+                                         position.hi, label);
+      }
+    }
+  }
+}
+
+/// The middle grid position of a coalescent dataset with SNP windows, M
+/// built by the packed engine the CLI runs.
+struct CoalescentPosition {
+  CoalescentPosition(std::size_t sites, std::size_t haplotypes, double rho,
+                     std::int64_t max_window, std::int64_t min_window,
+                     std::uint64_t seed)
+      : dataset(omega::sim::make_dataset(
+            {.snps = sites,
+             .samples = haplotypes,
+             .locus_length_bp = static_cast<std::int64_t>(sites) * 100,
+             .rho = rho,
+             .seed = seed})),
+        snps(dataset),
+        engine(snps) {
+    OmegaConfig config;
+    config.grid_size = 9;
+    config.window_unit = omega::core::WindowUnit::Snps;
+    config.max_window = max_window;
+    config.min_window = min_window;
+    const auto grid = omega::core::build_grid(dataset, config);
+    position = grid[grid.size() / 2];
+    m.reset(position.lo);
+    m.extend(position.hi + 1, engine);
+  }
+
+  Dataset dataset;
+  omega::ld::SnpMatrix snps;
+  omega::ld::PackedLd engine;
+  GridPosition position;
+  DpMatrix m;
+};
+
+// Coalescent data at the Figs. 12/13 shape (3,000 SNPs x 50 haplotypes,
+// windows spanning every site) and the stream shape (64 haplotypes, about
+// 1,000 sites each side, one breakpoint per ten sites).
+TEST(KernelEquivalence, PrunedMatchesExhaustiveOnCoalescentShapes) {
+  const CoalescentPosition fig13(3'000, 50, 40.0, 20'000, 4, 1);
+  const CoalescentPosition stream(2'400, 64, 240.0, 2'000, 100, 2);
+  for (const CoalescentPosition* shape : {&fig13, &stream}) {
+    const GridPosition& p = shape->position;
+    ASSERT_TRUE(p.valid);
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(p.a_max - p.lo + 1) * (p.hi - p.b_min + 1);
+    for (CpuKernelKind kind : fused_kinds()) {
+      const std::uint64_t scored = expect_pruned_matches_exhaustive(
+          kind, shape->m, p, p.b_min, p.hi,
+          shape == &fig13 ? "fig13" : "stream");
+      EXPECT_LT(scored, total) << "no block pruned";
+    }
+  }
+}
+
+// At the fig13-shape position the dispatched body loads the M cells of
+// under 5% of the window combinations, and the result still reports every
+// combination as evaluated.
+TEST(KernelEquivalence, PrunedScoresUnderFivePercentAtFig13Shape) {
+  const CoalescentPosition fig13(3'000, 50, 40.0, 20'000, 4, 1);
+  const CpuKernelKind kind =
+      omega::core::resolve_cpu_kernel(CpuKernelKind::Auto);
+  OmegaKernelScratch scratch;
+  const OmegaResult got =
+      omega::core::omega_kernel_search(fig13.m, fig13.position, kind, scratch);
+  const OmegaResult ref =
+      omega::core::max_omega_search(fig13.m, fig13.position);
+  EXPECT_EQ(got.evaluated, ref.evaluated);
+  EXPECT_EQ(ref.scored, ref.evaluated);
+  EXPECT_EQ(got.best_a, ref.best_a);
+  EXPECT_EQ(got.best_b, ref.best_b);
+  EXPECT_LT(static_cast<double>(got.scored),
+            0.05 * static_cast<double>(got.evaluated))
+      << omega::core::cpu_kernel_name(kind) << ": " << got.scored << " of "
+      << got.evaluated;
+}
+
+// A scan counts the candidates it scored in kernel.candidates_scored (and
+// the metrics document), while the evaluation counters keep counting
+// combinations.
+TEST(KernelEquivalence, ScanCountsCandidatesScored) {
+  const Dataset d = kernel_dataset(37, 150, 30);
+  omega::core::ScannerOptions options;
+  options.config = kernel_config();
+  options.cpu_kernel = CpuKernelKind::Scalar;
+  const auto scalar = omega::core::scan(d, options);
+  EXPECT_EQ(scalar.profile.kernel.candidates_scored,
+            scalar.profile.omega_evaluations);
+  options.cpu_kernel = CpuKernelKind::Auto;
+  const auto dispatched = omega::core::scan(d, options);
+  EXPECT_GT(dispatched.profile.kernel.candidates_scored, 0u);
+  EXPECT_LE(dispatched.profile.kernel.candidates_scored,
+            dispatched.profile.omega_evaluations);
+  EXPECT_EQ(dispatched.profile.omega_evaluations,
+            scalar.profile.omega_evaluations);
+  const auto doc =
+      omega::core::metrics::scan_metrics("scored-test", dispatched.profile);
+  EXPECT_EQ(doc.at("kernel").at("candidates_scored").as_uint(),
+            dispatched.profile.kernel.candidates_scored);
+}
+
+/// A hand-built view with pruning on: flat left and right tables unless a
+/// test sets them, rows given cell by cell.
+struct PruneTables {
+  ViewTables t;
+  double delta = 0.0;  // δ; the margin is δ times the last row's first cell
+
+  [[nodiscard]] OmegaPositionView view() {
+    OmegaPositionView v = t.view();
+    v.prune = true;
+    v.cross_margin = delta * t.rows.back()[0];
+    return v;
+  }
+};
+
+/// Runs every fused body over `v` pruned and exhaustive, and expects both
+/// to report `want_ai`, `want_bi` with the exhaustive value.
+void expect_pruned_winner(OmegaPositionView v, std::size_t want_ai,
+                          std::size_t want_bi, const std::string& label) {
+  std::vector<double> buf;
+  for (CpuKernelKind kind : fused_kinds()) {
+    const std::string where =
+        label + " " + omega::core::cpu_kernel_name(kind);
+    v.prune = false;
+    const OmegaViewBest exhaustive =
+        omega::core::omega_kernel_search_view(v, kind, buf);
+    EXPECT_EQ(exhaustive.ai, want_ai) << where;
+    EXPECT_EQ(exhaustive.bi, want_bi) << where;
+    v.prune = true;
+    expect_bitwise(exhaustive,
+                   omega::core::omega_kernel_search_view(v, kind, buf), where);
+  }
+}
+
+// Exact ties at the maximum that straddle a vector block, a coarse chunk
+// (64 borders) and a four-row pass edge: every candidate with M at its
+// minimum ties, and the first in b-major order must win whichever blocks
+// the pruned bodies skip after recording it.
+TEST(KernelEquivalence, PrunedTiesAcrossBlockEdgesGoToTheEarlierCandidate) {
+  constexpr std::size_t kLeft = 150;
+  constexpr std::size_t kRight = 10;
+  for (std::size_t tie_a : {3u, 4u, 7u, 8u, 63u, 64u, 127u, 128u}) {
+    for (std::size_t tie_b : {0u, 3u, 4u, 7u}) {
+      PruneTables p;
+      p.delta = 0x1p-40;
+      p.t.ls.assign(kLeft, 1.0);
+      p.t.kl.assign(kLeft, 10.0);
+      p.t.l.assign(kLeft, 5.0);
+      p.t.rs.assign(kRight, 1.0);
+      p.t.kr.assign(kRight, 6.0);
+      p.t.r.assign(kRight, 4.0);
+      // M is monotone: 2.5 on [tie_a, kLeft) x [0, tie_b], growing with b
+      // and falling with a elsewhere, so the ties are that rectangle and
+      // the winner is its first cell in b-major order, (tie_a, 0).
+      p.t.rows.assign(kRight, std::vector<double>(kLeft));
+      for (std::size_t b = 0; b < kRight; ++b) {
+        for (std::size_t a = 0; a < kLeft; ++a) {
+          const bool tie = a >= tie_a && b <= tie_b;
+          p.t.rows[b][a] =
+              tie ? 2.5
+                  : 2.5 + 0.5 * static_cast<double>(b + 1) +
+                        0.25 * static_cast<double>(kLeft - a);
+        }
+      }
+      expect_pruned_winner(p.view(), tie_a, 0,
+                           "tie a " + std::to_string(tie_a) + " b " +
+                               std::to_string(tie_b));
+    }
+  }
+}
+
+// The rounding margin δ. Row 1's candidate (0, 1) has a cross sum 4 ulps
+// below the block corner's, cross(1, 1), as rounding in M can leave it
+// (LS and M grow by 8 and 4 ulps from a = 1 to a = 0, where exactly they
+// would grow alike). Row 0 records t between the bound taken without δ and
+// ω(0, 1), so a block test that dropped δ would skip row 1 and report
+// (0, 0); with δ it scores row 1 and (0, 1) wins.
+TEST(KernelEquivalence, PrunedBlockTestKeepsTheCrossRoundingMargin) {
+  const double ulp = 0x1p-40;  // of doubles in [4096, 8192)
+  const double x = 1'100'000 * ulp;
+  const double eps = OmegaConfig::denominator_offset;
+  PruneTables p;
+  p.delta = 0x1p-48;  // the δ OmegaKernelScratch::view derives for W = 2
+  p.t.ls = {4096.0 + 8 * ulp, 4096.0};
+  p.t.kl = {1.0, 1.0};
+  p.t.l = {1.0, 1.0};
+  p.t.rs = {1.0, 1.0};
+  p.t.kr = {1.0, 1.0};
+  p.t.r = {1.0, 2.0};
+  const double sum0 = 4097.0 + 8 * ulp;
+  p.t.rows = {{sum0 + x / 2 - ulp, 4097.0 + x / 2},
+              {4097.0 + x + 4 * ulp, 4097.0 + x}};
+  // Sanity of the construction: M monotone, and the bound without δ (block
+  // [0, 1] x [1, 1], corners cross(1, 1) = x) falls below row 0's best.
+  ASSERT_LE(p.t.rows[0][0], p.t.rows[1][0]);
+  ASSERT_LE(p.t.rows[0][1], p.t.rows[1][1]);
+  ASSERT_EQ(p.t.rows[1][0] - sum0, x - 4 * ulp);
+  const OmegaPositionView v = p.view();
+  const double t = fused_candidate(v, 0, 0).omega;
+  ASSERT_LT(t, fused_candidate(v, 0, 1).omega);
+  ASSERT_LT(sum0 * 2.0 * (1.0 + 0x1p-40), t * 2.0 * (eps * 2.0 + x));
+  expect_pruned_winner(v, 0, 1, "cross margin");
+}
+
+// The block test is strict: a block whose candidate ties t is never
+// skipped, since t may come from a later candidate in b-major order. The
+// cell value is searched so that the candidate passes the vector skip's tie
+// test, num < fl(t·den) with t = ω; a block test in that form, without the
+// slack K, would skip the tie.
+TEST(KernelEquivalence, PrunedBlockTestNeverSkipsATie) {
+  PruneTables p;
+  p.t.ls = {2.0};
+  p.t.kl = {10.0};
+  p.t.l = {5.0};
+  p.t.rs = {3.0};
+  p.t.kr = {6.0};
+  p.t.r = {4.0};
+  p.t.rows = {{5.5}};
+  bool found = false;
+  for (; p.t.rows[0][0] < 6.5 && !found; p.t.rows[0][0] += 1e-3) {
+    const Candidate x = fused_candidate(p.view(), 0, 0);
+    found = x.den > 0.0 && x.num < x.omega * x.den;
+  }
+  ASSERT_TRUE(found) << "no cell value passes the tie test";
+  p.t.rows[0][0] -= 1e-3;
+  const OmegaPositionView v = p.view();
+  const double w = fused_candidate(v, 0, 0).omega;
+  EXPECT_FALSE(omega::core::detail::block_below(v, 0, 0, 0, 0, w));
+  // Strictly above the candidate, the block is skipped.
+  EXPECT_TRUE(omega::core::detail::block_below(v, 0, 0, 0, 0, w * 1.001));
+}
+
+// All r2 zero: M is monotone and every candidate scores 0, so no threshold
+// rises above 0 and nothing is skipped.
+TEST(KernelEquivalence, PrunedAllZeroR2SkipsNothing) {
+  class ZeroR2Ld final : public omega::ld::LdEngine {
+   public:
+    void r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t j1, float* out, std::size_t ld) const override {
+      for (std::size_t i = i0; i < i1; ++i) {
+        std::fill_n(out + (i - i0) * ld, j1 - j0, 0.0f);
+      }
+    }
+    [[nodiscard]] std::string name() const override { return "zero"; }
+    [[nodiscard]] std::size_t num_sites() const override { return 200; }
+  } engine;
+  GridPosition position;
+  position.valid = true;
+  position.lo = 0;
+  position.c = 90;
+  position.a_max = 90;
+  position.b_min = 91;
+  position.hi = 199;
+  DpMatrix m;
+  m.reset(0);
+  m.extend(200, engine);
+  ASSERT_TRUE(m.r2_nonnegative());
+  for (CpuKernelKind kind : fused_kinds()) {
+    OmegaKernelScratch scratch;
+    const OmegaResult got =
+        omega::core::omega_kernel_search(m, position, kind, scratch);
+    EXPECT_EQ(got.max_omega, 0.0);
+    EXPECT_EQ(got.scored, got.evaluated) << omega::core::cpu_kernel_name(kind);
+  }
+}
+
+// ------------------------------------------------- DpMatrix sign record --
+
+/// Serves 0.5 everywhere except one value at (row, col).
+class OneValueLd final : public omega::ld::LdEngine {
+ public:
+  OneValueLd(std::size_t row, std::size_t col, float value)
+      : row_(row), col_(col), value_(value) {}
+  void r2_block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                float* out, std::size_t ld) const override {
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        out[(i - i0) * ld + (j - j0)] =
+            i == row_ && j == col_ ? value_ : 0.5f;
+      }
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "one-value"; }
+  [[nodiscard]] std::size_t num_sites() const override { return 200; }
+
+ private:
+  std::size_t row_, col_;
+  float value_;
+};
+
+TEST(DpMatrixSign, OneNegativeOrNanR2SetsTheRecordSeriallyAndPooled) {
+  omega::par::ThreadPool pool(3);
+  for (float bad : {-1e-30f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    for (omega::par::ThreadPool* p : {static_cast<omega::par::ThreadPool*>(
+                                          nullptr),
+                                      &pool}) {
+      const OneValueLd engine(150, 20, bad);
+      DpMatrix m;
+      m.reset(0);
+      m.extend(120, engine, p);
+      EXPECT_TRUE(m.r2_nonnegative()) << bad;
+      m.extend(200, engine, p);  // 80 new rows: the pool tiles them
+      EXPECT_FALSE(m.r2_nonnegative()) << bad;
+      m.relocate(50, 100);
+      EXPECT_FALSE(m.r2_nonnegative()) << "relocate keeps the record";
+      m.reset(0);
+      EXPECT_TRUE(m.r2_nonnegative()) << "reset clears the record";
+    }
+  }
+  // A value above the diagonal never enters M, so it is not checked.
+  const OneValueLd above(30, 60, -1.0f);
+  DpMatrix m;
+  m.reset(0);
+  m.extend(200, above);
+  EXPECT_TRUE(m.r2_nonnegative());
+}
+
+TEST(DpMatrixSign, VouchingEnginesAreTrustedAndOthersChecked) {
+  const Dataset d = kernel_dataset(9, 60, 20);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PackedLd packed(snps);
+  const omega::ld::NaiveLd naive(d);
+  const omega::ld::PopcountLd popcount(snps);
+  EXPECT_TRUE(packed.r2_nonnegative());
+  EXPECT_TRUE(naive.r2_nonnegative());
+  EXPECT_FALSE(popcount.r2_nonnegative());
+  EXPECT_TRUE(omega::ld::OffsetLd(packed, 0).r2_nonnegative());
+  EXPECT_FALSE(omega::ld::OffsetLd(popcount, 0).r2_nonnegative());
+  // The unchecked engine's values are non-negative too, so its record
+  // stays clear; a signed engine's does not.
+  DpMatrix m;
+  m.reset(0);
+  m.extend(60, popcount);
+  EXPECT_TRUE(m.r2_nonnegative());
+  const SignedNanLd signed_engine(60, 5, 1'000);
+  m.reset(0);
+  m.extend(60, signed_engine);
+  EXPECT_FALSE(m.r2_nonnegative());
+  OmegaKernelScratch scratch;
+  GridPosition position;
+  position.valid = true;
+  position.lo = 0;
+  position.c = 30;
+  position.a_max = 30;
+  position.b_min = 31;
+  position.hi = 59;
+  EXPECT_FALSE(
+      scratch.view(m, position, 31, 59, CpuKernelKind::Portable).prune);
 }
 
 TEST(KernelDispatch, ResolveSemantics) {

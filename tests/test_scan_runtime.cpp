@@ -373,16 +373,16 @@ TEST(CheckpointJsonTest, RoundTripsScoresBitwiseIncludingNan) {
 }
 
 TEST(CheckpointJsonTest, RefusesOtherLayoutVersions) {
-  // A v3 file lacks the avx512 kernel counter that v4 reads: refused with
-  // the version error rather than resumed with missing fields.
+  // A v4 file lacks the candidates_scored kernel counter that v5 reads:
+  // refused with the version error rather than resumed with missing fields.
   auto doc = omega::core::checkpoint_to_json(omega::core::ScanCheckpoint{});
-  EXPECT_EQ(doc.at("schema_version").as_int(), 4);
-  doc.set("schema_version", 3);
+  EXPECT_EQ(doc.at("schema_version").as_int(), 5);
+  doc.set("schema_version", 4);
   try {
     (void)omega::core::checkpoint_from_json(doc);
-    FAIL() << "a v3 checkpoint must be refused";
+    FAIL() << "a v4 checkpoint must be refused";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("version 3"), std::string::npos)
+    EXPECT_NE(std::string(error.what()).find("version 4"), std::string::npos)
         << error.what();
   }
 }
