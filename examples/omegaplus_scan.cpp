@@ -28,15 +28,11 @@
 #include "core/report.h"
 #include "core/scanner.h"
 #include "core/stream_scanner.h"
-#include "hw/device_specs.h"
+#include "hw/accelerators.h"
 #include "io/chunk_reader.h"
-#include "hw/fpga/fpga_backend.h"
-#include "hw/gpu/gpu_backend.h"
-#include "hw/hetero_profile.h"
 #include "io/fasta.h"
 #include "io/ms_format.h"
 #include "io/vcf_lite.h"
-#include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "sim/sweep_coalescent.h"
 #include "sim/sweep_overlay.h"
@@ -255,7 +251,6 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
   const std::string backend = cli.get("backend", "cpu");
   omega::core::ScanResult result;
   std::string backend_name = "cpu";
-  omega::par::ThreadPool pool;
   // One dispatch for both drivers: the streamed and in-memory scans take the
   // same options and backend factories.
   const auto run =
@@ -271,54 +266,60 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
     backend_name = options.threads > 1
                        ? "cpu x" + std::to_string(options.threads)
                        : "cpu";
-  } else if (backend == "gpu") {
-    const auto spec = omega::hw::tesla_k80();
-    options.threads = 1;
-    omega::hw::gpu::GpuBackendOptions backend_options;
-    backend_options.fault_plan = fault_plan;
-    backend_options.modeled_timeout_seconds = modeled_timeout;
-    omega::hw::gpu::GpuOmegaBackend gpu(spec, pool, backend_options);
-    result = run([&] { return omega::core::borrow_backend(gpu); });
-    backend_name = gpu.name();
-    std::printf("gpu-sim: modeled device time %.4f s (%llu on K1, %llu on K2)\n",
-                gpu.accounting().modeled_total_seconds,
-                static_cast<unsigned long long>(gpu.accounting().positions_kernel1),
-                static_cast<unsigned long long>(gpu.accounting().positions_kernel2));
-  } else if (backend == "fpga") {
-    options.threads = 1;
-    omega::hw::fpga::FpgaBackendOptions backend_options;
-    backend_options.fault_plan = fault_plan;
-    backend_options.modeled_timeout_seconds = modeled_timeout;
-    omega::hw::fpga::FpgaOmegaBackend fpga(omega::hw::alveo_u200(),
-                                           backend_options);
-    result = run([&] { return omega::core::borrow_backend(fpga); });
-    backend_name = fpga.name();
-    std::printf("fpga-sim: modeled device time %.4f s (%llu hw / %llu sw omegas)\n",
-                fpga.accounting().modeled_total_seconds(),
-                static_cast<unsigned long long>(fpga.accounting().hw_omegas),
-                static_cast<unsigned long long>(fpga.accounting().sw_omegas));
-  } else if (backend == "hetero") {
-    // Heterogeneous co-scheduler: the grid splits across the CPU span engine
-    // and both simulated accelerators concurrently (core/hetero_scheduler.h);
-    // results are bitwise-identical to --backend=cpu for any split.
-    omega::hw::HeteroProfileOptions profile_options;
-    try {
-      profile_options.split =
-          omega::core::HeteroSplit::parse(cli.get("hetero-split", "auto"));
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 2;
+  } else if (backend == "gpu" || backend == "fpga" || backend == "hetero") {
+    // The simulated devices come from the one hw:: factory the detector uses
+    // too; each gets the fault plan, cancel token, modeled timeout and CPU
+    // kernel. Hetero splits the grid across the CPU span engine and both
+    // accelerators concurrently (core/hetero_scheduler.h); its results are
+    // bitwise-identical to --backend=cpu for any split.
+    using omega::hw::AcceleratorKind;
+    omega::hw::AcceleratorOptions accelerator_options;
+    accelerator_options.kind = backend == "gpu"    ? AcceleratorKind::Gpu
+                               : backend == "fpga" ? AcceleratorKind::Fpga
+                                                   : AcceleratorKind::Hetero;
+    if (backend == "hetero") {
+      try {
+        accelerator_options.split =
+            omega::core::HeteroSplit::parse(cli.get("hetero-split", "auto"));
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+      }
     }
-    profile_options.fault_plan = fault_plan;
-    profile_options.cancel = options.cancel;
-    profile_options.cpu_kernel = options.cpu_kernel;
-    const omega::core::HeteroConfig hetero_config =
-        omega::hw::default_hetero_config(profile_options, pool);
-    options.hetero = &hetero_config;
-    result = run({});
-    options.hetero = nullptr;  // config goes out of scope with this branch
-    backend_name = "hetero[" + profile_options.split.name() + "]";
-    const auto& hetero_stats = result.profile.hetero;
+    accelerator_options.fault_plan = fault_plan;
+    accelerator_options.cancel = options.cancel;
+    accelerator_options.modeled_timeout_seconds = modeled_timeout;
+    accelerator_options.cpu_kernel = options.cpu_kernel;
+    const omega::hw::Accelerator accelerator =
+        omega::hw::make_accelerator(accelerator_options);
+    if (accelerator.hetero) {
+      options.hetero = &*accelerator.hetero;
+    } else {
+      options.threads = 1;
+    }
+    result = run(accelerator.backend_factory);
+    options.hetero = nullptr;  // the config goes out of scope with this branch
+    backend_name =
+        accelerator.hetero
+            ? "hetero[" + accelerator_options.split.name() + "]"
+            : accelerator.name;
+  } else {
+    std::fprintf(stderr, "error: unknown backend '%s'\n", backend.c_str());
+    return 2;
+  }
+  const auto& profile = result.profile;
+  if (backend == "gpu") {
+    std::printf("gpu-sim: modeled device time %.4f s (%llu on K1, %llu on K2)\n",
+                profile.gpu.modeled_total_seconds,
+                static_cast<unsigned long long>(profile.gpu.kernel1_launches),
+                static_cast<unsigned long long>(profile.gpu.kernel2_launches));
+  } else if (backend == "fpga") {
+    std::printf("fpga-sim: modeled device time %.4f s (%llu hw / %llu sw omegas)\n",
+                profile.fpga.modeled_seconds,
+                static_cast<unsigned long long>(profile.fpga.hw_omegas),
+                static_cast<unsigned long long>(profile.fpga.sw_omegas));
+  } else if (backend == "hetero") {
+    const auto& hetero_stats = profile.hetero;
     for (const auto& part : hetero_stats.partitions) {
       std::printf(
           "hetero: %-28s weight %.2f planned %llu actual %llu "
@@ -329,18 +330,13 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
           part.modeled_seconds, part.measured_seconds);
     }
     if (hetero_stats.redispatched_spans > 0) {
-      std::printf("hetero: re-dispatched %llu spans / %llu positions "
-                  "(%llu straggler, %llu faulted)\n",
+      std::printf("hetero: re-dispatched %llu faulted spans / %llu positions "
+                  "to the cpu\n",
                   static_cast<unsigned long long>(
                       hetero_stats.redispatched_spans),
                   static_cast<unsigned long long>(
-                      hetero_stats.redispatched_positions),
-                  static_cast<unsigned long long>(hetero_stats.straggler_spans),
-                  static_cast<unsigned long long>(hetero_stats.faulted_spans));
+                      hetero_stats.redispatched_positions));
     }
-  } else {
-    std::fprintf(stderr, "error: unknown backend '%s'\n", backend.c_str());
-    return 2;
   }
   if (fault_plan.enabled() && backend == "cpu") {
     std::fprintf(stderr,

@@ -125,7 +125,6 @@ metrics::JsonValue profile_totals_json(const ScanProfile& p) {
     hetero.set("plans", p.hetero.plans);
     hetero.set("redispatched_spans", p.hetero.redispatched_spans);
     hetero.set("redispatched_positions", p.hetero.redispatched_positions);
-    hetero.set("straggler_spans", p.hetero.straggler_spans);
     hetero.set("faulted_spans", p.hetero.faulted_spans);
     JsonValue partitions = JsonValue::array();
     for (const HeteroPartitionStats& part : p.hetero.partitions) {
@@ -226,7 +225,6 @@ ScanProfile profile_totals_from_json(const metrics::JsonValue& totals) {
     p.hetero.redispatched_spans = hetero->at("redispatched_spans").as_uint();
     p.hetero.redispatched_positions =
         hetero->at("redispatched_positions").as_uint();
-    p.hetero.straggler_spans = hetero->at("straggler_spans").as_uint();
     p.hetero.faulted_spans = hetero->at("faulted_spans").as_uint();
     for (const auto& entry : hetero->at("partitions").items()) {
       HeteroPartitionStats part;

@@ -37,11 +37,17 @@ struct GridPosition {
   std::size_t a_max = 0, b_min = 0;
   bool valid = false;
 
+  /// Admissible left borders a in [lo, a_max] and right borders b in
+  /// [b_min, hi]: the outer and inner trip counts of every omega kernel.
+  [[nodiscard]] std::size_t left_borders() const noexcept {
+    return valid ? a_max - lo + 1 : 0;
+  }
+  [[nodiscard]] std::size_t right_borders() const noexcept {
+    return valid ? hi - b_min + 1 : 0;
+  }
   /// Number of (a, b) window combinations = omega evaluations.
   [[nodiscard]] std::uint64_t combinations() const noexcept {
-    if (!valid) return 0;
-    return static_cast<std::uint64_t>(a_max - lo + 1) *
-           static_cast<std::uint64_t>(hi - b_min + 1);
+    return static_cast<std::uint64_t>(left_borders()) * right_borders();
   }
   /// Left / right sub-region SNP counts (maximal windows).
   [[nodiscard]] std::size_t left_snps() const noexcept {

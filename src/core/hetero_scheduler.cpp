@@ -91,9 +91,6 @@ void HeteroConfig::validate() const {
                                   "' has no backend factory");
     }
   }
-  if (straggler_multiplier <= 0.0 || straggler_min_seconds < 0.0) {
-    throw std::invalid_argument("hetero: nonsensical straggler policy");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +224,6 @@ void merge_hetero_stats(HeteroStats& into, const HeteroStats& from) {
   into.plans += from.plans;
   into.redispatched_spans += from.redispatched_spans;
   into.redispatched_positions += from.redispatched_positions;
-  into.straggler_spans += from.straggler_spans;
   into.faulted_spans += from.faulted_spans;
   for (const HeteroPartitionStats& part : from.partitions) {
     HeteroPartitionStats* dst = nullptr;
@@ -340,12 +336,11 @@ void HeteroExecutor::run_accelerator(
   const std::size_t worker = cpu_workers_ + partition;
   OmegaBackend& backend = *backends_[worker];
   detail::SpanWorkerState& state = states_[worker];
-  const HeteroCostModel& model = config_.accelerators[partition].modeled_seconds;
 
   // Push the unsettled remainder [g, end) of a span back to the CPU
   // partition. Settled positions are skipped on re-scan, so the handoff is
   // idempotent; counters are folded under the queue lock.
-  auto push_remainder = [&](std::size_t g, std::size_t end, bool straggler) {
+  auto push_remainder = [&](std::size_t g, std::size_t end) {
     detail::ScanSpan remainder;
     remainder.begin = g;
     remainder.end = end;
@@ -360,36 +355,18 @@ void HeteroExecutor::run_accelerator(
     redispatch.spans.push_back(remainder);
     ++stats_.redispatched_spans;
     stats_.redispatched_positions += positions;
-    if (straggler) {
-      ++stats_.straggler_spans;
-    } else {
-      ++stats_.faulted_spans;
-    }
+    ++stats_.faulted_spans;
   };
 
   try {
     for (const detail::ScanSpan& span : spans) {
       if (cancel != nullptr && cancel->should_stop()) return;
       ++wstats.spans;
-      // Modeled straggler deadline for this span: the launch-queue analogue
-      // of the per-position modeled watchdog.
-      double modeled_span_seconds = 0.0;
-      for (std::size_t g = span.begin; g < span.end; ++g) {
-        if (grid[g].valid) modeled_span_seconds += model(grid[g]);
-      }
-      const double deadline =
-          config_.straggler_multiplier * modeled_span_seconds +
-          config_.straggler_min_seconds;
-      const util::Timer span_timer;
       for (std::size_t g = span.begin; g < span.end; ++g) {
         if (cancel != nullptr && cancel->should_stop()) return;
         const GridPosition& position = grid[g];
         PositionScore& score = scores[g];
         if (!position.valid || score.valid || score.quarantined) continue;
-        if (span_timer.seconds() > deadline) {
-          push_remainder(g, span.end, /*straggler=*/true);
-          break;
-        }
         detail::advance_matrix(state.matrix, state.live, reuse_, position,
                                engine);
         // Recovery gave up on this partition — but the CPU is a bit-identical
@@ -397,7 +374,7 @@ void HeteroExecutor::run_accelerator(
         if (!detail::score_position(backend, state.matrix, position,
                                     recovery_, score, progress,
                                     /*quarantine=*/false)) {
-          push_remainder(g, span.end, /*straggler=*/false);
+          push_remainder(g, span.end);
           break;
         }
         ++wstats.positions;
@@ -441,7 +418,7 @@ void HeteroExecutor::run(const std::vector<GridPosition>& grid,
       detail::seed_steal_scheduler(cpu_spans, cpu_workers_);
 
   // Accelerator segments: one ordered launch queue each, split into a few
-  // spans so the straggler deadline has useful granularity.
+  // spans so a faulted span re-dispatches only its own remainder.
   std::vector<std::vector<detail::ScanSpan>> accel_spans(n_accel);
   for (std::size_t p = 0; p < n_accel; ++p) {
     const HeteroSegmentPlan& segment = plan.segments[p + 1];

@@ -12,20 +12,21 @@
 // one shared ThreadPool: the CPU segment under the work-stealing scheduler,
 // each accelerator as a single ordered launch queue.
 //
-// Straggler / fault re-dispatch: an accelerator span that quarantine-exhausts
-// a position, or whose wall time exceeds its modeled deadline, pushes its
-// unsettled remainder onto a re-dispatch queue that the CPU workers drain —
-// first opportunistically while the batch is still running, then in a
-// mop-up wave after it. Settled positions are never rescored (the streaming
-// chunk-retry "skip settled" contract), so re-dispatch is idempotent.
+// Fault re-dispatch: an accelerator span whose recovery gives up on a
+// position pushes its unsettled remainder onto a re-dispatch queue that the
+// CPU workers drain — first opportunistically while the batch is still
+// running, then in a mop-up wave after it. Nothing else moves work: the
+// planner prices each partition with the cost model its device accounts
+// with, so there is no host-wall deadline to miss. Settled positions are
+// never rescored (the streaming chunk-retry "skip settled" contract), so
+// re-dispatch is idempotent.
 //
 // Bitwise guarantee: accelerator partitions run their simulator backends
-// with functional_cap = 0, which routes every scoring decision through
-// core::max_omega_search — the double-precision reference that every CPU
-// kernel body is EXPECT_EQ-identical to — while the device cost models,
-// fault injection, and accounting still accrue. A hetero scan is therefore
-// bitwise-identical to the serial CPU scan for any split, with or without
-// re-dispatch.
+// with functional_cap = 0 and the scan's dispatched CPU kernel as the host
+// scorer (hw/accelerators.h), so every position is scored by the body the
+// CPU partition runs, while the device cost models, fault injection, and
+// accounting still accrue. A hetero scan is therefore bitwise-identical to
+// the serial CPU scan for any split, with or without re-dispatch.
 //
 // Not installed API; include from src/core/*.cpp, sweep/, the CLI, tests.
 
@@ -74,10 +75,9 @@ struct HeteroSplit {
 using HeteroCostModel = std::function<double(const GridPosition&)>;
 
 /// One accelerator partition: a display name, the device cost model that
-/// sizes its grid share (and arms the straggler deadline), and a factory for
-/// its backend instance. The factory MUST configure the backend for exact
-/// scoring (functional_cap = 0 on the simulators) or hetero results diverge
-/// from the CPU scan.
+/// sizes its grid share, and a factory for its backend instance. The factory
+/// MUST configure the backend for exact scoring (functional_cap = 0 on the
+/// simulators) or hetero results diverge from the CPU scan.
 struct HeteroPartitionSpec {
   std::string name;
   HeteroCostModel modeled_seconds;
@@ -92,15 +92,8 @@ struct HeteroConfig {
   /// Accelerator partitions in grid order after the CPU segment. May be
   /// empty, in which case hetero degenerates to the plain span engine.
   std::vector<HeteroPartitionSpec> accelerators;
-  /// Straggler deadline per accelerator span: wall seconds beyond
-  /// multiplier * modeled-span-seconds + min re-dispatch the unsettled
-  /// remainder to the CPU. The generous defaults only fire on real stalls,
-  /// not model noise.
-  double straggler_multiplier = 8.0;
-  double straggler_min_seconds = 0.25;
 
-  /// Throws std::invalid_argument on missing models/factories or a
-  /// nonsensical straggler policy.
+  /// Throws std::invalid_argument on missing models or factories.
   void validate() const;
 };
 

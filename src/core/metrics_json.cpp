@@ -592,13 +592,13 @@ JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) 
 
   // v10: heterogeneous co-scheduler accounting (docs/PERF.md "Heterogeneous
   // co-scheduling"); disabled/all-zero unless the scan ran --backend=hetero.
+  // v15 drops straggler_spans with the wall-clock straggler deadline.
   JsonValue hetero = JsonValue::object();
   hetero.set("enabled", profile.hetero.enabled);
   hetero.set("split", profile.hetero.split);
   hetero.set("plans", profile.hetero.plans);
   hetero.set("redispatched_spans", profile.hetero.redispatched_spans);
   hetero.set("redispatched_positions", profile.hetero.redispatched_positions);
-  hetero.set("straggler_spans", profile.hetero.straggler_spans);
   hetero.set("faulted_spans", profile.hetero.faulted_spans);
   JsonValue partitions = JsonValue::array();
   for (const HeteroPartitionStats& partition : profile.hetero.partitions) {

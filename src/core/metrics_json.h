@@ -24,7 +24,7 @@
 
 namespace omega::core::metrics {
 
-inline constexpr int kSchemaVersion = 14;
+inline constexpr int kSchemaVersion = 15;
 inline constexpr const char* kScanSchema = "omega.scan.metrics";
 inline constexpr const char* kBenchSchema = "omega.bench";
 

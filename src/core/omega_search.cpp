@@ -34,19 +34,12 @@ OmegaResult max_omega_search(const DpMatrix& m, const GridPosition& position) {
   return result;
 }
 
-std::size_t PositionBuffers::payload_bytes() const noexcept {
-  return ls.size() * sizeof(float) + rs.size() * sizeof(float) +
-         k.size() * sizeof(float) + m_binom.size() * sizeof(float) +
-         l_counts.size() * sizeof(std::uint32_t) +
-         r_counts.size() * sizeof(std::uint32_t) + total.size() * sizeof(float);
-}
-
 PositionBuffers pack_position(const DpMatrix& m, const GridPosition& position) {
   PositionBuffers buffers;
   if (!position.valid) return buffers;
   const std::size_t c = position.c;
-  buffers.num_left = position.a_max - position.lo + 1;
-  buffers.num_right = position.hi - position.b_min + 1;
+  buffers.num_left = position.left_borders();
+  buffers.num_right = position.right_borders();
 
   buffers.ls.resize(buffers.num_left);
   buffers.k.resize(buffers.num_left);

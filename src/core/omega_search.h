@@ -59,8 +59,6 @@ struct PositionBuffers {
   [[nodiscard]] std::uint64_t combinations() const noexcept {
     return static_cast<std::uint64_t>(num_left) * num_right;
   }
-  /// Bytes moved to an accelerator for this position (pre-padding).
-  [[nodiscard]] std::size_t payload_bytes() const noexcept;
 };
 
 PositionBuffers pack_position(const DpMatrix& m, const GridPosition& position);

@@ -3,12 +3,12 @@
 // (docs/OBSERVABILITY.md § Measured rates).
 //
 // The hetero planner splits the grid by *modeled* partition throughput
-// (hw/hetero_profile); this estimator supplies the measured side of that
+// (hw/accelerators); this estimator supplies the measured side of that
 // comparison: an exponentially weighted moving average of positions/second
 // folded in once per plan execution (hetero partitions) or once per claimed
 // span (span-engine workers). The EWMA — rather than a plain total/elapsed
 // ratio — keeps the estimate responsive to drift (thermal throttling, a
-// loaded host, straggler re-dispatch shifting work mid-scan) while damping
+// loaded host, faulted spans re-dispatched mid-scan) while damping
 // single-observation noise, which is what a future mid-scan re-planner needs
 // (ROADMAP items 3/5). Estimates surface as telemetry gauges and in the
 // metrics schema v11 "hetero" partition entries next to the modeled seconds.

@@ -202,7 +202,7 @@ struct ScannerOptions {
   /// Heterogeneous co-scheduling (core/hetero_scheduler.h): when non-null,
   /// the scan splits the grid across the CPU span engine and the configured
   /// accelerator partitions concurrently, sized by modeled throughput, with
-  /// straggler/fault re-dispatch back to the CPU. Results stay bitwise-
+  /// faulted spans re-dispatched back to the CPU. Results stay bitwise-
   /// identical to the plain CPU scan. Overrides backend_factory; `threads`
   /// still bounds the total worker count. Not owned; must outlive the scan.
   const HeteroConfig* hetero = nullptr;
@@ -514,11 +514,11 @@ struct HeteroStats {
   std::string split;  // HeteroSplit::name(): "auto" or "c:g:f"
   std::uint64_t plans = 0;  // planner invocations (per chunk when streaming)
   /// Accelerator spans whose unsettled remainder went back to the CPU, and
-  /// the positions those remainders carried.
+  /// the positions those remainders carried. Recovery giving up on a
+  /// position is the only cause, so faulted_spans == redispatched_spans.
   std::uint64_t redispatched_spans = 0;
   std::uint64_t redispatched_positions = 0;
-  std::uint64_t straggler_spans = 0;  // re-dispatch cause: modeled deadline
-  std::uint64_t faulted_spans = 0;    // re-dispatch cause: recovery gave up
+  std::uint64_t faulted_spans = 0;
   /// CPU partition first, then each accelerator in configuration order.
   std::vector<HeteroPartitionStats> partitions;
 };

@@ -46,16 +46,9 @@ ScanWorkload analyze_workload(const io::Dataset& dataset,
       covered_end = std::max(covered ? covered_end : hi_end, hi_end);
       covered = true;
 
-      const std::size_t num_left = position.a_max - position.lo + 1;
-      const std::size_t num_right = position.hi - position.b_min + 1;
-      // ls + k + l_counts per left border; rs + m + r_counts per right
-      // border; one float per combination for TS.
-      item.omega_payload_bytes =
-          static_cast<std::uint64_t>(num_left) * 12 +
-          static_cast<std::uint64_t>(num_right) * 12 +
-          item.combinations * sizeof(float);
+      item.omega_payload_bytes = omega_payload_bytes(position);
       workload.max_right_iterations =
-          std::max(workload.max_right_iterations, num_right);
+          std::max(workload.max_right_iterations, position.right_borders());
     }
     workload.total_combinations += item.combinations;
     workload.total_r2_with_reuse += item.r2_with_reuse;
@@ -64,6 +57,12 @@ ScanWorkload analyze_workload(const io::Dataset& dataset,
     workload.positions.push_back(item);
   }
   return workload;
+}
+
+std::uint64_t omega_payload_bytes(const GridPosition& position) noexcept {
+  return static_cast<std::uint64_t>(position.left_borders()) * 12 +
+         static_cast<std::uint64_t>(position.right_borders()) * 12 +
+         position.combinations() * sizeof(float);
 }
 
 std::uint64_t estimate_position_cost(const GridPosition& position) noexcept {

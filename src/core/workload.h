@@ -40,6 +40,14 @@ struct ScanWorkload {
 ScanWorkload analyze_workload(const io::Dataset& dataset,
                               const OmegaConfig& config);
 
+/// Host->device payload of one position's omega buffers, before padding:
+/// ls + k + l_counts (4 bytes each) per left border, rs + m + r_counts per
+/// right border, and one float of TS per combination (core::pack_position's
+/// layout). The one payload formula: analyze_workload and the simulated GPU's
+/// launch cost both read it.
+[[nodiscard]] std::uint64_t omega_payload_bytes(
+    const GridPosition& position) noexcept;
+
 /// Standalone per-position cost estimate for scheduling (span budgeting in
 /// the work-stealing scan engine): the exact ω evaluation count plus a width
 /// term approximating the per-position share of DP-matrix extension, so

@@ -11,6 +11,27 @@
 
 namespace omega::hw::fpga {
 
+LaunchCost launch_cost(const FpgaDeviceSpec& spec,
+                       const core::GridPosition& position,
+                       const FpgaBackendOptions& options) {
+  LaunchCost launch;
+  launch.cycles = position_cycles(spec, position.left_borders(),
+                                  position.right_borders(),
+                                  options.ts_from_dram);
+  if (launch.cycles.stall_factor > 1.0) {
+    const double throttled = static_cast<double>(launch.cycles.hw_cycles) -
+                             spec.pipeline_latency_cycles -
+                             spec.prefetch_cycles;
+    launch.stall_cycles = static_cast<std::uint64_t>(
+        throttled * (1.0 - 1.0 / launch.cycles.stall_factor));
+  }
+  launch.hw_seconds =
+      static_cast<double>(launch.cycles.hw_cycles) / spec.clock_hz;
+  launch.sw_seconds = static_cast<double>(launch.cycles.sw_omegas) /
+                      options.software_omega_rate;
+  return launch;
+}
+
 FpgaOmegaBackend::FpgaOmegaBackend(const FpgaDeviceSpec& spec,
                                    FpgaBackendOptions options)
     : spec_(spec), options_(options), injector_(options.fault_plan) {}
@@ -49,17 +70,20 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
       break;
   }
 
-  // Host-side packing is the FPGA dispatch stage; time it on every path so
-  // zero-combination positions still charge their pack cost (the same leak
-  // the GPU backend had with its early return inside the timed block).
+  // The host side of the run is the FPGA dispatch stage: price it from the
+  // geometry and, only when the pipelines will run, pack the streamed
+  // buffers. Runs for every valid position, empty ones included.
+  const std::uint64_t combos = position.combinations();
+  const bool functional = combos != 0 && combos <= options_.functional_cap;
+  LaunchCost launch;
   core::PositionBuffers buffers;
   {
     static const util::probe::Site kDispatch("fpga.dispatch",
                                              "fpga.dispatch_seconds");
     const util::probe::Stage stage(kDispatch);
-    buffers = core::pack_position(m, position);
+    launch = launch_cost(spec_, position, options_);
+    if (functional) buffers = core::pack_position(m, position);
   }
-  const std::uint64_t combos = buffers.combinations();
   if (combos == 0) return result;
 
   // Second poll before the pipeline run — the last abandon point before the
@@ -80,7 +104,7 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
     }
   };
 
-  if (combos <= options_.functional_cap) {
+  if (functional) {
     std::vector<OmegaPipeline> lanes(unroll);
     auto make_input = [&](std::size_t ai, std::size_t bi) {
       PipelineInput input;
@@ -98,7 +122,6 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
     };
 
     const std::size_t groups = buffers.num_right / unroll;
-    const std::size_t remainder = buffers.num_right % unroll;
     for (std::size_t ai = 0; ai < buffers.num_left; ++ai) {
       // Hardware part: U lanes consume U consecutive right borders per clock.
       for (std::size_t group = 0; group < groups; ++group) {
@@ -114,7 +137,6 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
         consider(pipeline_arithmetic(make_input(ai, bi)),
                  static_cast<std::uint64_t>(ai) * buffers.num_right + bi);
       }
-      (void)remainder;
     }
     // Drain in-flight values.
     for (auto& lane : lanes) {
@@ -133,45 +155,27 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
                                   : core::max_omega_search(m, position);
   }
 
-  const PositionCycles cycles = position_cycles(
-      spec_, buffers.num_left, buffers.num_right, options_.ts_from_dram);
   // Modeled watchdog: enforce the per-position device-time budget before any
   // accounting, treating an over-budget position as a failed run.
-  if (options_.modeled_timeout_seconds > 0.0) {
-    const double modeled_s =
-        static_cast<double>(cycles.hw_cycles) / spec_.clock_hz +
-        static_cast<double>(cycles.sw_omegas) / options_.software_omega_rate;
-    if (modeled_s > options_.modeled_timeout_seconds) {
-      throw core::BackendError(core::BackendErrorKind::Timeout, name(),
-                               "modeled accelerator time exceeded budget");
-    }
+  if (options_.modeled_timeout_seconds > 0.0 &&
+      launch.total_seconds() > options_.modeled_timeout_seconds) {
+    throw core::BackendError(core::BackendErrorKind::Timeout, name(),
+                             "modeled accelerator time exceeded budget");
   }
   if (poison_result && result.evaluated > 0) {
     result.max_omega = std::numeric_limits<double>::quiet_NaN();
   }
-  accounting_.modeled_cycles += cycles.hw_cycles;
-  // Stalls: the share of inner-loop cycles above the ideal (stall_factor 1)
-  // one-group-per-clock schedule.
-  if (cycles.stall_factor > 1.0) {
-    const double throttled = static_cast<double>(cycles.hw_cycles) -
-                             spec_.pipeline_latency_cycles -
-                             spec_.prefetch_cycles;
-    accounting_.stall_cycles += static_cast<std::uint64_t>(
-        throttled * (1.0 - 1.0 / cycles.stall_factor));
-  }
-  accounting_.hw_omegas += cycles.hw_omegas;
-  accounting_.sw_omegas += cycles.sw_omegas;
-  const double hw_seconds =
-      static_cast<double>(cycles.hw_cycles) / spec_.clock_hz;
-  const double sw_seconds =
-      static_cast<double>(cycles.sw_omegas) / options_.software_omega_rate;
-  accounting_.modeled_hw_seconds += hw_seconds;
-  accounting_.modeled_sw_seconds += sw_seconds;
+  accounting_.modeled_cycles += launch.cycles.hw_cycles;
+  accounting_.stall_cycles += launch.stall_cycles;
+  accounting_.hw_omegas += launch.cycles.hw_omegas;
+  accounting_.sw_omegas += launch.cycles.sw_omegas;
+  accounting_.modeled_hw_seconds += launch.hw_seconds;
+  accounting_.modeled_sw_seconds += launch.sw_seconds;
   // One sample per completed position run (watchdog-killed runs excluded),
   // the FPGA analogue of gpu.launch_modeled_seconds.
   static util::telemetry::Histogram& launch_hist =
       util::telemetry::histogram("fpga.launch_modeled_seconds");
-  launch_hist.record(hw_seconds + sw_seconds);
+  launch_hist.record(launch.total_seconds());
   return result;
 }
 

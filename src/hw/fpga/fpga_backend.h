@@ -4,7 +4,9 @@
 // would — outer loop over left borders, inner right-side loop processed U
 // iterations per clock, unroll remainder handled in host software. Produces
 // bit-identical float omegas to the GPU kernels (same arithmetic order) and
-// accumulates the cycle model alongside.
+// accumulates the cycle model alongside, priced from the position's geometry
+// (launch_cost). Above functional_cap no pipeline runs and nothing is packed:
+// the host scorer produces the result and the launch is still accounted.
 
 #include <cstdint>
 #include <functional>
@@ -48,6 +50,27 @@ struct FpgaBackendOptions {
                                   const core::GridPosition&)>
       host_scorer;
 };
+
+/// One position priced from its geometry alone: the cycle model over its
+/// border counts (position_cycles) plus the unroll remainder at the host
+/// rate. The one FPGA cost model: the backend's accounting and the hetero
+/// planner's FPGA partition both price positions through it. All zero for a
+/// position with no combinations.
+struct LaunchCost {
+  PositionCycles cycles;
+  /// The share of cycles.hw_cycles above the ideal one-group-per-clock
+  /// schedule (DRAM throttling).
+  std::uint64_t stall_cycles = 0;
+  double hw_seconds = 0.0;
+  double sw_seconds = 0.0;
+  [[nodiscard]] double total_seconds() const noexcept {
+    return hw_seconds + sw_seconds;
+  }
+};
+
+[[nodiscard]] LaunchCost launch_cost(const FpgaDeviceSpec& spec,
+                                     const core::GridPosition& position,
+                                     const FpgaBackendOptions& options);
 
 struct FpgaAccounting {
   std::uint64_t modeled_cycles = 0;

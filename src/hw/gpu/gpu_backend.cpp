@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/resilience.h"
+#include "core/workload.h"
 #include "util/probe.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
@@ -36,6 +37,30 @@ core::PositionBuffers swap_sides(const core::PositionBuffers& buffers) {
 }
 
 }  // namespace
+
+LaunchCost launch_cost(const GpuDeviceSpec& spec,
+                       const core::GridPosition& position,
+                       KernelPolicy policy) {
+  LaunchCost launch;
+  launch.combinations = position.combinations();
+  if (launch.combinations == 0) return launch;
+  switch (policy) {
+    case KernelPolicy::ForceKernel1:
+      launch.kernel = KernelChoice::Kernel1;
+      break;
+    case KernelPolicy::ForceKernel2:
+      launch.kernel = KernelChoice::Kernel2;
+      break;
+    case KernelPolicy::Dynamic:
+    default:
+      launch.kernel = dispatch(spec, launch.combinations);
+      break;
+  }
+  launch.payload_bytes = core::omega_payload_bytes(position);
+  launch.cost = complete_position_cost(spec, launch.kernel, launch.combinations,
+                                       launch.payload_bytes);
+  return launch;
+}
 
 GpuOmegaBackend::GpuOmegaBackend(const GpuDeviceSpec& spec,
                                  par::ThreadPool& pool,
@@ -80,38 +105,28 @@ core::OmegaResult GpuOmegaBackend::max_omega(
       break;
   }
 
+  LaunchCost launch;
+  bool functional = false;
   core::PositionBuffers buffers;
-  std::uint64_t combos = 0;
   bool swapped = false;
-  KernelChoice choice = KernelChoice::Kernel1;
   {
-    // Host-side packing + Eq. (4) kernel selection: the "dispatch" stage.
-    // Pack time is charged even for zero-combination positions — the host
-    // pays for packing before it can know the position is empty.
+    // Host side of the launch, the "dispatch" stage: price it from the
+    // geometry (Eq. (4) kernel choice included) and, only when a functional
+    // kernel will run, pack its buffers. Runs for every valid position,
+    // empty ones included.
     static const util::probe::Site kDispatch("gpu.dispatch",
                                              "gpu.dispatch_seconds");
     const util::probe::Stage stage(kDispatch);
-    buffers = core::pack_position(m, position);
-    combos = buffers.combinations();
-    if (combos != 0) {
+    launch = launch_cost(spec_, position, options_.policy);
+    functional = launch.combinations != 0 &&
+                 launch.combinations <= options_.functional_cap;
+    if (functional) {
+      buffers = core::pack_position(m, position);
       swapped = options_.order_switch && buffers.num_left > buffers.num_right;
       if (swapped) buffers = swap_sides(buffers);
-
-      switch (options_.policy) {
-        case KernelPolicy::ForceKernel1:
-          choice = KernelChoice::Kernel1;
-          break;
-        case KernelPolicy::ForceKernel2:
-          choice = KernelChoice::Kernel2;
-          break;
-        case KernelPolicy::Dynamic:
-        default:
-          choice = dispatch(spec_, combos);
-          break;
-      }
     }
   }
-  if (combos == 0) return result;
+  if (launch.combinations == 0) return result;
 
   // Second poll between dispatch and the kernel run: the last moment a real
   // host could abandon the position before paying for the launch.
@@ -120,12 +135,11 @@ core::OmegaResult GpuOmegaBackend::max_omega(
   }
 
   // Functional execution (exact float arithmetic); guarded by the cap so a
-  // paper-scale workload falls back to the CPU loop (identical values up to
-  // float/double rounding) instead of running for hours.
-  std::uint64_t flat = 0;
-  if (combos <= options_.functional_cap) {
+  // paper-scale workload falls back to the host scorer (identical values up
+  // to float/double rounding) instead of running for hours.
+  if (functional) {
     KernelResult kernel_result;
-    if (choice == KernelChoice::Kernel1) {
+    if (launch.kernel == KernelChoice::Kernel1) {
       const util::trace::Span span("gpu.kernel1");
       kernel_result = run_kernel1(pool_, buffers, spec_.workgroup_size);
     } else {
@@ -135,7 +149,7 @@ core::OmegaResult GpuOmegaBackend::max_omega(
           default_kernel2_work_items(spec_.compute_units, spec_.warp_size));
     }
     result.max_omega = static_cast<double>(kernel_result.max_omega);
-    flat = kernel_result.flat_index;
+    const std::uint64_t flat = kernel_result.flat_index;
     result.evaluated = kernel_result.evaluated;
     std::size_t ai = static_cast<std::size_t>(flat / buffers.num_right);
     std::size_t bi = static_cast<std::size_t>(flat % buffers.num_right);
@@ -147,8 +161,7 @@ core::OmegaResult GpuOmegaBackend::max_omega(
                                   : core::max_omega_search(m, position);
   }
 
-  const CompleteCost cost = complete_position_cost(
-      spec_, choice, combos, buffers.payload_bytes());
+  const CompleteCost& cost = launch.cost;
   // Modeled watchdog: a position whose device time blows the budget is
   // treated as a failed launch — no result, no accounting — matching a
   // runtime that kills and reaps the kernel.
@@ -167,19 +180,19 @@ core::OmegaResult GpuOmegaBackend::max_omega(
   static util::telemetry::Histogram& launch_hist =
       util::telemetry::histogram("gpu.launch_modeled_seconds");
   launch_hist.record(cost.total_s);
-  if (choice == KernelChoice::Kernel1) {
+  if (launch.kernel == KernelChoice::Kernel1) {
     ++accounting_.positions_kernel1;
-    accounting_.omegas_kernel1 += combos;
+    accounting_.omegas_kernel1 += launch.combinations;
   } else {
     ++accounting_.positions_kernel2;
-    accounting_.omegas_kernel2 += combos;
+    accounting_.omegas_kernel2 += launch.combinations;
   }
   accounting_.modeled_kernel_seconds += cost.kernel_s;
   accounting_.modeled_prep_seconds += cost.prep_s;
   accounting_.modeled_transfer_seconds += cost.transfer_s;
   accounting_.modeled_total_seconds += cost.total_s;
-  accounting_.omega_evaluations += combos;
-  accounting_.bytes_moved += padded_bytes(spec_, buffers.payload_bytes());
+  accounting_.omega_evaluations += launch.combinations;
+  accounting_.bytes_moved += padded_bytes(spec_, launch.payload_bytes);
   return result;
 }
 

@@ -1,12 +1,16 @@
 #pragma once
 // GPU omega backend: plugs the simulated device into the scanner. Per grid
 // position it mirrors the paper's host flow (Fig. 3, GPU side):
-//   1. sub-region order-switch — the SNP-richer sub-region becomes the inner
-//      loop to maximize coalesced accesses (§IV-B);
-//   2. pack the LR / km / TS buffers from M (core::pack_position);
-//   3. dynamic two-kernel dispatch on Nthr (Eq. 4);
-//   4. run the chosen functional kernel on the thread pool;
-//   5. account modeled device time (timing_model.h) alongside the result.
+//   1. price the launch from the position's geometry (launch_cost): the
+//      dynamic two-kernel dispatch on Nthr (Eq. 4), the combination count
+//      and the payload the host would ship;
+//   2. when the launch runs a functional kernel, pack the LR / km / TS
+//      buffers from M (core::pack_position) with the sub-region order
+//      switch — the SNP-richer sub-region becomes the inner loop to
+//      maximize coalesced accesses (§IV-B) — and run the chosen kernel on
+//      the thread pool; above functional_cap nothing is packed and the host
+//      scorer produces the result;
+//   3. account the priced device time (timing_model.h) alongside the result.
 //
 // The order switch is value-neutral (Eq. (2) is symmetric in L and R), so
 // results stay comparable with the CPU backend; it matters for the modeled
@@ -31,9 +35,10 @@ enum class KernelPolicy { Dynamic, ForceKernel1, ForceKernel2 };
 struct GpuBackendOptions {
   KernelPolicy policy = KernelPolicy::Dynamic;
   bool order_switch = true;
-  /// Cap on functionally executed combinations per position; above it the
-  /// kernel samples... never: functional execution is exact. The cap guards
-  /// against accidentally running paper-scale workloads functionally.
+  /// Cap on functionally executed combinations per position. Above it no
+  /// kernel runs and nothing is packed: host_scorer produces the result
+  /// while the launch is still priced and accounted. The cap guards against
+  /// accidentally running paper-scale workloads functionally.
   std::uint64_t functional_cap = 1ull << 26;
   /// Deterministic fault injection (util/fault.h); disabled by default.
   /// Injected failures surface as core::BackendError / NaN-poisoned results
@@ -58,6 +63,23 @@ struct GpuBackendOptions {
                                   const core::GridPosition&)>
       host_scorer;
 };
+
+/// One launch priced from the position's geometry alone: the kernel the
+/// policy picks (Eq. (4) under Dynamic), the combination count, the payload
+/// (core::omega_payload_bytes) and the complete-cost breakdown. The one GPU
+/// cost model: the backend's accounting and the hetero planner's GPU
+/// partition both price positions through it. All zero for a position with
+/// no combinations.
+struct LaunchCost {
+  KernelChoice kernel = KernelChoice::Kernel1;
+  std::uint64_t combinations = 0;
+  std::uint64_t payload_bytes = 0;
+  CompleteCost cost;
+};
+
+[[nodiscard]] LaunchCost launch_cost(const GpuDeviceSpec& spec,
+                                     const core::GridPosition& position,
+                                     KernelPolicy policy = KernelPolicy::Dynamic);
 
 /// Accumulated device-model accounting for a scan.
 struct GpuAccounting {

@@ -5,10 +5,10 @@
 // microkernel and a cross-extend panel cache, which core::make_ld_engine
 // builds for LdBackendKind::Auto and ::Packed. Beside it live the adapters
 // and oracles below — OffsetLd for the streaming scanner and NaiveLd, the
-// double-precision reference — and, on the simulated GPU, GpuLdEngine
-// (hw/gpu/gemm_ld_kernel.h). The popcount and GEMM engines the paper's
-// lineage used survive outside the library as test and bench references
-// (support/ld_reference).
+// double-precision reference. The popcount and GEMM engines the paper's
+// lineage used, and the GEMM kernel of the paper's GPU on the simulated
+// device (GpuLdEngine), survive outside the library as test and bench
+// references (support/ld_reference).
 
 #include <atomic>
 #include <cstdint>

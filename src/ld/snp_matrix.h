@@ -3,7 +3,7 @@
 // vector of SNP s across samples, packed 64 samples per word. This is the
 // representation the LD engines operate on; pairwise co-occurrence counts
 // reduce to AND+popcount over rows (Alachiotis, Popovici & Low 2016 cast the
-// same counts as dense linear algebra — see hw/gpu/gemm_ld_kernel.h).
+// same counts as dense linear algebra — see support/ld_reference/gemm.h).
 //
 // Missing data: each site additionally carries a validity mask (bit set =
 // called sample). Data bits are stored pre-masked (missing => 0), so for

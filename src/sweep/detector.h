@@ -31,15 +31,14 @@ struct DetectorOptions {
   /// "cpu:gpu:fpga" weight triple (core::HeteroSplit::parse syntax). The
   /// split never changes results — only which partition scores what.
   std::string hetero_split = "auto";
-  /// LD engine for the CPU backends (core::resolve_ld_backend semantics:
-  /// Auto runs the bit-packed engine with runtime AVX2/scalar dispatch).
-  /// Every kind produces bitwise-identical r2 and hence identical
-  /// candidates; the accelerator backends install their own ld_factory.
+  /// LD engine of every backend (core::resolve_ld_backend semantics: Auto
+  /// runs the bit-packed engine with runtime AVX2/scalar dispatch). Every
+  /// kind produces bitwise-identical r2 and hence identical candidates.
   core::LdBackendKind ld = core::LdBackendKind::Auto;
   /// Fault-recovery policy forwarded to the scan driver.
   core::RecoveryPolicy recovery;
-  /// Deterministic fault injection applied to the simulated accelerator
-  /// backends (GpuSim / FpgaSim); ignored by the CPU backends.
+  /// Deterministic fault injection applied to the simulated accelerators
+  /// (GpuSim, FpgaSim and Hetero's partitions); ignored by the CPU backends.
   util::fault::FaultPlan fault_plan;
   /// Optional cooperative-cancellation token. Polled between positions (and
   /// inside the simulated accelerators) — a request drains the scan cleanly

@@ -12,17 +12,20 @@
 // in full.
 //
 // Reference code outside the library: the tests check the simulated GPU
-// kernel and the engines against these counts, and the benches time them.
+// kernel (ld_reference/gpu_ld.h) and the engines against these counts, and
+// the benches time them.
 
 #include <cstdint>
 #include <vector>
 
-#include "hw/gpu/gemm_ld_kernel.h"
 #include "ld/snp_matrix.h"
 
 namespace omega::ld {
 
-using hw::gpu::PackSource;
+/// Which per-site bit vector an operand reads: the (pre-masked) derived
+/// indicator, or the validity mask. Pairwise-complete counting with missing
+/// data needs all four Data/Mask combinations.
+enum class PackSource { Data, Mask };
 
 struct GemmBlocking {
   // Cache blocking: KC x MC A-panel ~ L2, KC x NR B-sliver ~ L1.

@@ -1,4 +1,4 @@
-#include "hw/gpu/gemm_ld_kernel.h"
+#include "ld_reference/gpu_ld.h"
 
 #include <vector>
 

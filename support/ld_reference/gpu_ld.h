@@ -7,28 +7,23 @@
 // word-wise AND+popcount loop (the compressed-data analogue of the GEMM
 // k-loop).
 //
-// GpuLdEngine plugs this into the scanner as an ld::LdEngine, giving the
-// "complete GPU-accelerated OmegaPlus" configuration: GPU LD (this kernel) +
-// GPU omega (omega_kernels.h), exactly the released tool's division of
-// labour (paper Fig. 3). It is the paper's GPU LD kernel and is reached only
-// through sweep::detect_sweeps(Backend::GpuSim); the CPU scan path uses
-// ld::PackedLd. The byte-panel CPU GEMM cast of the same counts is a test
-// and bench reference outside the library (support/ld_reference/gemm.h),
-// which shares this header's PackSource operand selector.
+// Reference code outside the library, like the CPU engines next to it: no
+// shipped program runs it. GpuLdEngine's r2 are bitwise those of the CPU
+// popcount engine (and hence of ld::PackedLd), which the tests check; a
+// scan on the simulated GPU computes its LD with the library's packed CPU
+// engine.
 
 #include <cstdint>
 
 #include "hw/device_specs.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
+#include "ld_reference/gemm.h"
 #include "par/thread_pool.h"
 
 namespace omega::hw::gpu {
 
-/// Which per-site bit vector an operand reads: the (pre-masked) derived
-/// indicator, or the validity mask. Pairwise-complete counting with missing
-/// data needs all four Data/Mask combinations.
-enum class PackSource { Data, Mask };
+using ld::PackSource;
 
 /// Computes the pair-count block [i0,i1) x [j0,j1) on the simulated device.
 /// Sources select Data/Mask operands.

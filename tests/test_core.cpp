@@ -768,7 +768,15 @@ TEST(PackPosition, BuffersMatchMatrix) {
       ASSERT_FLOAT_EQ(buffers.rs[bi],
                       static_cast<float>(m.at(b, position.c + 1)));
     }
-    EXPECT_GT(buffers.payload_bytes(), 0u);
+    // The geometry payload formula counts exactly the packed buffers.
+    const std::size_t packed_bytes =
+        (buffers.ls.size() + buffers.rs.size() + buffers.k.size() +
+         buffers.m_binom.size() + buffers.total.size()) *
+            sizeof(float) +
+        (buffers.l_counts.size() + buffers.r_counts.size()) *
+            sizeof(std::uint32_t);
+    EXPECT_GT(packed_bytes, 0u);
+    EXPECT_EQ(omega::core::omega_payload_bytes(position), packed_bytes);
   }
 }
 

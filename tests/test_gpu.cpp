@@ -12,7 +12,6 @@
 #include "core/omega_search.h"
 #include "core/scanner.h"
 #include "hw/device_specs.h"
-#include "hw/gpu/gemm_ld_kernel.h"
 #include "hw/gpu/gpu_backend.h"
 #include "hw/gpu/ndrange.h"
 #include "hw/gpu/omega_kernels.h"
@@ -22,6 +21,7 @@
 #include "ld/snp_matrix.h"
 #include "ld_reference/engines.h"
 #include "ld_reference/gemm.h"
+#include "ld_reference/gpu_ld.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/prng.h"

@@ -2,15 +2,19 @@
 // the deterministic planner (fixed and auto weights, the zero-cost
 // equal-fallback guard shared with the span engine), the bitwise-identity
 // guarantee against the serial CPU scan (in-memory and streaming, clean and
-// under fault injection), straggler/fault re-dispatch back to the CPU,
-// cpu<->hetero checkpoint resume interoperability, the schema v10 "hetero"
-// metrics block, the dispatch_seconds accounting regression (empty positions
-// must still charge their pack cost), and the analyze_workload covered-range
-// mirror cross-checked against DpMatrix::extend fetch counters over
+// under fault injection), faulted-span re-dispatch back to the CPU,
+// cpu<->hetero checkpoint resume interoperability, the "hetero" metrics
+// block, the dispatch_seconds accounting regression (empty positions must
+// still charge their dispatch stage), launch pricing from geometry (planner
+// == device seconds, the workload payload == the GPU's charge, skipping the
+// pack changes no accounting), and the analyze_workload covered-range mirror
+// cross-checked against DpMatrix::extend fetch counters over
 // partition-restricted and seam-carryover replay sequences.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -28,10 +32,10 @@
 #include "core/span_engine.h"
 #include "core/stream_scanner.h"
 #include "core/workload.h"
+#include "hw/accelerators.h"
 #include "hw/device_specs.h"
 #include "hw/fpga/fpga_backend.h"
 #include "hw/gpu/gpu_backend.h"
-#include "hw/hetero_profile.h"
 #include "io/chunk_reader.h"
 #include "ld/ld_engine.h"
 #include "ld/snp_matrix.h"
@@ -104,18 +108,14 @@ void expect_identical(const ScanResult& hetero, const ScanResult& serial) {
             serial.profile.omega_evaluations);
 }
 
-/// Shared pool backing every GPU backend instance a test config creates; the
-/// config closures capture it by reference, so it must outlive the scans.
-omega::par::ThreadPool& shared_gpu_pool() {
-  static omega::par::ThreadPool pool(2);
-  return pool;
-}
-
+/// The hetero config the CLI and the detector build. Its closures own what
+/// they capture (the GPU partition's pool included), so copies are safe.
 HeteroConfig make_config(const std::string& split, FaultPlan fault_plan = {}) {
-  omega::hw::HeteroProfileOptions profile_options;
-  profile_options.split = HeteroSplit::parse(split);
-  profile_options.fault_plan = fault_plan;
-  return omega::hw::default_hetero_config(profile_options, shared_gpu_pool());
+  omega::hw::AcceleratorOptions options;
+  options.kind = omega::hw::AcceleratorKind::Hetero;
+  options.split = HeteroSplit::parse(split);
+  options.fault_plan = fault_plan;
+  return *omega::hw::make_accelerator(options).hetero;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,13 +159,6 @@ TEST(HeteroConfigValidate, RejectsIncompleteConfigs) {
 
   config = make_config("auto");
   EXPECT_NO_THROW(config.validate());
-
-  HeteroConfig bad_straggler = make_config("auto");
-  bad_straggler.straggler_multiplier = 0.0;
-  EXPECT_THROW(bad_straggler.validate(), std::invalid_argument);
-  bad_straggler = make_config("auto");
-  bad_straggler.straggler_min_seconds = -1.0;
-  EXPECT_THROW(bad_straggler.validate(), std::invalid_argument);
 
   HeteroConfig no_factory = make_config("auto");
   no_factory.accelerators[0].backend_factory = nullptr;
@@ -472,34 +465,8 @@ TEST(HeteroIdentity, TransientFaultsConvergeToCleanScores) {
 }
 
 // ---------------------------------------------------------------------------
-// Re-dispatch: stragglers and faulted accelerator spans drain on the CPU
+// Re-dispatch: faulted accelerator spans drain on the CPU
 // ---------------------------------------------------------------------------
-
-TEST(HeteroRedispatch, StragglerDeadlineSendsSpansBackToCpu) {
-  const auto dataset = hetero_dataset();
-  auto options = hetero_options();
-  const auto serial = omega::core::scan(dataset, options);
-
-  // A deadline of effectively zero wall seconds: every accelerator span
-  // exceeds it at the first poll and re-dispatches its remainder.
-  HeteroConfig config = make_config("0:1:1");
-  config.straggler_multiplier = 1e-12;
-  config.straggler_min_seconds = 0.0;
-  options.hetero = &config;
-  options.threads = 4;
-  const auto hetero = omega::core::scan(dataset, options);
-
-  expect_identical(hetero, serial);
-  const auto& stats = hetero.profile.hetero;
-  EXPECT_GT(stats.straggler_spans, 0u);
-  EXPECT_GT(stats.redispatched_spans, 0u);
-  EXPECT_GT(stats.redispatched_positions, 0u);
-  EXPECT_EQ(stats.faulted_spans, 0u);
-  // The CPU partition absorbed work it was never planned.
-  ASSERT_EQ(stats.partitions.size(), 3u);
-  EXPECT_EQ(stats.partitions[0].planned_positions, 0u);
-  EXPECT_GT(stats.partitions[0].actual_positions, 0u);
-}
 
 TEST(HeteroRedispatch, ExhaustedRecoveryFaultsSpanBackToCpuNotQuarantine) {
   const auto dataset = hetero_dataset();
@@ -796,6 +763,121 @@ TEST(DispatchAccounting, FpgaChargesDispatchForEmptyPositions) {
       dispatch_after_empty_positions(backend, "fpga.dispatch_seconds");
   EXPECT_EQ(dispatch.count, 5'000u);
   EXPECT_GT(dispatch.sum, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Launch pricing: one cost function per device, from the position's geometry
+// ---------------------------------------------------------------------------
+
+void expect_same_seconds(double planned, double accounted,
+                         const std::string& what) {
+  EXPECT_LE(std::abs(planned - accounted),
+            1e-12 * std::max(std::abs(planned), std::abs(accounted)))
+      << what << ": planned " << planned << " s, device " << accounted
+      << " s";
+}
+
+TEST(LaunchPricing, PlannedPartitionSecondsEqualDeviceSeconds) {
+  const auto dataset = hetero_dataset();
+  for (const char* split : {"auto", "1:2:2"}) {
+    auto options = hetero_options();
+    const HeteroConfig config = make_config(split);
+    options.hetero = &config;
+    options.threads = 4;
+    const auto result = omega::core::scan(dataset, options);
+    const auto& stats = result.profile.hetero;
+    ASSERT_EQ(stats.partitions.size(), 3u) << split;
+    EXPECT_EQ(stats.redispatched_positions, 0u) << split;
+    ASSERT_EQ(stats.partitions[1].backend.rfind("gpu-sim:", 0), 0u);
+    ASSERT_EQ(stats.partitions[2].backend.rfind("fpga-sim:", 0), 0u);
+    expect_same_seconds(stats.partitions[1].modeled_seconds,
+                        result.profile.gpu.modeled_total_seconds,
+                        std::string(split) + " gpu");
+    expect_same_seconds(stats.partitions[2].modeled_seconds,
+                        result.profile.fpga.modeled_seconds,
+                        std::string(split) + " fpga");
+    if (std::string(split) == "1:2:2") {
+      // A fixed split hands both devices work, so the agreement is not 0 == 0.
+      EXPECT_GT(result.profile.gpu.modeled_total_seconds, 0.0);
+      EXPECT_GT(result.profile.fpga.modeled_seconds, 0.0);
+    }
+  }
+}
+
+TEST(LaunchPricing, WorkloadPayloadIsWhatTheGpuCharges) {
+  const auto dataset = hetero_dataset();
+  const auto options = hetero_options();
+  const auto workload = omega::core::analyze_workload(dataset, options.config);
+  const auto spec = omega::hw::tesla_k80();
+
+  std::uint64_t wire_bytes = 0;
+  for (const auto& item : workload.positions) {
+    const auto launch = omega::hw::gpu::launch_cost(spec, item.geometry);
+    EXPECT_EQ(launch.payload_bytes, item.omega_payload_bytes);
+    if (item.combinations > 0) {
+      wire_bytes += omega::hw::gpu::padded_bytes(spec, item.omega_payload_bytes);
+    }
+  }
+  omega::par::ThreadPool pool(1);
+  omega::hw::gpu::GpuOmegaBackend backend(spec, pool);
+  (void)omega::core::scan(dataset, options, [&] {
+    return omega::core::borrow_backend(backend);
+  });
+  EXPECT_GT(wire_bytes, 0u);
+  EXPECT_EQ(backend.accounting().bytes_moved, wire_bytes);
+}
+
+/// Scans once through `backend` and returns its profile.
+omega::core::ScanProfile scan_through(omega::core::OmegaBackend& backend) {
+  return omega::core::scan(hetero_dataset(), hetero_options(), [&] {
+           return omega::core::borrow_backend(backend);
+         })
+      .profile;
+}
+
+TEST(LaunchPricing, GpuWithoutFunctionalKernelAccountsTheSame) {
+  // Cap 0 packs nothing and runs no kernel (hetero's setting); a cap above
+  // every position packs and runs each one. The accounting must not notice.
+  omega::par::ThreadPool pool(2);
+  const auto spec = omega::hw::tesla_k80();
+  omega::hw::gpu::GpuBackendOptions priced_only;
+  priced_only.functional_cap = 0;
+  omega::hw::gpu::GpuBackendOptions functional;
+  functional.functional_cap = ~0ull;
+  omega::hw::gpu::GpuOmegaBackend skip(spec, pool, priced_only);
+  omega::hw::gpu::GpuOmegaBackend pack(spec, pool, functional);
+  const auto skipped = scan_through(skip).gpu;
+  const auto packed = scan_through(pack).gpu;
+
+  EXPECT_GT(packed.kernel1_launches + packed.kernel2_launches, 0u);
+  EXPECT_EQ(skipped.kernel1_launches, packed.kernel1_launches);
+  EXPECT_EQ(skipped.kernel2_launches, packed.kernel2_launches);
+  EXPECT_EQ(skipped.kernel1_omegas, packed.kernel1_omegas);
+  EXPECT_EQ(skipped.kernel2_omegas, packed.kernel2_omegas);
+  EXPECT_EQ(skipped.bytes_moved, packed.bytes_moved);
+  EXPECT_EQ(skipped.modeled_kernel_seconds, packed.modeled_kernel_seconds);
+  EXPECT_EQ(skipped.modeled_prep_seconds, packed.modeled_prep_seconds);
+  EXPECT_EQ(skipped.modeled_transfer_seconds, packed.modeled_transfer_seconds);
+  EXPECT_EQ(skipped.modeled_total_seconds, packed.modeled_total_seconds);
+}
+
+TEST(LaunchPricing, FpgaWithoutFunctionalKernelAccountsTheSame) {
+  const auto spec = omega::hw::alveo_u200();
+  omega::hw::fpga::FpgaBackendOptions priced_only;
+  priced_only.functional_cap = 0;
+  omega::hw::fpga::FpgaBackendOptions functional;
+  functional.functional_cap = ~0ull;
+  omega::hw::fpga::FpgaOmegaBackend skip(spec, priced_only);
+  omega::hw::fpga::FpgaOmegaBackend pack(spec, functional);
+  const auto skipped = scan_through(skip).fpga;
+  const auto packed = scan_through(pack).fpga;
+
+  EXPECT_GT(packed.pipeline_cycles, 0u);
+  EXPECT_EQ(skipped.pipeline_cycles, packed.pipeline_cycles);
+  EXPECT_EQ(skipped.stall_cycles, packed.stall_cycles);
+  EXPECT_EQ(skipped.hw_omegas, packed.hw_omegas);
+  EXPECT_EQ(skipped.sw_omegas, packed.sw_omegas);
+  EXPECT_EQ(skipped.modeled_seconds, packed.modeled_seconds);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@
 #include "core/stream_scanner.h"
 #include "hw/device_specs.h"
 #include "hw/fpga/fpga_backend.h"
-#include "hw/gpu/gemm_ld_kernel.h"
 #include "hw/gpu/gpu_backend.h"
 #include "io/chunk_reader.h"
 #include "io/fingerprint.h"
+#include "ld_reference/gpu_ld.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "sweep/detector.h"

@@ -1,8 +1,11 @@
-# CTest script: run bench_hetero_split twice in separate directories and
-# assert omega_metrics_diff finds no self-regression between the two
-# BENCH_HETERO.json files — the CI guard that the co-scheduler numbers
-# (partition tables, re-dispatch counters, modeled vs measured seconds) stay
-# schema-stable and diffable. Invoked as:
+# CTest script: run bench_hetero_split twice in separate directories, fail
+# when either run exits non-zero (its modeled-time gates: bitwise scores, no
+# re-dispatch without a fault, planner == device seconds, hetero auto's
+# accelerator makespan within the best single accelerator's), and assert
+# omega_metrics_diff finds no self-regression between the two
+# BENCH_HETERO.json files — the co-scheduler numbers (partition tables,
+# re-dispatch counters, modeled vs measured seconds) stay schema-stable and
+# diffable. Invoked as:
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_hetero_diff.cmake
 
 foreach(var BENCH_BIN DIFF_BIN WORK_DIR)
@@ -15,28 +18,30 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/a" "${WORK_DIR}/b")
 
 foreach(run a b)
-  # The bench's own exit code reflects its hetero-vs-best-single gate, which
-  # needs a multi-core host; this smoke test only requires the JSON artifact.
   execute_process(
     COMMAND "${BENCH_BIN}"
     WORKING_DIRECTORY "${WORK_DIR}/${run}"
     RESULT_VARIABLE bench_result
     OUTPUT_VARIABLE bench_output
     ERROR_VARIABLE bench_output)
+  if(NOT bench_result EQUAL 0)
+    message(FATAL_ERROR
+      "bench_hetero_diff: run '${run}' failed its gates "
+      "(exit ${bench_result})\n${bench_output}")
+  endif()
   if(NOT EXISTS "${WORK_DIR}/${run}/BENCH_HETERO.json")
     message(FATAL_ERROR
-      "bench_hetero_diff: run '${run}' produced no BENCH_HETERO.json "
-      "(exit ${bench_result})\n${bench_output}")
+      "bench_hetero_diff: run '${run}' produced no BENCH_HETERO.json\n"
+      "${bench_output}")
   endif()
 endforeach()
 
 # Gate on the deterministic counters only: the scans are bitwise-identical
 # runs of identical code, so omega_evaluations must not move at all, while
-# per-worker busy seconds and partition walls legitimately swing with
-# straggler re-dispatch on a loaded host (the co-scheduler shifts work
-# between partitions run to run). A generous threshold and a 50 ms floor
-# keep even the watched keys robust. --allow-schema-drift keeps baselines
-# from a previous schema version usable (intersecting keys still gate).
+# per-worker busy seconds and partition walls swing with host load. A
+# generous threshold and a 50 ms floor keep even the watched keys robust.
+# --allow-schema-drift keeps baselines from a previous schema version usable
+# (intersecting keys still gate).
 execute_process(
   COMMAND "${DIFF_BIN}"
     "${WORK_DIR}/a/BENCH_HETERO.json" "${WORK_DIR}/b/BENCH_HETERO.json"

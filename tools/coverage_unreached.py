@@ -55,6 +55,11 @@ SCANS = [
       "--fault-rate", "1.0", "--cpu-fallback", "false", "--max-retries", "1",
       "--modeled-timeout", "0.5", "--flight-recorder"] + SIM, 0),
     (["--name", "hetero", "--backend", "hetero", "--threads", "3"] + SIM, 0),
+    # Every accelerator launch times out, so recovery gives up and the spans
+    # go back to the CPU; with no CPU segment the CPU worker returns before
+    # the first remainder is pushed, and the mop-up wave drains them.
+    (["--name", "hetero_timeout", "--backend", "hetero", "--threads", "3",
+      "--hetero-split", "0:1:1", "--modeled-timeout", "1e-12"] + SIM, 0),
     (["--name", "hetero_stream", "--backend", "hetero", "--threads", "3",
       "--hetero-split", "1:1:1"] + SIM + STREAM + FAULTS, 0),
     (["--name", "stream"] + SIM + STREAM, 0),
